@@ -1,7 +1,9 @@
 """Batch experiment runner: ``run`` a config, ``sweep`` a grid, ``verify`` the suite.
 
 Configs are versioned JSON.  Exit codes: 0 success, 2 validation error,
-3 energy-inequality (majorant) violation, 4 numeric failure.
+3 energy-inequality (majorant) violation, 4 numeric failure.  Parameter ranges
+are checked by the library constructors and drivers; ``execute_run`` turns any
+of their errors into a ConfigError, so the CLI itself checks only structure.
 """
 
 from __future__ import annotations
@@ -9,9 +11,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -71,26 +71,22 @@ def build_objective(spec, base_dir="."):
     kind = spec["kind"]
     if kind == "quadratic":
         _require("target" in spec, "quadratic objective needs a target")
-        scale = float(spec.get("scale", 1.0))
-        _require(scale > 0, "scale must be positive")
-        return quadratic_objective(spec["target"], scale=scale)
+        return quadratic_objective(spec["target"],
+                                   scale=spec.get("scale", 1.0))
     if kind == "p_power":
-        p = float(spec.get("p", 2.0))
-        _require(1.0 < p <= 2.0, "p must lie in (1, 2]")
         design = (np.asarray(spec["design"], dtype=float) if "design" in spec
                   else _load_matrix_csv(spec["design_csv"], base_dir))
         response = (np.asarray(spec["response"], dtype=float)
                     if "response" in spec
                     else _load_vector_csv(spec["response_csv"], base_dir))
-        return p_power_objective(design, response, p)
+        return p_power_objective(design, response, spec.get("p", 2.0))
     if kind == "logistic":
         design = (np.asarray(spec["design"], dtype=float) if "design" in spec
                   else _load_matrix_csv(spec["design_csv"], base_dir))
         labels = (np.asarray(spec["labels"], dtype=float) if "labels" in spec
                   else _load_vector_csv(spec["labels_csv"], base_dir))
         return logistic_objective(design, labels,
-                                  region_radius=float(spec.get("region_radius",
-                                                               10.0)))
+                                  region_radius=spec.get("region_radius", 10.0))
     raise ConfigError(f"unknown objective kind {kind!r}")
 
 
@@ -98,11 +94,7 @@ def build_dictionary(spec, base_dir="."):
     _require(isinstance(spec, dict) and "kind" in spec,
              "dictionary spec needs a 'kind'")
     kind = spec["kind"]
-    p = float(spec.get("p", 2.0))
-    try:
-        norm = NormTag(p)
-    except ValueError as exc:
-        raise ConfigError(str(exc))
+    norm = NormTag(spec.get("p", 2.0))
     if kind == "coordinate":
         _require("dim" in spec, "coordinate dictionary needs 'dim'")
         return FiniteDictionary.coordinate(int(spec["dim"]), norm=norm)
@@ -126,13 +118,10 @@ def build_weakness(spec):
     if isinstance(spec, (int, float)):
         spec = {"kind": "constant", "t": spec}
     kind = spec.get("kind", "constant")
-    try:
-        if kind == "constant":
-            return WeaknessSequence.constant(float(spec["t"]))
-        if kind == "explicit":
-            return WeaknessSequence.explicit(spec["values"])
-    except (ValueError, KeyError) as exc:
-        raise ConfigError(f"bad weakness spec: {exc}")
+    if kind == "constant":
+        return WeaknessSequence.constant(spec["t"])
+    if kind == "explicit":
+        return WeaknessSequence.explicit(spec["values"])
     raise ConfigError(f"unknown weakness kind {kind!r}")
 
 
@@ -140,27 +129,15 @@ def build_coefficients(spec, objective):
     _require(isinstance(spec, dict) and "kind" in spec,
              "coefficient spec needs a 'kind'")
     kind = spec["kind"]
-    try:
-        if kind == "power":
-            c, s = float(spec["c"]), float(spec["s"])
-            _require(0.0 < s < 1.0, "s must lie in (0, 1)")
-            return CoefficientSequence.power(c, s)
-        if kind == "explicit":
-            return CoefficientSequence.explicit(spec["values"])
-        if kind == "power-rule":
-            t = float(spec.get("t", 1.0))
-            _require(0.0 < t <= 1.0, "t must lie in (0, 1]")
-            mu = objective.majorant
-            q = float(spec.get("q", mu.q if mu.is_power else 2.0))
-            _require(1.0 < q <= 2.0, "q must lie in (1, 2]")
-            gamma = float(spec.get("gamma",
-                                   mu.gamma if mu.is_power else 1.0))
-            _require(gamma > 0, "gamma must be positive")
-            return make_power_coefficients(t, q, gamma)
-    except ConfigError:
-        raise
-    except (ValueError, KeyError) as exc:
-        raise ConfigError(f"bad coefficient spec: {exc}")
+    if kind == "power":
+        return CoefficientSequence.power(spec["c"], spec["s"])
+    if kind == "explicit":
+        return CoefficientSequence.explicit(spec["values"])
+    if kind == "power-rule":
+        mu = objective.majorant
+        return make_power_coefficients(
+            spec.get("t", 1.0), spec.get("q", mu.q if mu.is_power else 2.0),
+            spec.get("gamma", mu.gamma if mu.is_power else 1.0))
     raise ConfigError(f"unknown coefficient kind {kind!r}")
 
 
@@ -169,17 +146,13 @@ def build_majorant(spec, objective):
         return None  # runner falls back to the objective's majorant
     _require(isinstance(spec, dict) and spec.get("kind") == "power",
              "majorant spec must be 'objective' or a power law")
-    gamma, q = float(spec["gamma"]), float(spec["q"])
-    _require(gamma > 0, "gamma must be positive")
-    _require(1.0 < q <= 2.0, "q must lie in (1, 2]")
-    return Majorant.power(gamma, q)
+    return Majorant.power(spec["gamma"], spec["q"])
 
 
 def build_stop(spec, max_iter_override=None):
     spec = spec or {}
     max_iter = int(max_iter_override if max_iter_override is not None
                    else spec.get("max_iter", 1000))
-    _require(max_iter >= 1, "max_iter must be at least 1")
     grad_tol = spec.get("grad_tol")
     target_gap = spec.get("target_gap")
     return StopRule(max_iter=max_iter,
@@ -197,8 +170,24 @@ def _mode(spec):
 
 def execute_run(config, base_dir=".", seed_override=None,
                 max_iter_override=None):
-    """Build everything from a validated config and run it."""
-    _require(config.get("schema") == SCHEMA_VERSION,
+    """Build everything from a config and run it.
+
+    The one validation boundary: a ValueError, TypeError, KeyError or
+    IndexError raised while building or running (a parameter out of range, a
+    schedule shorter than the run, a malformed value) becomes a ConfigError.
+    Majorant violations and numeric failures pass through unchanged.
+    """
+    try:
+        return _execute_run(config, base_dir, seed_override,
+                            max_iter_override)
+    except (ValueError, TypeError, KeyError, IndexError) as exc:
+        message = f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)
+        raise ConfigError(message) from exc
+
+
+def _execute_run(config, base_dir, seed_override, max_iter_override):
+    _require(isinstance(config, dict)
+             and config.get("schema") == SCHEMA_VERSION,
              f"config schema must be {SCHEMA_VERSION}")
     seed = int(seed_override if seed_override is not None
                else config.get("seed", 0))
@@ -211,14 +200,10 @@ def execute_run(config, base_dir=".", seed_override=None,
     kind = algo["kind"]
 
     if kind == "GBE":
-        t = float(algo.get("t", 1.0))
-        _require(0.0 < t <= 1.0, "t must lie in (0, 1]")
         coeffs = build_coefficients(algo.get("coefficients"), objective)
-        trace = run_gbe(objective, dictionary, t, coeffs.value, stop,
-                        mode=_mode(algo), seed=seed)
+        trace = run_gbe(objective, dictionary, algo.get("t", 1.0),
+                        coeffs.value, stop, mode=_mode(algo), seed=seed)
     elif kind == "EGA":
-        _require(not isinstance(dictionary, SphereDictionary),
-                 "EGA needs a finite dictionary (sphere is not supported)")
         coeffs = build_coefficients(algo.get("coefficients"), objective)
         trace = run_ega(objective, dictionary, coeffs, stop, seed=seed)
     elif kind == "GGA_FIXED":
@@ -228,10 +213,9 @@ def execute_run(config, base_dir=".", seed_override=None,
                               mode=_mode(algo), seed=seed)
     elif kind == "GGA_ADAPTIVE":
         tau = build_weakness(algo.get("tau", algo.get("t")))
-        b = float(algo.get("b", 0.5))
-        _require(0.0 < b < 1.0, "b must be in (0,1)")
         mu = build_majorant(algo.get("mu", "objective"), objective)
-        trace = run_gga_adaptive(objective, dictionary, tau, b, stop,
+        trace = run_gga_adaptive(objective, dictionary, tau,
+                                 algo.get("b", 0.5), stop,
                                  majorant=mu, mode=_mode(algo), seed=seed)
     elif kind == "GEGA":
         tau = build_weakness(algo.get("tau", algo.get("t")))
@@ -285,7 +269,7 @@ def _write_outputs(trace, manifest, config, out_dir):
 
 def _unwrap_manifest(payload):
     # a manifest is itself a runnable config (round-trip property)
-    if "config" in payload and isinstance(payload["config"], dict) \
+    if isinstance(payload, dict) and isinstance(payload.get("config"), dict) \
             and "results" in payload:
         return payload["config"]
     return payload
@@ -346,18 +330,13 @@ def cmd_sweep(args):
     points = list(itertools.product(*(grid[n] for n in names)))
     base_dir = Path(args.config).parent
 
-    def job(item):
-        index, values = item
+    rows = []
+    for index, values in enumerate(points):
         point = json.loads(json.dumps(config))  # deep copy
         for name, value in zip(names, values):
             _set_by_path(point, name, value)
-        return _sweep_one(index, point, base_dir, args.out, args.seed,
-                          args.max_iter)
-
-    workers = int(os.environ.get("GREEDY_OPT_THREADS", "0")) or min(4,
-                                                                    len(points))
-    with ThreadPoolExecutor(max_workers=max(1, workers)) as pool:
-        rows = list(pool.map(job, enumerate(points)))
+        rows.append(_sweep_one(index, point, base_dir, args.out, args.seed,
+                               args.max_iter))
 
     lines = ["run," + ",".join(names)
              + ",status,iterations,final_E,final_gap,fit_exponent"]

@@ -133,29 +133,33 @@ def smallest_dominating_constant(gaps, bounds, upto):
     return max(ratios) if ratios else 0.0
 
 
+def _first_violation(gaps, bounds, C, start):
+    """First m > start with gap_m > C * bound_m, or None when the envelope holds."""
+    start = max(0, int(start))
+    over = np.flatnonzero(np.asarray(gaps[start:], dtype=float)
+                          > C * np.asarray(bounds[start:], dtype=float))
+    return int(over[0]) + start + 1 if over.size else None
+
+
 def bound_holds(gaps, bounds, C, start):
     """gap_m <= C * bound_m for every m > start (monotone in C by construction)."""
-    for i in range(int(start), len(gaps)):
-        if gaps[i] > C * bounds[i]:
-            return False
-    return True
+    return _first_violation(gaps, bounds, C, start) is None
 
 
-def _first_violation(gaps, bounds, C, start):
-    for i in range(int(start), len(gaps)):
-        if gaps[i] > C * bounds[i]:
-            return i + 1
-    return None
+def _power_series_sum(a, terms=1_000_000):
+    """Upper bound on sum_k k^-a: ``terms`` exact terms plus the integral tail.
 
-
-def _power_series_budget(gamma, q, c, s, terms=1_000_000):
-    """Upper bound on gamma * sum_k (c k^-s)^q via partial sum plus integral tail."""
-    a = s * q
+    Infinite for a <= 1, where the series diverges.
+    """
     if a <= 1.0:
         return math.inf
     k = np.arange(1, terms + 1, dtype=float)
-    return gamma * c**q * (float(np.sum(k ** (-a)))
-                           + terms ** (1.0 - a) / (a - 1.0))
+    return float(np.sum(k ** (-a))) + terms ** (1.0 - a) / (a - 1.0)
+
+
+def _power_series_budget(gamma, q, c, s):
+    """Upper bound on gamma * sum_k (c k^-s)^q."""
+    return gamma * c**q * _power_series_sum(s * q)
 
 
 def _tau_array(trace):
@@ -225,13 +229,13 @@ def claim_verdict(claim, trace, r=None, hull_radius=None, tolerance=1e-2,
     if not v.preconditions_met:
         return v
     C = smallest_dominating_constant(gaps, bounds, calibration)
-    start = min(calibration, len(gaps))
-    ok = bound_holds(gaps, bounds, C, start)
-    v.bound_satisfied = bool(ok)
+    first_violation = _first_violation(gaps, bounds, C,
+                                       min(calibration, len(gaps)))
+    v.bound_satisfied = first_violation is None
     v.details.update({
         "constant": C,
         "calibration": calibration,
-        "first_violation": _first_violation(gaps, bounds, C, start),
+        "first_violation": first_violation,
         "final_gap": float(gaps[-1]),
     })
     return v
@@ -265,10 +269,8 @@ def _check_fixed_summable(v, trace, algorithm):
     if c > 1.0 + 1e-12:
         v.preconditions_met = False
         v.reasons.append(f"c = {c} exceeds 1, coefficients leave [0, 1]")
-    # s <= 1 makes sum c k^-s diverge, which is the required mass condition
-    if s > 1.0:
-        v.preconditions_met = False
-        v.reasons.append(f"s = {s} > 1: coefficient mass is summable")
+    # s lies in (0, 1] by CoefficientSequence.power, so sum c k^-s diverges,
+    # which is the required mass condition
     budget = _power_series_budget(gamma, q, c, s)
     v.details["mu_series_budget"] = budget
     if not budget <= 1.0 + 1e-12:

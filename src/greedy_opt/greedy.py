@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import dual_norm, lp_norm, pairing
+from .diagnostics import _first_violation, _power_series_sum
 from .dictionaries import (
     ARGMAX,
     FiniteDictionary,
@@ -71,11 +72,10 @@ class StopRule:
 class WeaknessSequence:
     """Per-iteration weakness parameters t_m in (0, 1]."""
 
-    def __init__(self, kind, t=None, values=None, fn=None):
+    def __init__(self, kind, t=None, values=None):
         self.kind = kind
         self._t = t
         self._values = list(values) if values is not None else None
-        self._fn = fn
 
     @classmethod
     def constant(cls, t):
@@ -91,19 +91,13 @@ class WeaknessSequence:
             raise ValueError("empty weakness sequence")
         return cls("explicit", values=vals)
 
-    @classmethod
-    def formula(cls, fn):
-        return cls("formula", fn=fn)
-
     def __call__(self, m):
         if self.kind == "constant":
             t = self._t
-        elif self.kind == "explicit":
+        else:
             if m > len(self._values):
                 raise IndexError(f"weakness sequence exhausted at m={m}")
             t = self._values[m - 1]
-        else:
-            t = float(self._fn(m))
         if not (0.0 < t <= 1.0):
             raise ValueError(f"t_{m} = {t} outside (0, 1]")
         return t
@@ -111,9 +105,7 @@ class WeaknessSequence:
     def describe(self):
         if self.kind == "constant":
             return {"kind": "constant", "t": self._t}
-        if self.kind == "explicit":
-            return {"kind": "explicit", "values": self._values}
-        return {"kind": "formula"}
+        return {"kind": "explicit", "values": self._values}
 
 
 def _as_weakness(tau):
@@ -187,8 +179,7 @@ def make_power_coefficients(t, q, gamma, terms=1_000_000):
     if a <= 1.0 + 1e-12:
         raise ValueError(f"series exponent s*q = {a} must exceed 1; "
                          "the coefficient series would diverge")
-    k = np.arange(1, terms + 1, dtype=float)
-    series_bound = float(np.sum(k ** (-a))) + terms ** (1.0 - a) / (a - 1.0)
+    series_bound = _power_series_sum(a, terms)
     c = (gamma * series_bound) ** (-1.0 / q)
     meta = {"t": t, "q": q, "gamma": gamma, "series_bound": series_bound}
     return CoefficientSequence.power(c, s, meta=meta)
@@ -440,10 +431,10 @@ def run_gbe(E, dictionary, t, coeff_rule, stop, mode=ARGMAX, seed=None):
 
     ``coeff_rule`` maps the iteration index m (1-based) to a positive c_m.
     """
-    t = float(t)
+    tau = WeaknessSequence.constant(t)
 
     def pick(m, G, grad, sval, satom):
-        atom, _ = select_atom(-grad, dictionary, t=t, mode=mode,
+        atom, _ = select_atom(-grad, dictionary, t=tau(m), mode=mode,
                               score=(sval, satom))
         c = float(coeff_rule(m))
         if c <= 0:
@@ -452,10 +443,9 @@ def run_gbe(E, dictionary, t, coeff_rule, stop, mode=ARGMAX, seed=None):
         return atom, c, []
 
     config = _base_config(E, dictionary, stop, seed)
-    config.update({"algorithm": "GBE", "tau": {"kind": "constant", "t": t},
-                   "mode": mode})
+    config.update({"algorithm": "GBE", "tau": tau.describe(), "mode": mode})
     trace = _run(E, dictionary, stop, "GBE", config, pick)
-    trace.t_used = [t] * len(trace)
+    trace.t_used = [tau(1)] * len(trace)
     return trace
 
 
@@ -510,7 +500,7 @@ def run_gga_adaptive(E, dictionary, tau, b, stop, majorant=None, mode=ARGMAX,
     """
     b = float(b)
     if not (0.0 < b < 1.0):
-        raise ValueError("b must lie in (0, 1)")
+        raise ValueError("b must be in (0,1)")
     tau = _as_weakness(tau)
     mu = majorant if majorant is not None else E.majorant
     c_cap = mu.domain_bound if math.isfinite(mu.domain_bound) else None
@@ -640,5 +630,4 @@ def check_rate_bound(trace, alpha, C, burn_in=0):
     if alpha <= 0 or C <= 0:
         raise ValueError("alpha and C must be positive")
     m = np.arange(1, len(gaps) + 1, dtype=float)
-    sel = m > burn_in
-    return bool(np.all(gaps[sel] <= C * m[sel] ** (-alpha)))
+    return _first_violation(gaps, m ** (-alpha), C, burn_in) is None

@@ -8,6 +8,8 @@ by file.
 
 from __future__ import annotations
 
+import functools
+import re
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -29,8 +31,10 @@ from .diagnostics import (
     ADAPTIVE_RATE,
     FIXED_SUMMABLE_CONVERGENCE,
     POWER_SCHEDULE_RATE,
+    bound_holds,
     claim_verdict,
     fit_rate,
+    smallest_dominating_constant,
 )
 from .greedy import (
     StopRule,
@@ -59,10 +63,10 @@ __all__ = ["CriterionResult", "VerifyContext", "criterion_names", "run_all"]
 
 @dataclass
 class CriterionResult:
-    name: str
     passed: bool
     detail: str
     elapsed: float = 0.0
+    name: str = ""
 
 
 @dataclass
@@ -114,9 +118,30 @@ def _shipped_objectives(ctx):
     ]
 
 
+CRITERIA = []
+
+
+def _name_of(fn):
+    """Criterion name from its function name: c01_foo_bar -> 01-foo-bar."""
+    return re.sub(r"^c(?=\d)", "", fn.__name__).replace("_", "-")
+
+
+def _criterion(fn):
+    """Register a criterion in CRITERIA (definition order is run order) and
+    stamp its name on every result it returns."""
+    @functools.wraps(fn)
+    def named(ctx):
+        result = fn(ctx)
+        result.name = _name_of(fn)
+        return result
+    CRITERIA.append(named)
+    return named
+
+
 # --- numbered criteria -----------------------------------------------------
 
 
+@_criterion
 def c01_gradient_method_equivalence(ctx):
     """Adaptive run on the Euclidean sphere must reproduce plain gradient descent."""
     start = time.perf_counter()
@@ -145,17 +170,18 @@ def c01_gradient_method_equivalence(ctx):
         final = trace.E[-1] if len(trace) else trace.E0
         for ref in tail:
             if abs(E(ref) - final) > 1e-12 * (1.0 + abs(final)):
-                return CriterionResult("01-gradient-method-equivalence", False,
-                                       "greedy run stopped but descent kept moving")
+                return CriterionResult(
+                    False, "greedy run stopped but descent kept moving")
     elapsed = time.perf_counter() - start
     ok = (worst <= 1e-12 and len(trace.flags) == trace.flags.count("")
           and elapsed < 1.0)
     return CriterionResult(
-        "01-gradient-method-equivalence", ok,
+        ok,
         f"max per-coordinate relative deviation {worst:.3e} over "
         f"{len(trace)} iterations (tol 1e-12); {elapsed:.2f}s", elapsed)
 
 
+@_criterion
 def c02_adaptive_energy_inequality(ctx):
     """Per-step energy decrease on every shipped adaptive instance."""
     start = time.perf_counter()
@@ -174,11 +200,11 @@ def c02_adaptive_energy_inequality(ctx):
     if bad:
         detail = "violated at " + ", ".join(f"{n} (iteration {w})"
                                             for n, _ok, w, _m in bad)
-    return CriterionResult("02-adaptive-energy-inequality",
-                           not bad and elapsed < 10.0,
+    return CriterionResult(not bad and elapsed < 10.0,
                            detail + f" (slack 1e-10); {elapsed:.2f}s", elapsed)
 
 
+@_criterion
 def c03_smoothness_gap_sweep(ctx):
     """Convexity/smoothness sandwich on 10^3 random triples per objective."""
     rng = np.random.default_rng(11)
@@ -196,9 +222,10 @@ def c03_smoothness_gap_sweep(ctx):
     ok = not failures
     detail = ("zero violations across 4 objectives x 1000 triples (tol 1e-9)"
               if ok else f"violations: {failures}")
-    return CriterionResult("03-smoothness-gap-sweep", ok, detail)
+    return CriterionResult(ok, detail)
 
 
+@_criterion
 def c04_score_gap_bound_sweep(ctx):
     """Greedy score dominates the scaled gap along a 10^3-iteration run."""
     E = ctx.quadratic(quadratic_geometric, 64)
@@ -218,11 +245,12 @@ def c04_score_gap_bound_sweep(ctx):
             break
     ok = bad_at is None and len(trace) == 1000
     return CriterionResult(
-        "04-score-gap-bound-sweep", ok,
+        ok,
         f"worst margin {worst_margin:.3e} over {len(trace)} iterations "
         "(slack 1e-10)" if ok else f"bound failed at iteration {bad_at}")
 
 
+@_criterion
 def c05_fixed_schedule_convergence(ctx):
     """Both fixed-coefficient schemes converge on the unit-l1 2-D quadratic."""
     start = time.perf_counter()
@@ -244,12 +272,13 @@ def c05_fixed_schedule_convergence(ctx):
           and verdict.preconditions_met and verdict.bound_satisfied
           and elapsed < 5.0)
     return CriterionResult(
-        "05-fixed-schedule-convergence", ok,
+        ok,
         f"gaps at m=10^4: greedy-selection {gga_gap:.3e}, objective-scan "
         f"{ega_gap:.3e} (target 1e-2); sublevel confinement {confined}; "
         f"{elapsed:.2f}s", elapsed)
 
 
+@_criterion
 def c06_power_schedule_rate(ctx):
     """Calibrated m^-0.3 envelope for the fixed power schedule (t=1, q=2)."""
     start = time.perf_counter()
@@ -264,12 +293,13 @@ def c06_power_schedule_rate(ctx):
     ok = (verdict.preconditions_met and bool(verdict.bound_satisfied)
           and elapsed < 10.0)
     return CriterionResult(
-        "06-power-schedule-rate", ok,
+        ok,
         f"C = {verdict.details.get('constant', float('nan')):.4g}, "
         f"preconditions {verdict.preconditions_met} {verdict.reasons}, "
         f"bound {verdict.bound_satisfied}; {elapsed:.2f}s", elapsed)
 
 
+@_criterion
 def c07_adaptive_rate(ctx):
     """Calibrated m^-0.2 envelope for the adaptive scheme (t=1, b=1/2, q=2)."""
     E = ctx.quadratic(quadratic_geometric, 64)
@@ -278,22 +308,20 @@ def c07_adaptive_rate(ctx):
                              StopRule(max_iter=5000, grad_tol=0.0))
     ctx.write(trace, "c07_adaptive_rate.csv")
     gaps = trace.gaps()
-    m = np.arange(1, len(gaps) + 1, dtype=float)
-    bounds = m ** (-0.2)
-    upto = min(10, len(gaps))
-    ratios = [gaps[i] / bounds[i] for i in range(upto) if gaps[i] > 0]
-    C = max(ratios) if ratios else 0.0
-    ok = bool(np.all(gaps[upto:] <= C * bounds[upto:]))
+    bounds = np.arange(1, len(gaps) + 1, dtype=float) ** (-0.2)
+    C = smallest_dominating_constant(gaps, bounds, 10)
+    ok = bound_holds(gaps, bounds, C, min(10, len(gaps)))
     fallback = any("unit-step-fallback" in f for f in trace.flags)
     verdict = claim_verdict(ADAPTIVE_RATE, trace, hull_radius=1.0)
     ok = ok and not fallback and verdict.preconditions_met \
         and bool(verdict.bound_satisfied)
     return CriterionResult(
-        "07-adaptive-rate", ok,
+        ok,
         f"C = {C:.4g} calibrated on 10 iterations, tail of {len(gaps)} under "
         f"C m^-0.2: {ok}; general-form verdict {verdict.bound_satisfied}")
 
 
+@_criterion
 def c08_adaptive_sphere_rate(ctx):
     """Sphere-dictionary adaptive run decays at least like 1/m."""
     E = ctx.quadratic(quadratic_nd, 10, seed=3)
@@ -302,19 +330,19 @@ def c08_adaptive_sphere_rate(ctx):
     ctx.write(trace, "c08_sphere_rate.csv")
     gaps = trace.gaps()
     if len(gaps) == 0 or gaps[0] <= 0:
-        return CriterionResult("08-adaptive-sphere-rate", False,
-                               "degenerate first iteration")
+        return CriterionResult(False, "degenerate first iteration")
     m = np.arange(1, len(gaps) + 1, dtype=float)
     limit = 10.0 * gaps[0]
     worst = float(np.max(gaps * m))
     ok = worst <= limit and not any("unit-step-fallback" in f
                                     for f in trace.flags)
     return CriterionResult(
-        "08-adaptive-sphere-rate", ok,
+        ok,
         f"max over m of gap*m = {worst:.3e} vs 10*gap_1 = {limit:.3e} "
         f"({len(gaps)} iterations)")
 
 
+@_criterion
 def c09_exact_line_search_two_step(ctx):
     """The separable 2-D quadratic is solved exactly in two line-search steps."""
     E = ctx.quadratic(quadratic_2d)
@@ -327,9 +355,10 @@ def c09_exact_line_search_two_step(ctx):
     detail = (f"{len(trace)} iterations, status {trace.status}, "
               f"E(G_2) = {trace.E[-1] if len(trace) >= 2 else float('nan'):.3e}"
               " (tol 1e-18)")
-    return CriterionResult("09-exact-line-search-two-step", ok, detail)
+    return CriterionResult(ok, detail)
 
 
+@_criterion
 def c10_line_search_logistic_convergence(ctx):
     """Exact-line-search run closes the gap on the logistic instance."""
     start = time.perf_counter()
@@ -342,11 +371,12 @@ def c10_line_search_logistic_convergence(ctx):
     elapsed = time.perf_counter() - start
     ok = gap <= 1e-4 and elapsed < 30.0
     return CriterionResult(
-        "10-line-search-logistic-convergence", ok,
+        ok,
         f"gap to reference infimum {gap:.3e} after {len(trace)} iterations "
         f"(target 1e-4); {elapsed:.1f}s", elapsed)
 
 
+@_criterion
 def c11_oracle_equivalences(ctx):
     """Selection scan, rate fit, and step solver against independent oracles."""
     problems = []
@@ -395,11 +425,12 @@ def c11_oracle_equivalences(ctx):
 
     ok = not problems
     return CriterionResult(
-        "11-oracle-equivalences", ok,
+        ok,
         "scan/fit/step-solver all match their oracles" if ok
         else "; ".join(problems[:3]))
 
 
+@_criterion
 def c12_trace_determinism(ctx):
     """Repeating representative runs reproduces their serialized traces byte-for-byte."""
     from .traceio import trace_csv_text
@@ -416,14 +447,14 @@ def c12_trace_determinism(ctx):
                                          FiniteDictionary.coordinate(5), 1.0,
                                          0.5, StopRule(max_iter=200)))
     ok = a == b and c == d
-    return CriterionResult("12-trace-determinism", ok,
-                           "repeat runs serialize identically" if ok
+    return CriterionResult(ok, "repeat runs serialize identically" if ok
                            else "serialized traces differ between repeats")
 
 
 # --- invariant sweeps ------------------------------------------------------
 
 
+@_criterion
 def inv_objective_contracts(ctx):
     """Convexity, gradients, and supporting hyperplanes on every shipped objective."""
     bad = []
@@ -432,11 +463,11 @@ def inv_objective_contracts(ctx):
         for key in ("convexity", "supporting_hyperplane", "gradient"):
             if not report[key]:
                 bad.append(f"{name}:{key}")
-    return CriterionResult("inv-objective-contracts", not bad,
-                           "all objectives pass sampling audits" if not bad
-                           else "failed: " + ", ".join(bad))
+    return CriterionResult(not bad, "all objectives pass sampling audits"
+                           if not bad else "failed: " + ", ".join(bad))
 
 
+@_criterion
 def inv_majorant_domination(ctx):
     """Declared majorants dominate the sampled modulus (the fault injection target)."""
     bad = []
@@ -449,9 +480,10 @@ def inv_majorant_domination(ctx):
               "per objective" if ok
               else "MAJORANT_VIOLATION: majorant fails to dominate the "
                    "sampled modulus for " + ", ".join(bad))
-    return CriterionResult("inv-majorant-domination", ok, detail)
+    return CriterionResult(ok, detail)
 
 
+@_criterion
 def inv_hoelder_duality(ctx):
     """Pairings never exceed dual norm times primal norm; the map attains it."""
     rng = np.random.default_rng(23)
@@ -465,53 +497,11 @@ def inv_hoelder_duality(ctx):
             if bound > 0:
                 worst = max(worst, float(np.dot(v, w)) / bound)
     ok = worst <= 1.0 + 1e-12
-    return CriterionResult("inv-hoelder-duality", ok,
-                           f"max pairing/bound ratio {worst:.15f}")
-
-
-CRITERIA = [
-    c01_gradient_method_equivalence,
-    c02_adaptive_energy_inequality,
-    c03_smoothness_gap_sweep,
-    c04_score_gap_bound_sweep,
-    c05_fixed_schedule_convergence,
-    c06_power_schedule_rate,
-    c07_adaptive_rate,
-    c08_adaptive_sphere_rate,
-    c09_exact_line_search_two_step,
-    c10_line_search_logistic_convergence,
-    c11_oracle_equivalences,
-    c12_trace_determinism,
-    inv_objective_contracts,
-    inv_majorant_domination,
-    inv_hoelder_duality,
-]
+    return CriterionResult(ok, f"max pairing/bound ratio {worst:.15f}")
 
 
 def criterion_names():
     return [_name_of(fn) for fn in CRITERIA]
-
-
-def _name_of(fn):
-    mapping = {
-        "c01_gradient_method_equivalence": "01-gradient-method-equivalence",
-        "c02_adaptive_energy_inequality": "02-adaptive-energy-inequality",
-        "c03_smoothness_gap_sweep": "03-smoothness-gap-sweep",
-        "c04_score_gap_bound_sweep": "04-score-gap-bound-sweep",
-        "c05_fixed_schedule_convergence": "05-fixed-schedule-convergence",
-        "c06_power_schedule_rate": "06-power-schedule-rate",
-        "c07_adaptive_rate": "07-adaptive-rate",
-        "c08_adaptive_sphere_rate": "08-adaptive-sphere-rate",
-        "c09_exact_line_search_two_step": "09-exact-line-search-two-step",
-        "c10_line_search_logistic_convergence":
-            "10-line-search-logistic-convergence",
-        "c11_oracle_equivalences": "11-oracle-equivalences",
-        "c12_trace_determinism": "12-trace-determinism",
-        "inv_objective_contracts": "inv-objective-contracts",
-        "inv_majorant_domination": "inv-majorant-domination",
-        "inv_hoelder_duality": "inv-hoelder-duality",
-    }
-    return mapping[fn.__name__]
 
 
 def run_all(ctx=None):
@@ -523,8 +513,8 @@ def run_all(ctx=None):
         try:
             result = fn(ctx)
         except Exception as exc:  # a crash is a failed criterion, not a crash of verify
-            result = CriterionResult(_name_of(fn), False,
-                                     f"{type(exc).__name__}: {exc}")
+            result = CriterionResult(False, f"{type(exc).__name__}: {exc}",
+                                     name=_name_of(fn))
         if not result.elapsed:
             result.elapsed = time.perf_counter() - started
         results.append(result)

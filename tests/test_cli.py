@@ -3,6 +3,7 @@
 import json
 
 import numpy as np
+import pytest
 
 from greedy_opt.cli import main
 from greedy_opt.traceio import read_trace_csv
@@ -25,7 +26,56 @@ def write_config(path, **overrides):
     return config
 
 
+FIXED_SHORT_SCHEDULE = {"kind": "GGA_FIXED", "tau": 1.0,
+                        "coefficients": {"kind": "explicit",
+                                         "values": [0.5, 0.25]}}
+LOGISTIC = {"kind": "logistic", "design": [[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]],
+            "labels": [1.0, -1.0, 1.0]}
+
+# each config is rejected by a library constructor or driver, never by the CLI
+BAD_CONFIGS = {
+    "schedule-shorter-than-run": {"algorithm": FIXED_SHORT_SCHEDULE},
+    "nan-target": {"objective": {"kind": "quadratic",
+                                 "target": [float("nan"), 0.5]}},
+    "dictionary-dim-mismatch": {
+        "objective": {"kind": "quadratic", "target": [0.1, 0.2, 0.3]},
+        "dictionary": {"kind": "coordinate", "dim": 4}},
+    "labels-not-pm1": {"objective": dict(LOGISTIC, labels=[1.0, 0.0, -1.0])},
+    "max-iter-not-a-number": {"stop": {"max_iter": "ten"}},
+    "dim-zero": {"dictionary": {"kind": "coordinate", "dim": 0}},
+    "scale-not-a-number": {"objective": {"kind": "quadratic",
+                                         "target": [0.5, 0.5], "scale": "x"}},
+    "explicit-weakness-above-1": {
+        "algorithm": {"kind": "GGA_ADAPTIVE", "b": 0.5,
+                      "tau": {"kind": "explicit", "values": [2.0, 0.5]}}},
+    "zero-region-radius-line-search": {
+        "objective": dict(LOGISTIC, region_radius=0),
+        "algorithm": {"kind": "GEGA", "tau": 1.0}},
+    "gbe-zero-coefficient": {
+        "algorithm": {"kind": "GBE", "t": 1.0,
+                      "coefficients": {"kind": "explicit",
+                                       "values": [0.5, 0.0, 0.25]}}},
+}
+
+
 class TestRunCommand:
+    @pytest.mark.parametrize("overrides", BAD_CONFIGS.values(),
+                             ids=BAD_CONFIGS.keys())
+    def test_library_errors_exit_2(self, tmp_path, capsys, overrides):
+        cfg = tmp_path / "config.json"
+        write_config(cfg, **overrides)
+        assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ")
+        assert "Traceback" not in err
+
+    def test_s_equal_to_1_runs(self, tmp_path):
+        cfg = tmp_path / "config.json"
+        write_config(cfg, algorithm={"kind": "GGA_FIXED", "tau": 1.0,
+                                     "coefficients": {"kind": "power",
+                                                      "c": 0.5, "s": 1.0}})
+        assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 0
+
     def test_successful_run_writes_outputs(self, tmp_path):
         cfg = tmp_path / "config.json"
         write_config(cfg)
@@ -201,14 +251,18 @@ class TestSweepCommand:
         lines = (out / "summary.csv").read_text().strip().split("\n")
         assert "error: MajorantViolationError" in lines[2]
 
-    def test_thread_cap_env(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("GREEDY_OPT_THREADS", "1")
+    def test_short_schedule_fails_its_row_only(self, tmp_path):
         cfg = tmp_path / "config.json"
-        write_config(cfg)
+        write_config(cfg, algorithm=FIXED_SHORT_SCHEDULE)
         grid = tmp_path / "grid.json"
-        grid.write_text(json.dumps({"algorithm.b": [0.4, 0.5]}))
+        grid.write_text(json.dumps({"stop.max_iter": [2, 5]}))
+        out = tmp_path / "sweep"
         assert main(["sweep", str(cfg), "--grid", str(grid), "--out",
-                     str(tmp_path / "s")]) == 0
+                     str(out)]) == 0
+        lines = (out / "summary.csv").read_text().strip().split("\n")
+        assert len(lines) == 3
+        assert lines[1].split(",")[2] == "max-iter"
+        assert lines[2].split(",")[2] == "error: ConfigError"
 
 
 class TestVerifyCommand:

@@ -70,11 +70,11 @@ class TestSequences:
         with pytest.raises(IndexError):
             seq(3)
 
-    def test_formula_values_validated(self):
-        seq = WeaknessSequence.formula(lambda m: 2.0 / m)
+    def test_explicit_values_validated_at_call_time(self):
+        seq = WeaknessSequence.explicit([2.0, 0.5])
         with pytest.raises(ValueError):
             seq(1)
-        assert seq(4) == 0.5
+        assert seq(2) == 0.5
 
     def test_coefficient_validation(self):
         with pytest.raises(ValueError):
