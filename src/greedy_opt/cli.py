@@ -117,6 +117,7 @@ def build_weakness(spec):
         return WeaknessSequence.constant(1.0)
     if isinstance(spec, (int, float)):
         spec = {"kind": "constant", "t": spec}
+    _require(isinstance(spec, dict), "tau must be a number or an object")
     kind = spec.get("kind", "constant")
     if kind == "constant":
         return WeaknessSequence.constant(spec["t"])
@@ -150,7 +151,8 @@ def build_majorant(spec, objective):
 
 
 def build_stop(spec, max_iter_override=None):
-    spec = spec or {}
+    spec = {} if spec is None else spec
+    _require(isinstance(spec, dict), "stop must be an object")
     max_iter = int(max_iter_override if max_iter_override is not None
                    else spec.get("max_iter", 1000))
     grad_tol = spec.get("grad_tol")
@@ -197,12 +199,19 @@ def _execute_run(config, base_dir, seed_override, max_iter_override):
     _require(isinstance(algo, dict) and "kind" in algo,
              "algorithm spec needs a 'kind'")
     stop = build_stop(config.get("stop"), max_iter_override)
+    diag = config.get("diagnostics") or {}
+    _require(isinstance(diag, dict), "diagnostics must be an object")
+    claims = diag.get("claims") or []
+    _require(isinstance(claims, list)
+             and all(isinstance(c, (str, dict)) for c in claims),
+             "diagnostics.claims must be a list of names or objects")
+    _output_names(config)
     kind = algo["kind"]
 
     if kind == "GBE":
         coeffs = build_coefficients(algo.get("coefficients"), objective)
-        trace = run_gbe(objective, dictionary, algo.get("t", 1.0),
-                        coeffs.value, stop, mode=_mode(algo), seed=seed)
+        trace = run_gbe(objective, dictionary, algo.get("t", 1.0), coeffs,
+                        stop, mode=_mode(algo), seed=seed)
     elif kind == "EGA":
         coeffs = build_coefficients(algo.get("coefficients"), objective)
         trace = run_ega(objective, dictionary, coeffs, stop, seed=seed)
@@ -227,13 +236,12 @@ def _execute_run(config, base_dir, seed_override, max_iter_override):
 
     results = {"status": trace.status, "iterations": len(trace),
                "final_E": trace.final_E, "final_gap": trace.final_gap}
-    diag = config.get("diagnostics") or {}
     if trace.infimum is not None and len(trace) >= 10:
         window = diag.get("fit_window")
         fit = fit_rate(trace, window=tuple(window) if window else None)
         results["fit"] = fit.describe()
     verdicts = []
-    for claim_spec in diag.get("claims", []):
+    for claim_spec in claims:
         if isinstance(claim_spec, str):
             claim_spec = {"claim": claim_spec}
         name = claim_spec.get("claim")
@@ -250,18 +258,27 @@ def _execute_run(config, base_dir, seed_override, max_iter_override):
         results["verdicts"] = verdicts
     resolved = dict(config)
     resolved["seed"] = seed
-    resolved["stop"] = {"max_iter": stop.max_iter, "grad_tol": stop.grad_tol,
-                        "target_gap": stop.target_gap}
+    resolved["stop"] = trace.config["stop"]
     manifest = {"schema": SCHEMA_VERSION, "config": resolved,
                 "results": results, "run_config": trace.config}
     return trace, manifest
 
 
-def _write_outputs(trace, manifest, config, out_dir):
-    out_dir = Path(out_dir)
+def _output_names(config):
+    """(trace, manifest) file names; checked before the solve starts."""
     output = config.get("output") or {}
-    trace_path = out_dir / output.get("trace", "trace.csv")
-    manifest_path = out_dir / output.get("manifest", "manifest.json")
+    _require(isinstance(output, dict), "output must be an object")
+    names = (output.get("trace", "trace.csv"),
+             output.get("manifest", "manifest.json"))
+    _require(all(isinstance(name, str) for name in names),
+             "output file names must be strings")
+    return names
+
+
+def _write_outputs(trace, manifest, config, out_dir):
+    trace_name, manifest_name = _output_names(config)
+    trace_path = Path(out_dir) / trace_name
+    manifest_path = Path(out_dir) / manifest_name
     write_trace_csv(trace, trace_path)
     write_manifest(manifest, manifest_path)
     return trace_path, manifest_path

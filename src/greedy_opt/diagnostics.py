@@ -54,8 +54,9 @@ def fit_rate(trace, window=None, min_points=10):
     """Fit gap_m ~ exp(intercept) * m^exponent over a window of iterations.
 
     Only iterations with positive gaps enter the fit.  Fewer than
-    ``min_points`` usable points (e.g. after exact convergence) yields a
-    DEGENERATE fit instead of a slope.
+    ``min_points`` usable points (e.g. after exact convergence), or a flat
+    window where every usable gap is equal (e.g. a plateau at the
+    floating-point floor), yields a DEGENERATE fit instead of a slope.
     """
     gaps = trace.gaps()
     if gaps is None:
@@ -70,19 +71,18 @@ def fit_rate(trace, window=None, min_points=10):
     a = gaps[lo - 1:hi]
     usable = a > 0.0
     n = int(np.sum(usable))
-    if n < min_points:
+    y = np.log(a[usable])
+    if n < min_points or np.all(y == y[0]):
         return RateFit(status="degenerate", window=(lo, hi), n_points=n)
     x = np.log(m[usable])
-    y = np.log(a[usable])
     slope, intercept = np.polyfit(x, y, 1)
     resid = y - (slope * x + intercept)
     ss_res = float(np.dot(resid, resid))
     ybar = y - np.mean(y)
     ss_tot = float(np.dot(ybar, ybar))
-    r2 = 1.0 if ss_tot == 0.0 and ss_res == 0.0 else 1.0 - ss_res / ss_tot
     return RateFit(status="ok", window=(lo, hi), n_points=n,
                    exponent=float(slope), intercept=float(intercept),
-                   r_squared=float(r2))
+                   r_squared=1.0 - ss_res / ss_tot)
 
 
 FIXED_SUMMABLE_CONVERGENCE = "fixed-summable-convergence"
@@ -157,24 +157,25 @@ def _power_series_sum(a, terms=1_000_000):
     return float(np.sum(k ** (-a))) + terms ** (1.0 - a) / (a - 1.0)
 
 
-def _power_series_budget(gamma, q, c, s):
-    """Upper bound on gamma * sum_k (c k^-s)^q."""
-    return gamma * c**q * _power_series_sum(s * q)
-
-
 def _tau_array(trace):
     if trace.t_used is None:
         return None
     return np.asarray(trace.t_used, dtype=float)
 
 
-def _mu_params(trace):
-    """(gamma, q) of the majorant governing the run, from its config."""
+def _fail(v, reason):
+    v.preconditions_met = False
+    v.reasons.append(reason)
+
+
+def _power_majorant(v, trace):
+    """(gamma, q) of the power majorant governing the run, from its config."""
     mu = trace.config.get("mu")
     if mu is None:
         mu = trace.config.get("objective", {}).get("majorant")
     if mu and mu.get("kind") == "power":
         return float(mu["gamma"]), float(mu["q"])
+    _fail(v, "claim needs a power majorant")
     return None
 
 
@@ -197,8 +198,7 @@ def claim_verdict(claim, trace, r=None, hull_radius=None, tolerance=1e-2,
     algorithm = cfg.get("algorithm")
     gaps = trace.gaps()
     if gaps is None:
-        v.preconditions_met = False
-        v.reasons.append("no known or reference infimum on the trace")
+        _fail(v, "no known or reference infimum on the trace")
         return v
     if len(gaps) == 0:
         v.bound_satisfied = True
@@ -206,22 +206,19 @@ def claim_verdict(claim, trace, r=None, hull_radius=None, tolerance=1e-2,
         return v
 
     if claim == FIXED_SUMMABLE_CONVERGENCE:
-        _check_fixed_summable(v, trace, algorithm)
+        fixed = _check_fixed_schedule(v, trace, algorithm)
+        if fixed is not None and fixed[1] > 1.0 + 1e-12:  # (q, c, s, t)
+            _fail(v, f"c = {fixed[1]} exceeds 1, coefficients leave [0, 1]")
+    elif claim in (ADAPTIVE_CONVERGENCE, LINE_SEARCH_CONVERGENCE):
+        wanted = "GGA_ADAPTIVE" if claim == ADAPTIVE_CONVERGENCE else "GEGA"
+        if algorithm != wanted:
+            _fail(v, f"algorithm {algorithm} is not {wanted}")
+    if claim in (FIXED_SUMMABLE_CONVERGENCE, ADAPTIVE_CONVERGENCE,
+                 LINE_SEARCH_CONVERGENCE):
         if v.preconditions_met:
             final = float(gaps[-1])
             v.bound_satisfied = final <= tolerance
             v.details.update({"final_gap": final, "tolerance": tolerance})
-        return v
-
-    if claim in (ADAPTIVE_CONVERGENCE, LINE_SEARCH_CONVERGENCE):
-        wanted = "GGA_ADAPTIVE" if claim == ADAPTIVE_CONVERGENCE else "GEGA"
-        if algorithm != wanted:
-            v.preconditions_met = False
-            v.reasons.append(f"algorithm {algorithm} is not {wanted}")
-            return v
-        final = float(gaps[-1])
-        v.bound_satisfied = final <= tolerance
-        v.details.update({"final_gap": final, "tolerance": tolerance})
         return v
 
     bounds = _rate_bounds(v, trace, claim, algorithm, r=r,
@@ -241,41 +238,37 @@ def claim_verdict(claim, trace, r=None, hull_radius=None, tolerance=1e-2,
     return v
 
 
-def _check_fixed_summable(v, trace, algorithm):
+def _check_fixed_schedule(v, trace, algorithm):
+    """Hypotheses shared by the fixed-coefficient claims.
+
+    A fixed-coefficient scheme at constant t, a power majorant, a power
+    schedule c_k = c k^-s, and the series budget gamma * sum_k mu(c_k) <= 1
+    (s lies in (0, 1] by CoefficientSequence.power, so sum_k c_k diverges, the
+    required mass condition).  Returns (q, c, s, t), or None when a missing
+    piece leaves nothing further to check.
+    """
     if algorithm not in ("GGA_FIXED", "EGA", "GBE"):
-        v.preconditions_met = False
-        v.reasons.append(f"algorithm {algorithm} is not a fixed-coefficient scheme")
-        return
+        _fail(v, f"algorithm {algorithm} is not a fixed-coefficient scheme")
+        return None
     ts = _tau_array(trace)
     if ts is not None and len(ts) and not np.all(ts == ts[0]):
-        v.preconditions_met = False
-        v.reasons.append("weakness sequence is not constant")
-    coeffs = trace.config.get("coefficients")
-    if coeffs is None:
-        v.preconditions_met = False
-        v.reasons.append("run carries no coefficient schedule")
-        return
-    mu = _mu_params(trace)
+        _fail(v, "weakness sequence is not constant")
+    mu = _power_majorant(v, trace)
     if mu is None:
-        v.preconditions_met = False
-        v.reasons.append("no power majorant available to budget the series")
-        return
-    gamma, q = mu
+        return None
+    coeffs = trace.config.get("coefficients") or {}
     if coeffs.get("kind") != "power":
-        v.preconditions_met = False
-        v.reasons.append("explicit coefficient list: series tail unverifiable")
-        return
+        _fail(v, "claim needs a power coefficient schedule (run's "
+                 f"schedule: {coeffs.get('kind', 'none')})")
+        return None
+    gamma, q = mu
     c, s = float(coeffs["c"]), float(coeffs["s"])
-    if c > 1.0 + 1e-12:
-        v.preconditions_met = False
-        v.reasons.append(f"c = {c} exceeds 1, coefficients leave [0, 1]")
-    # s lies in (0, 1] by CoefficientSequence.power, so sum c k^-s diverges,
-    # which is the required mass condition
-    budget = _power_series_budget(gamma, q, c, s)
+    budget = gamma * c**q * _power_series_sum(s * q)
     v.details["mu_series_budget"] = budget
     if not budget <= 1.0 + 1e-12:
-        v.preconditions_met = False
-        v.reasons.append(f"sum of mu(c_k) bounded by {budget:.6g} > 1")
+        _fail(v, f"sum of mu(c_k) bounded by {budget:.6g} > 1")
+    t = float(ts[0]) if ts is not None and len(ts) else 1.0
+    return q, c, s, t
 
 
 def _rate_bounds(v, trace, claim, algorithm, r=None, hull_radius=None):
@@ -283,48 +276,23 @@ def _rate_bounds(v, trace, claim, algorithm, r=None, hull_radius=None):
     cfg = trace.config
     M = len(trace)
     dict_kind = cfg.get("dictionary", {}).get("kind")
-    mu = _mu_params(trace)
-    if mu is None:
-        v.preconditions_met = False
-        v.reasons.append("claim needs a power majorant")
-        return None
-    gamma, q = mu
 
     if claim in (POWER_SCHEDULE_RATE, SPHERE_POWER_SCHEDULE_RATE):
-        if algorithm not in ("GGA_FIXED", "EGA", "GBE"):
-            v.preconditions_met = False
-            v.reasons.append(f"algorithm {algorithm} is not a fixed-coefficient scheme")
+        fixed = _check_fixed_schedule(v, trace, algorithm)
+        if fixed is None:
             return None
-        coeffs = cfg.get("coefficients", {})
-        if coeffs.get("kind") != "power":
-            v.preconditions_met = False
-            v.reasons.append("rate claims need a power coefficient schedule")
-            return None
-        c, s = float(coeffs["c"]), float(coeffs["s"])
-        budget = gamma * c**q  # times series sum, checked below
-        series = _power_series_budget(gamma, q, c, s)
-        v.details["mu_series_budget"] = series
-        if not series <= 1.0 + 1e-12:
-            v.preconditions_met = False
-            v.reasons.append(f"schedule violates the series budget ({series:.6g} > 1)")
-        ts = _tau_array(trace)
-        t = float(ts[0]) if ts is not None and len(ts) else 1.0
-        if ts is not None and len(ts) and not np.all(ts == ts[0]):
-            v.preconditions_met = False
-            v.reasons.append("weakness sequence is not constant")
+        q, c, s, t = fixed
 
         if claim == POWER_SCHEDULE_RATE:
             s_wanted = (t + 1.0) / (t + q)
             if abs(s - s_wanted) > 1e-12:
-                v.preconditions_met = False
-                v.reasons.append(f"s mismatch: schedule has s = {s}, "
-                                 f"(t+1)/(t+q) = {s_wanted}")
+                _fail(v, f"s mismatch: schedule has s = {s}, "
+                         f"(t+1)/(t+q) = {s_wanted}")
             r_max = t * (1.0 - s)
             if r is None:
                 r = 0.9 * r_max  # harness convention, not part of the claim
             if not (0.0 < r < r_max):
-                v.preconditions_met = False
-                v.reasons.append(f"exponent r = {r} outside (0, {r_max})")
+                _fail(v, f"exponent r = {r} outside (0, {r_max})")
             _check_hull(v, trace, hull_radius)
             v.details.update({"r": r, "t": t, "s": s})
             m = np.arange(1, M + 1, dtype=float)
@@ -332,42 +300,39 @@ def _rate_bounds(v, trace, claim, algorithm, r=None, hull_radius=None):
 
         # sphere variant
         if dict_kind != "sphere":
-            v.preconditions_met = False
-            v.reasons.append("sphere rate claim needs the sphere dictionary")
+            _fail(v, "sphere rate claim needs the sphere dictionary")
         if not (0.0 < s < 1.0):
-            v.preconditions_met = False
-            v.reasons.append(f"s = {s} outside (0, 1)")
+            _fail(v, f"s = {s} outside (0, 1)")
         if not math.isfinite(cfg.get("objective", {}).get("region_radius",
                                                           math.inf)):
-            v.preconditions_met = False
-            v.reasons.append("objective region is unbounded")
+            _fail(v, "objective region is unbounded")
         expo = s * (q - 1.0)
         v.details.update({"exponent": expo, "s": s})
         m = np.arange(1, M + 1, dtype=float)
         return m ** (-expo)
 
     # adaptive rate claims
+    mu = _power_majorant(v, trace)
+    if mu is None:
+        return None
+    q = mu[1]
     if algorithm != "GGA_ADAPTIVE":
-        v.preconditions_met = False
-        v.reasons.append(f"algorithm {algorithm} is not the adaptive scheme")
+        _fail(v, f"algorithm {algorithm} is not the adaptive scheme")
         return None
     b = cfg.get("b")
     if b is None or not (0.0 < b < 1.0):
-        v.preconditions_met = False
-        v.reasons.append("tuning parameter b outside (0, 1)")
+        _fail(v, "tuning parameter b outside (0, 1)")
         return None
     ts = _tau_array(trace)
     if ts is None or len(ts) != M:
-        v.preconditions_met = False
-        v.reasons.append("trace carries no realized weakness values")
+        _fail(v, "trace carries no realized weakness values")
         return None
     p = q / (q - 1.0)
     mass = 1.0 + np.cumsum(ts ** p)
 
     if claim == ADAPTIVE_RATE:
         if np.any(np.diff(ts) > 0):
-            v.preconditions_met = False
-            v.reasons.append("weakness sequence is not nonincreasing")
+            _fail(v, "weakness sequence is not nonincreasing")
         _check_hull(v, trace, hull_radius)
         expo = ts * (1.0 - b) * (q - 1.0) / (q + ts * (1.0 - b))
         v.details["exponent_final"] = float(expo[-1])
@@ -375,12 +340,10 @@ def _rate_bounds(v, trace, claim, algorithm, r=None, hull_radius=None):
 
     # ADAPTIVE_SPHERE_RATE
     if dict_kind != "sphere":
-        v.preconditions_met = False
-        v.reasons.append("sphere rate claim needs the sphere dictionary")
+        _fail(v, "sphere rate claim needs the sphere dictionary")
     if not math.isfinite(cfg.get("objective", {}).get("region_radius",
                                                       math.inf)):
-        v.preconditions_met = False
-        v.reasons.append("objective region is unbounded")
+        _fail(v, "objective region is unbounded")
     v.details["exponent"] = 1.0 - q
     return mass ** (1.0 - q)
 
@@ -399,9 +362,8 @@ def _check_hull(v, trace, hull_radius):
     if target is not None and kind == "coordinate":
         l1 = float(np.sum(np.abs(np.asarray(target, dtype=float))))
         if l1 > hull_radius * (1.0 + 1e-12):
-            v.preconditions_met = False
-            v.reasons.append(f"minimizer l1 norm {l1:.6g} exceeds hull radius "
-                             f"{hull_radius:.6g}")
+            _fail(v, f"minimizer l1 norm {l1:.6g} exceeds hull radius "
+                     f"{hull_radius:.6g}")
     else:
         v.notes.append("hull membership of the minimizer not verified")
 

@@ -1,9 +1,10 @@
 """Greedy expansion runs: atom selection plus per-step coefficient rules.
 
-All five schemes share one driver.  A run repeatedly scores the negative
-gradient against the dictionary, picks an atom, chooses a step coefficient
-(prescribed, solved from the majorant, or by exact line search), and adds the
-scaled atom to the approximant; coefficients, once chosen, are never revised.
+All five schemes run one expansion loop, ``_run``.  Each iteration picks an
+atom (weak-greedy against the negative gradient, or by scanning the objective)
+and a step coefficient (prescribed, solved from the majorant, or by exact line
+search), and adds the scaled atom to the approximant; coefficients, once
+chosen, are never revised.  A public driver only supplies its step rule.
 Traces capture everything the rate diagnostics need downstream.
 """
 
@@ -106,12 +107,6 @@ class WeaknessSequence:
         if self.kind == "constant":
             return {"kind": "constant", "t": self._t}
         return {"kind": "explicit", "values": self._values}
-
-
-def _as_weakness(tau):
-    if isinstance(tau, WeaknessSequence):
-        return tau
-    return WeaknessSequence.constant(float(tau))
 
 
 class CoefficientSequence:
@@ -365,7 +360,34 @@ class RunTrace:
         return float(g[-1]) if len(g) else self.E0 - self.infimum
 
 
-def _run(E, dictionary, stop, algorithm, config, pick, post=None):
+def _run(E, dictionary, stop, algorithm, step, tau=None, mode=ARGMAX,
+         seed=None, check=None, **params):
+    """The one expansion loop; the public drivers differ only in its arguments.
+
+    With a weakness ``tau`` (a WeaknessSequence, or a number for constant t),
+    iteration m picks the atom by the weak-greedy rule against the negative
+    gradient at t_m = tau(m), then asks ``step(m, t_m, G, atom, score)`` for
+    (c_m, flags).  Without one it asks for c_m first and scans the objective
+    for the atom minimizing E(G + c_m * atom).
+    ``check(m, t_m, E_prev, E_new, c_m, score_prev)`` may reject a finished
+    step by raising.  The run config records the objective, dictionary, stop
+    rule, seed, algorithm, weakness and mode, plus ``params``.
+    """
+    config = {
+        "objective": E.describe(),
+        "dictionary": dictionary.describe(),
+        "stop": {"max_iter": stop.max_iter, "grad_tol": stop.grad_tol,
+                 "target_gap": stop.target_gap},
+    }
+    if seed is not None:
+        config["seed"] = seed
+    config["algorithm"] = algorithm
+    if tau is not None:
+        if not isinstance(tau, WeaknessSequence):
+            tau = WeaknessSequence.constant(tau)
+        config.update(tau=tau.describe(), mode=mode)
+    config.update(params)
+
     G = np.zeros(E.dim)
     e_cur = E(G)
     e0 = e_cur
@@ -373,7 +395,8 @@ def _run(E, dictionary, stop, algorithm, config, pick, post=None):
     gtol = stop.grad_tol if stop.grad_tol is not None else 1e-12 * (1.0 + abs(e0))
     score_val, score_atom = greedy_score(-grad, dictionary)
     trace = RunTrace(algorithm=algorithm, status="max-iter", E0=e0,
-                     ED0=score_val, infimum=E.infimum, config=config)
+                     ED0=score_val, infimum=E.infimum, config=config,
+                     t_used=None if tau is None else [])
     a_mass = 0.0
     s_c = 0.0
     s_ced = 0.0
@@ -384,14 +407,22 @@ def _run(E, dictionary, stop, algorithm, config, pick, post=None):
         if score_val <= 0.0:
             trace.status = "zero-score"
             break
-        atom, c_m, iter_flags = pick(m, G, grad, score_val, score_atom)
+        if tau is None:
+            t_m = None
+            c_m, iter_flags = step(m, t_m, G, None, score_val)
+            atom, _ = argmin_atom_by_objective(E, G, c_m, dictionary)
+        else:
+            t_m = tau(m)
+            atom, _ = select_atom(-grad, dictionary, t=t_m, mode=mode,
+                                  score=(score_val, score_atom))
+            c_m, iter_flags = step(m, t_m, G, atom, score_val)
         prev_e, prev_score = e_cur, score_val
         G = G + c_m * dictionary.resolve(atom)
         e_cur = E(G)
         grad = E.gradient(G)
         score_val, score_atom = greedy_score(-grad, dictionary)
-        if post is not None:
-            post(m, prev_e, e_cur, c_m, prev_score)
+        if check is not None:
+            check(m, t_m, prev_e, e_cur, c_m, prev_score)
         if c_m == 0.0:
             iter_flags = iter_flags + ["no-progress"]
         if e_cur > e0 + 2.0:
@@ -407,6 +438,8 @@ def _run(E, dictionary, stop, algorithm, config, pick, post=None):
         trace.sum_c.append(s_c)
         trace.sum_cED.append(s_ced)
         trace.flags.append(";".join(iter_flags))
+        if tau is not None:
+            trace.t_used.append(t_m)
         if (stop.target_gap is not None and trace.infimum is not None
                 and e_cur - trace.infimum <= stop.target_gap):
             trace.status = "target-gap"
@@ -414,39 +447,30 @@ def _run(E, dictionary, stop, algorithm, config, pick, post=None):
     return trace
 
 
-def _base_config(E, dictionary, stop, seed=None):
-    cfg = {
-        "objective": E.describe(),
-        "dictionary": dictionary.describe(),
-        "stop": {"max_iter": stop.max_iter, "grad_tol": stop.grad_tol,
-                 "target_gap": stop.target_gap},
-    }
-    if seed is not None:
-        cfg["seed"] = seed
-    return cfg
+def _prescribed(rule, positive=False):
+    """Step rule c_m = rule(m); ``positive`` rejects c_m <= 0."""
+    def step(m, t_m, G, atom, score):
+        c = float(rule(m))
+        if positive and c <= 0:
+            raise ValueError(f"coefficient rule must yield positive steps, "
+                             f"got c_{m} = {c}")
+        return c, []
+    return step
 
 
 def run_gbe(E, dictionary, t, coeff_rule, stop, mode=ARGMAX, seed=None):
     """Generic expansion: weak-greedy atom, externally prescribed positive steps.
 
-    ``coeff_rule`` maps the iteration index m (1-based) to a positive c_m.
+    ``coeff_rule`` is a CoefficientSequence, recorded in the run config, or any
+    callable mapping the iteration index m (1-based) to a positive c_m.
     """
-    tau = WeaknessSequence.constant(t)
-
-    def pick(m, G, grad, sval, satom):
-        atom, _ = select_atom(-grad, dictionary, t=tau(m), mode=mode,
-                              score=(sval, satom))
-        c = float(coeff_rule(m))
-        if c <= 0:
-            raise ValueError(f"coefficient rule must yield positive steps, "
-                             f"got c_{m} = {c}")
-        return atom, c, []
-
-    config = _base_config(E, dictionary, stop, seed)
-    config.update({"algorithm": "GBE", "tau": tau.describe(), "mode": mode})
-    trace = _run(E, dictionary, stop, "GBE", config, pick)
-    trace.t_used = [tau(1)] * len(trace)
-    return trace
+    params = {}
+    if isinstance(coeff_rule, CoefficientSequence):
+        params["coefficients"] = coeff_rule.describe()
+        coeff_rule = coeff_rule.value
+    return _run(E, dictionary, stop, "GBE",
+                _prescribed(coeff_rule, positive=True),
+                WeaknessSequence.constant(t), mode, seed, **params)
 
 
 def run_ega(E, dictionary, coeffs, stop, seed=None):
@@ -457,35 +481,14 @@ def run_ega(E, dictionary, coeffs, stop, seed=None):
     """
     if isinstance(dictionary, SphereDictionary):
         raise TypeError("objective-greedy runs need a finite dictionary")
-
-    def pick(m, G, grad, sval, satom):
-        c = float(coeffs.value(m))
-        atom, _ = argmin_atom_by_objective(E, G, c, dictionary)
-        return atom, c, []
-
-    config = _base_config(E, dictionary, stop, seed)
-    config.update({"algorithm": "EGA", "coefficients": coeffs.describe()})
-    return _run(E, dictionary, stop, "EGA", config, pick)
+    return _run(E, dictionary, stop, "EGA", _prescribed(coeffs.value),
+                seed=seed, coefficients=coeffs.describe())
 
 
 def run_gga_fixed(E, dictionary, tau, coeffs, stop, mode=ARGMAX, seed=None):
     """Weak gradient-greedy selection with prescribed coefficients."""
-    tau = _as_weakness(tau)
-    ts = []
-
-    def pick(m, G, grad, sval, satom):
-        t_m = tau(m)
-        ts.append(t_m)
-        atom, _ = select_atom(-grad, dictionary, t=t_m, mode=mode,
-                              score=(sval, satom))
-        return atom, float(coeffs.value(m)), []
-
-    config = _base_config(E, dictionary, stop, seed)
-    config.update({"algorithm": "GGA_FIXED", "tau": tau.describe(),
-                   "coefficients": coeffs.describe(), "mode": mode})
-    trace = _run(E, dictionary, stop, "GGA_FIXED", config, pick)
-    trace.t_used = ts[:len(trace)]
-    return trace
+    return _run(E, dictionary, stop, "GGA_FIXED", _prescribed(coeffs.value),
+                tau, mode, seed, coefficients=coeffs.describe())
 
 
 def run_gga_adaptive(E, dictionary, tau, b, stop, majorant=None, mode=ARGMAX,
@@ -501,35 +504,22 @@ def run_gga_adaptive(E, dictionary, tau, b, stop, majorant=None, mode=ARGMAX,
     b = float(b)
     if not (0.0 < b < 1.0):
         raise ValueError("b must be in (0,1)")
-    tau = _as_weakness(tau)
     mu = majorant if majorant is not None else E.majorant
     c_cap = mu.domain_bound if math.isfinite(mu.domain_bound) else None
-    ts = []
 
-    def pick(m, G, grad, sval, satom):
-        t_m = tau(m)
-        ts.append(t_m)
-        atom, _ = select_atom(-grad, dictionary, t=t_m, mode=mode,
-                              score=(sval, satom))
-        c = solve_stepsize(mu, 0.5 * t_m * b * sval, c_max=c_cap)
-        flags = []
+    def step(m, t_m, G, atom, score):
+        c = solve_stepsize(mu, 0.5 * t_m * b * score, c_max=c_cap)
         if c is None:
-            c = 1.0
-            flags.append("unit-step-fallback")
-        return atom, float(c), flags
+            return 1.0, ["unit-step-fallback"]
+        return float(c), []
 
-    def post(m, prev_e, new_e, c_m, prev_score):
-        required = prev_e - tau(m) * (1.0 - b) * c_m * prev_score
+    def check(m, t_m, prev_e, new_e, c_m, prev_score):
+        required = prev_e - t_m * (1.0 - b) * c_m * prev_score
         if new_e > required + energy_slack:
             raise MajorantViolationError(m, new_e, required)
 
-    config = _base_config(E, dictionary, stop, seed)
-    config.update({"algorithm": "GGA_ADAPTIVE", "tau": tau.describe(), "b": b,
-                   "mu": mu.describe(), "mode": mode,
-                   "energy_slack": energy_slack})
-    trace = _run(E, dictionary, stop, "GGA_ADAPTIVE", config, pick, post=post)
-    trace.t_used = ts[:len(trace)]
-    return trace
+    return _run(E, dictionary, stop, "GGA_ADAPTIVE", step, tau, mode, seed,
+                check, b=b, mu=mu.describe(), energy_slack=energy_slack)
 
 
 def run_gega(E, dictionary, tau, stop, mode=ARGMAX, line_tol=1e-12, seed=None):
@@ -538,24 +528,12 @@ def run_gega(E, dictionary, tau, stop, mode=ARGMAX, line_tol=1e-12, seed=None):
     The one-dimensional minimization runs over all real c (the dictionary is
     symmetric, so signed steps are legitimate); line-search clamping is flagged.
     """
-    tau = _as_weakness(tau)
-    ts = []
-
-    def pick(m, G, grad, sval, satom):
-        t_m = tau(m)
-        ts.append(t_m)
-        atom, _ = select_atom(-grad, dictionary, t=t_m, mode=mode,
-                              score=(sval, satom))
+    def step(m, t_m, G, atom, score):
         res = line_search_exact(E, G, dictionary.resolve(atom), tol=line_tol)
-        flags = ["clamped"] if res.clamped else []
-        return atom, float(res.c), flags
+        return float(res.c), ["clamped"] if res.clamped else []
 
-    config = _base_config(E, dictionary, stop, seed)
-    config.update({"algorithm": "GEGA", "tau": tau.describe(), "mode": mode,
-                   "line_tol": line_tol})
-    trace = _run(E, dictionary, stop, "GEGA", config, pick)
-    trace.t_used = ts[:len(trace)]
-    return trace
+    return _run(E, dictionary, stop, "GEGA", step, tau, mode, seed,
+                line_tol=line_tol)
 
 
 def iter_states(trace, dictionary):

@@ -58,6 +58,50 @@ BAD_CONFIGS = {
 }
 
 
+SHAPE_REFERENCES = {
+    "adaptive": {
+        "schema": 1, "seed": 0,
+        "objective": {"kind": "quadratic", "target": [1.0 / 3.0, 2.0 / 3.0]},
+        "dictionary": {"kind": "coordinate", "dim": 2},
+        "algorithm": {"kind": "GGA_ADAPTIVE",
+                      "tau": {"kind": "constant", "t": 1.0}, "b": 0.5,
+                      "mu": {"kind": "power", "gamma": 0.5, "q": 2.0}},
+        "stop": {"max_iter": 5},
+        "diagnostics": {"claims": [{"claim": "adaptive-convergence"},
+                                   "adaptive-rate"]},
+        "output": {"trace": "trace.csv", "manifest": "manifest.json"}},
+    "fixed": {
+        "schema": 1, "seed": 0,
+        "objective": {"kind": "quadratic", "target": [0.25, -0.5]},
+        "dictionary": {"kind": "coordinate", "dim": 2},
+        "algorithm": {"kind": "GGA_FIXED",
+                      "tau": {"kind": "explicit", "values": [1.0] * 5},
+                      "coefficients": {"kind": "explicit",
+                                       "values": [0.5, 0.4, 0.3, 0.2, 0.1]}},
+        "stop": {"max_iter": 5},
+        "diagnostics": {"claims": ["fixed-summable-convergence"]},
+        "output": {"trace": "trace.csv", "manifest": "manifest.json"}},
+}
+
+
+def _container_paths(node, prefix=()):
+    """Paths to every object- or list-valued field below the root."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, value in items:
+        if isinstance(value, (dict, list)):
+            yield prefix + (key,)
+            yield from _container_paths(value, prefix + (key,))
+
+
+SHAPE_CASES = [
+    (ref, path, bad)
+    for ref, config in SHAPE_REFERENCES.items()
+    for path in [*_container_paths(config), ("output", "trace"),
+                 ("output", "manifest")]
+    for bad in ("abc", 5, [1], None)
+]
+
+
 class TestRunCommand:
     @pytest.mark.parametrize("overrides", BAD_CONFIGS.values(),
                              ids=BAD_CONFIGS.keys())
@@ -68,6 +112,52 @@ class TestRunCommand:
         err = capsys.readouterr().err
         assert err.startswith("config error: ")
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "ref,path,bad", SHAPE_CASES,
+        ids=[f"{r}-{'.'.join(map(str, p))}={json.dumps(b)}"
+             for r, p, b in SHAPE_CASES])
+    def test_malformed_shapes_exit_0_or_2(self, tmp_path, capsys, ref, path,
+                                          bad):
+        config = json.loads(json.dumps(SHAPE_REFERENCES[ref]))
+        node = config
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = bad
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(config), encoding="utf-8")
+        assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) in (0, 2)
+        assert "Traceback" not in capsys.readouterr().err
+
+    def test_gbe_records_its_schedule(self, tmp_path):
+        cfg = tmp_path / "config.json"
+        write_config(cfg, algorithm={"kind": "GBE", "t": 1.0,
+                                     "coefficients": {"kind": "power",
+                                                      "c": 0.3, "s": 0.9}},
+                     stop={"max_iter": 50},
+                     diagnostics={"claims": [{"claim":
+                                              "fixed-summable-convergence",
+                                              "tolerance": 10.0}]})
+        out = tmp_path / "out"
+        assert main(["run", str(cfg), "--out", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["run_config"]["coefficients"] == \
+            {"kind": "power", "c": 0.3, "s": 0.9}
+        verdict = manifest["results"]["verdicts"][0]
+        assert verdict["preconditions_met"] is True, verdict["reasons"]
+
+    def test_flat_gap_plateau_fits_degenerate(self, tmp_path):
+        """1500 adaptive steps flatten at the float floor; the fit must not
+        divide by zero after the solve."""
+        target = np.random.default_rng(16).standard_normal(8).tolist()
+        cfg = tmp_path / "config.json"
+        write_config(cfg, objective={"kind": "quadratic", "target": target},
+                     dictionary={"kind": "gaussian", "dim": 8, "count": 400,
+                                 "seed": 1},
+                     stop={"max_iter": 1500, "grad_tol": 0})
+        out = tmp_path / "out"
+        assert main(["run", str(cfg), "--out", str(out)]) == 0
+        assert (out / "trace.csv").exists()
 
     def test_s_equal_to_1_runs(self, tmp_path):
         cfg = tmp_path / "config.json"

@@ -52,6 +52,12 @@ class TestFitRate:
         fit = fit_rate(trace, window=(1, len(trace)))
         assert fit.status == "degenerate" and fit.exponent is None
 
+    @pytest.mark.parametrize("gaps", [[0.1] * 150,
+                                      [3.389636702121535e-32] * 20])
+    def test_flat_window_is_degenerate(self, gaps):
+        fit = fit_rate(synthetic_trace(gaps))
+        assert fit.status == "degenerate" and fit.exponent is None
+
     def test_window_validation(self):
         trace = synthetic_trace(np.ones(20))
         with pytest.raises(ValueError):

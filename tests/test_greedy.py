@@ -25,6 +25,7 @@ from greedy_opt import (
     solve_stepsize,
     trace_csv_text,
 )
+from greedy_opt.dictionaries import ARGMAX, FIRST_ABOVE
 from greedy_opt.greedy import ExpansionState
 from greedy_opt.instances import logistic_20x5, quadratic_2d, quadratic_2d_unit_l1
 
@@ -179,6 +180,19 @@ class TestRunGbe:
         with pytest.raises(ValueError):
             run_gbe(E, FiniteDictionary.coordinate(2), 1.0, lambda m: 0.0,
                     StopRule(max_iter=3))
+
+    @pytest.mark.parametrize("mode", [ARGMAX, FIRST_ABOVE])
+    def test_equals_gga_fixed_on_positive_schedule(self, mode):
+        E = quadratic_objective(np.random.default_rng(3).standard_normal(6))
+        d = FiniteDictionary.gaussian(6, 40, 3)
+        cs = CoefficientSequence.power(0.3, 0.9)
+        stop = StopRule(max_iter=60)
+        gbe = run_gbe(E, d, 0.6, cs, stop, mode=mode)
+        fixed = run_gga_fixed(E, d, 0.6, cs, stop, mode=mode)
+        assert len(gbe) == 60
+        for name in ("E", "c", "atoms", "flags", "t_used"):
+            assert getattr(gbe, name) == getattr(fixed, name), name
+        assert gbe.config["coefficients"] == fixed.config["coefficients"]
 
 
 class TestRunEga:
