@@ -201,10 +201,8 @@ def _execute_run(config, base_dir, seed_override, max_iter_override):
     stop = build_stop(config.get("stop"), max_iter_override)
     diag = config.get("diagnostics") or {}
     _require(isinstance(diag, dict), "diagnostics must be an object")
-    claims = diag.get("claims") or []
-    _require(isinstance(claims, list)
-             and all(isinstance(c, (str, dict)) for c in claims),
-             "diagnostics.claims must be a list of names or objects")
+    window = _fit_window(diag.get("fit_window"))
+    claims = _claim_specs(diag.get("claims") or [])
     _output_names(config)
     kind = algo["kind"]
 
@@ -237,22 +235,15 @@ def _execute_run(config, base_dir, seed_override, max_iter_override):
     results = {"status": trace.status, "iterations": len(trace),
                "final_E": trace.final_E, "final_gap": trace.final_gap}
     if trace.infimum is not None and len(trace) >= 10:
-        window = diag.get("fit_window")
-        fit = fit_rate(trace, window=tuple(window) if window else None)
-        results["fit"] = fit.describe()
+        results["fit"] = fit_rate(trace, window=window).describe()
     verdicts = []
     for claim_spec in claims:
-        if isinstance(claim_spec, str):
-            claim_spec = {"claim": claim_spec}
-        name = claim_spec.get("claim")
-        _require(name in ALL_CLAIMS,
-                 f"unknown claim {name!r}; choose from {sorted(ALL_CLAIMS)}")
         verdict = claim_verdict(
-            name, trace,
+            claim_spec["claim"], trace,
             r=claim_spec.get("r"),
             hull_radius=claim_spec.get("hull_radius"),
             tolerance=float(claim_spec.get("tolerance", 1e-2)),
-            calibration=int(claim_spec.get("calibration", 10)))
+            calibration=claim_spec.get("calibration", 10))
         verdicts.append(verdict.describe())
     if verdicts:
         results["verdicts"] = verdicts
@@ -262,6 +253,50 @@ def _execute_run(config, base_dir, seed_override, max_iter_override):
     manifest = {"schema": SCHEMA_VERSION, "config": resolved,
                 "results": results, "run_config": trace.config}
     return trace, manifest
+
+
+def _is_integer(value):
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value):
+    return _is_integer(value) or isinstance(value, float)
+
+
+def _fit_window(window):
+    """``diagnostics.fit_window`` as (lo, hi), or None for the default window.
+
+    Checked before the solve; a window outside the trace fails after it.
+    """
+    if window is None or window == []:
+        return None
+    _require(isinstance(window, list) and len(window) == 2
+             and all(_is_integer(m) for m in window),
+             "diagnostics.fit_window must be a list of two integers")
+    return tuple(window)
+
+
+def _claim_specs(claims):
+    """``diagnostics.claims`` as objects, names and parameter types checked."""
+    _require(isinstance(claims, list)
+             and all(isinstance(c, (str, dict)) for c in claims),
+             "diagnostics.claims must be a list of names or objects")
+    specs = []
+    for index, spec in enumerate(claims):
+        spec = {"claim": spec} if isinstance(spec, str) else spec
+        field = f"diagnostics.claims[{index}]"
+        name = spec.get("claim")
+        _require(name in ALL_CLAIMS, f"{field}.claim: unknown claim {name!r}; "
+                                     f"choose from {sorted(ALL_CLAIMS)}")
+        for key in ("r", "hull_radius"):
+            _require(spec.get(key) is None or _is_number(spec[key]),
+                     f"{field}.{key} must be a number or null")
+        _require(_is_number(spec.get("tolerance", 1e-2)),
+                 f"{field}.tolerance must be a number")
+        _require(_is_integer(spec.get("calibration", 10)),
+                 f"{field}.calibration must be an integer")
+        specs.append(spec)
+    return specs
 
 
 def _output_names(config):

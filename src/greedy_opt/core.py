@@ -45,7 +45,7 @@ def as_vector(x, dim=None):
         raise ValueError(f"expected a 1-D vector, got shape {v.shape}")
     if dim is not None and v.shape[0] != dim:
         raise ValueError(f"expected dimension {dim}, got {v.shape[0]}")
-    if not np.all(np.isfinite(v)):
+    if not np.isfinite(v).all():
         raise ValueError("vector has non-finite entries")
     return v
 
@@ -85,7 +85,7 @@ def lp_norm(v, norm=EUCLIDEAN):
 def dual_norm(v, norm=EUCLIDEAN):
     """Norm of a gradient-side vector: the l_{p'} norm with p' = p/(p-1)."""
     v = np.asarray(v, dtype=float)
-    if not np.all(np.isfinite(v)):
+    if not np.isfinite(v).all():
         raise ValueError("dual_norm rejects non-finite input")
     if norm.is_euclidean:
         return math.sqrt(float(np.dot(v, v)))

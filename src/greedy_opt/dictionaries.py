@@ -67,6 +67,14 @@ class FiniteDictionary:
         if np.any(norms == 0.0):
             raise ValueError("zero atom in dictionary")
         self._atoms = A / norms
+        # Views with the strides of A[:, j], built once for the scan.
+        self._columns = list(self._atoms.T)
+        # Atoms exactly e_1, ..., e_dim in order, decided from the atoms, not
+        # the kind label, and without building a dim x dim eye.
+        n = A.shape[0]
+        self.is_identity = (A.shape == (n, n)
+                            and np.count_nonzero(self._atoms) == n
+                            and bool(np.all(np.diagonal(self._atoms) == 1.0)))
         self.norm = norm
         self.kind = kind
 
@@ -107,20 +115,30 @@ class FiniteDictionary:
         return self._atoms.shape[1]
 
     def column(self, j):
-        return self._atoms[:, j]
+        return self._columns[j]
 
     def pairings(self, v):
-        """Dot products of v against every unsigned atom.
+        """Dot products of a finite vector v against every unsigned atom.
 
-        Computed one column at a time so that a naive scan over the same columns
-        reproduces the values bit-for-bit (BLAS matvec kernels round differently).
+        The values equal ``np.dot(self.column(j), v)`` bit for bit, so a naive
+        scan over the columns reproduces them.  For the identity, every term of
+        column j's dot except v_j * 1 is a signed zero, so the dot is v_j + 0
+        in any summation order; ``v + 0.0`` gives the same, turning -0.0 into
+        +0.0 as the dot does.  Other dictionaries keep one strided ``ddot``
+        per cached column view: a matvec, a row-major copy or a contiguous
+        column each round differently.  Non-finite v is outside the contract.
         """
-        A = self._atoms
-        return np.array([np.dot(A[:, j], v) for j in range(A.shape[1])])
+        v = np.asarray(v, dtype=float)
+        if v.shape != (self.dim,):
+            raise ValueError(f"expected a vector of dimension {self.dim}, "
+                             f"got shape {v.shape}")
+        if self.is_identity:
+            return v + 0.0
+        return np.array([np.dot(col, v) for col in self._columns])
 
     def resolve(self, atom):
         """Signed atom vector."""
-        return atom.sign * self._atoms[:, atom.index]
+        return atom.sign * self._columns[atom.index]
 
     def describe(self):
         return {"kind": self.kind, "dim": self.dim, "count": self.size,
@@ -165,7 +183,8 @@ def greedy_score(grad_neg, dictionary):
     stopping signal.
 
     Finite dictionaries use an exact full scan with ties broken by lowest
-    unsigned index, then positive sign.  The sphere returns the dual norm of
+    unsigned index, then positive sign; a non-finite score raises ValueError,
+    as the sphere's dual norm does.  The sphere returns the dual norm of
     grad_neg and the duality-map direction.
     """
     if isinstance(dictionary, SphereDictionary):
@@ -175,8 +194,10 @@ def greedy_score(grad_neg, dictionary):
         return value, Atom(index=-1, sign=1,
                            vec=duality_map(grad_neg, dictionary.norm))
     s = dictionary.pairings(grad_neg)
-    j = int(np.argmax(np.abs(s)))
+    j = int(np.argmax(np.abs(s)))  # the first NaN, if any
     best = abs(float(s[j]))
+    if not math.isfinite(best):
+        raise ValueError("greedy score is not finite")
     if best == 0.0:
         return 0.0, None
     sign = 1 if s[j] >= 0.0 else -1

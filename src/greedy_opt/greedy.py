@@ -572,8 +572,9 @@ def score_gap_bound(E, dictionary, state, reference, hull_radius, slack=1e-10):
         score(G_k) >= (E(G_k) - E(reference)) / (hull_radius + A_k).
 
     Valid when reference / hull_radius lies in the closed convex hull of the
-    dictionary.  Membership is verified exactly for coordinate dictionaries
-    (l1 norm) and the sphere (lp norm); for general finite dictionaries it is
+    dictionary.  Membership is verified exactly for the sphere (lp norm) and
+    for finite dictionaries whose atoms are exactly the coordinate basis (l1
+    norm), whatever their ``kind`` label; for other finite dictionaries it is
     the caller's responsibility (deciding it exactly is a linear program) and a
     warning is emitted.
     """
@@ -584,7 +585,7 @@ def score_gap_bound(E, dictionary, state, reference, hull_radius, slack=1e-10):
     if isinstance(dictionary, SphereDictionary):
         if lp_norm(reference, dictionary.norm) > hull_radius * (1.0 + 1e-12):
             raise ValueError("reference lies outside the scaled unit ball")
-    elif isinstance(dictionary, FiniteDictionary) and dictionary.kind == "coordinate":
+    elif isinstance(dictionary, FiniteDictionary) and dictionary.is_identity:
         if float(np.sum(np.abs(reference))) > hull_radius * (1.0 + 1e-12):
             raise ValueError("reference l1 norm exceeds hull_radius")
     else:

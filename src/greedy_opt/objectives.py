@@ -60,7 +60,7 @@ class Objective:
 
     def gradient(self, x):
         g = np.asarray(self._gradient(x), dtype=float)
-        if not np.all(np.isfinite(g)):
+        if not np.isfinite(g).all():
             raise NumericFailure("gradient evaluation is not finite")
         return g
 

@@ -381,22 +381,24 @@ def c11_oracle_equivalences(ctx):
     """Selection scan, rate fit, and step solver against independent oracles."""
     problems = []
 
-    # full scan versus a naive signed double loop, bit-exact
+    # full scan versus a naive signed double loop, bit-exact, on a general
+    # dictionary and on the coordinate one, whose scan skips the dot products
     rng = np.random.default_rng(21)
-    dictionary = FiniteDictionary.gaussian(16, 1000, seed=5)
-    for _ in range(100):
-        v = rng.standard_normal(16)
-        value, atom = greedy_score(v, dictionary)
-        best, best_j, best_sign = -1.0, -1, 1
-        for j in range(dictionary.size):
-            pair = float(np.dot(dictionary.column(j), v))
-            for sign in (1, -1):
-                if sign * pair > best:
-                    best, best_j, best_sign = sign * pair, j, sign
-        if not (value == best and atom.index == best_j
-                and atom.sign == best_sign):
-            problems.append(f"scan mismatch: {value} vs {best}")
-            break
+    for dictionary in (FiniteDictionary.gaussian(16, 1000, seed=5),
+                       FiniteDictionary.coordinate(64)):
+        for _ in range(100):
+            v = rng.standard_normal(dictionary.dim)
+            value, atom = greedy_score(v, dictionary)
+            best, best_j, best_sign = -1.0, -1, 1
+            for j in range(dictionary.size):
+                pair = float(np.dot(dictionary.column(j), v))
+                for sign in (1, -1):
+                    if sign * pair > best:
+                        best, best_j, best_sign = sign * pair, j, sign
+            if not (value == best and atom.index == best_j
+                    and atom.sign == best_sign):
+                problems.append(f"scan mismatch: {value} vs {best}")
+                break
 
     # rate fit on exact power laws
     from .greedy import RunTrace

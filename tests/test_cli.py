@@ -102,7 +102,56 @@ SHAPE_CASES = [
 ]
 
 
+# each bad diagnostics field, and the name its error message must carry
+BAD_DIAGNOSTICS = {
+    "unknown-claim": ({"claims": ["no-such-claim"]},
+                      "diagnostics.claims[0].claim"),
+    "unknown-claim-object": ({"claims": ["adaptive-rate", {"claim": "x"}]},
+                             "diagnostics.claims[1].claim"),
+    "r-string": ({"claims": [{"claim": "adaptive-rate", "r": "abc"}]},
+                 "diagnostics.claims[0].r"),
+    "hull-radius-list": ({"claims": [{"claim": "adaptive-rate",
+                                      "hull_radius": [1.0]}]},
+                         "diagnostics.claims[0].hull_radius"),
+    "tolerance-string": ({"claims": [{"claim": "adaptive-convergence",
+                                      "tolerance": "abc"}]},
+                         "diagnostics.claims[0].tolerance"),
+    "tolerance-null": ({"claims": [{"claim": "adaptive-convergence",
+                                    "tolerance": None}]},
+                       "diagnostics.claims[0].tolerance"),
+    "calibration-fraction": ({"claims": [{"claim": "adaptive-rate",
+                                          "calibration": 2.5}]},
+                             "diagnostics.claims[0].calibration"),
+    "calibration-string": ({"claims": [{"claim": "adaptive-rate",
+                                        "calibration": "10"}]},
+                           "diagnostics.claims[0].calibration"),
+    "window-one-number": ({"fit_window": [1]}, "diagnostics.fit_window"),
+    "window-three-numbers": ({"fit_window": [1, 5, 9]},
+                             "diagnostics.fit_window"),
+    "window-string": ({"fit_window": "abc"}, "diagnostics.fit_window"),
+    "window-fraction": ({"fit_window": [1.5, 10]}, "diagnostics.fit_window"),
+    "window-bool": ({"fit_window": [True, 10]}, "diagnostics.fit_window"),
+}
+
+
 class TestRunCommand:
+    @pytest.mark.parametrize("diagnostics,field", BAD_DIAGNOSTICS.values(),
+                             ids=BAD_DIAGNOSTICS.keys())
+    def test_bad_diagnostics_exit_2_before_the_solve(
+            self, tmp_path, capsys, monkeypatch, diagnostics, field):
+        import greedy_opt.cli as cli
+
+        def no_solve(*args, **kwargs):
+            raise AssertionError("the solve started")
+        monkeypatch.setattr(cli, "run_gga_adaptive", no_solve)
+        cfg = tmp_path / "config.json"
+        write_config(cfg, diagnostics=diagnostics)
+        assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and field in err
+        assert not (tmp_path / "o").exists()
+
+
     @pytest.mark.parametrize("overrides", BAD_CONFIGS.values(),
                              ids=BAD_CONFIGS.keys())
     def test_library_errors_exit_2(self, tmp_path, capsys, overrides):

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from greedy_opt import (
     ARGMAX,
@@ -27,6 +29,44 @@ def naive_best_pairing(dictionary, v):
             if sign * pair > best:
                 best, best_j, best_sign = sign * pair, j, sign
     return best, best_j, best_sign
+
+
+def naive_pairings(dictionary, v):
+    """One np.dot per column, the reference the scan must match bit for bit."""
+    return np.array([np.dot(dictionary.column(j), v)
+                     for j in range(dictionary.size)])
+
+
+def assert_same_bits(a, b):
+    assert a.dtype == b.dtype and a.shape == b.shape
+    assert a.tobytes() == b.tobytes()  # signbit of zeros included
+
+
+def assert_score_matches_naive(dictionary, v):
+    value, atom = greedy_score(v, dictionary)
+    best, best_j, best_sign = naive_best_pairing(dictionary, v)
+    if best == 0.0:
+        assert value == 0.0 and atom is None
+    else:
+        assert value == best
+        assert (atom.index, atom.sign) == (best_j, best_sign)
+
+
+# zeros of both signs, subnormals and magnitudes near the top of the range
+EDGE_FLOATS = (0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310, 1e308, -1e308,
+               1.7976931348623157e308, -1.7976931348623157e308)
+
+
+@st.composite
+def coordinate_cases(draw):
+    dim = draw(st.integers(1, 64))
+    p = draw(st.sampled_from((1.5, 2.0, 3.0)))
+    x = draw(st.floats(allow_nan=False, allow_infinity=False))
+    entry = st.one_of(st.sampled_from(EDGE_FLOATS),
+                      st.sampled_from((x, -x)),  # exact ties +-x
+                      st.floats(allow_nan=False, allow_infinity=False))
+    v = np.array(draw(st.lists(entry, min_size=dim, max_size=dim)))
+    return FiniteDictionary.coordinate(dim, norm=NormTag(p)), v
 
 
 class TestConstruction:
@@ -62,6 +102,75 @@ class TestConstruction:
         d2 = FiniteDictionary.from_csv(headed)
         np.testing.assert_array_equal(d1._atoms, d2._atoms)
         np.testing.assert_allclose(d1.column(0), [0.6, 0.8], rtol=1e-15)
+
+
+class TestPairings:
+    @settings(max_examples=300, deadline=None)
+    @given(coordinate_cases())
+    def test_coordinate_scan_matches_column_loop_bitwise(self, case):
+        d, v = case
+        assert d.is_identity
+        assert_same_bits(d.pairings(v), naive_pairings(d, v))
+        assert_score_matches_naive(d, v)
+
+    def test_negative_zero_pairs_as_positive_zero(self):
+        s = FiniteDictionary.coordinate(3).pairings(np.array([-0.0, 1.0, 0.0]))
+        assert not np.signbit(s[0])
+
+    def test_general_scan_matches_column_loop_bitwise(self):
+        rng = np.random.default_rng(15)
+        d = FiniteDictionary.gaussian(256, 300, seed=16)
+        for _ in range(20):
+            v = rng.standard_normal(256)
+            assert_same_bits(d.pairings(v), naive_pairings(d, v))
+
+    def test_signed_permutation_matches_column_loop(self):
+        rng = np.random.default_rng(17)
+        for dim in (2, 5, 64):
+            atoms = np.eye(dim)[:, rng.permutation(dim)]
+            atoms *= rng.choice((-1.0, 1.0), size=dim)
+            if np.array_equal(atoms, np.eye(dim)):
+                atoms[:, 0] *= -1.0
+            d = FiniteDictionary(atoms)
+            assert not d.is_identity
+            for _ in range(20):
+                v = rng.standard_normal(dim)
+                v[::3] = -0.0
+                assert_same_bits(d.pairings(v), naive_pairings(d, v))
+                assert_score_matches_naive(d, v)
+
+    def test_identity_detected_from_atoms_not_label(self):
+        rng = np.random.default_rng(18)
+        assert FiniteDictionary(np.eye(3)).is_identity
+        assert FiniteDictionary(2.5 * np.eye(3), norm=NormTag(3.0)).is_identity
+        assert not FiniteDictionary(rng.standard_normal((3, 3)),
+                                    kind="coordinate").is_identity
+        assert not FiniteDictionary(np.eye(3)[:, :2]).is_identity
+        assert not FiniteDictionary(
+            np.hstack([np.eye(2), np.ones((2, 1))])).is_identity
+        assert not FiniteDictionary(np.eye(3) + np.eye(3, k=1)).is_identity
+        # a unit diagonal alone is not enough: 1 + 1e-18 rounds to 1
+        near = np.eye(3)
+        near[1, 0] = 1e-9
+        d = FiniteDictionary(near)
+        assert d.column(0)[0] == 1.0 and not d.is_identity
+        v = np.array([1.0, 1e9, 0.0])
+        assert_same_bits(d.pairings(v), naive_pairings(d, v))
+
+    def test_columns_are_strided_views_of_the_atoms(self):
+        d = FiniteDictionary.gaussian(4, 9, seed=19)
+        for j in range(d.size):
+            assert d.column(j).strides == d._atoms[:, j].strides
+            assert np.shares_memory(d.column(j), d._atoms)
+            np.testing.assert_array_equal(d.column(j), d._atoms[:, j])
+
+    @pytest.mark.parametrize("d", [FiniteDictionary.coordinate(3),
+                                   FiniteDictionary.gaussian(3, 5, seed=20)],
+                             ids=["coordinate", "gaussian"])
+    def test_shape_mismatch_raises(self, d):
+        for bad in (np.ones(4), np.ones(2), np.ones((3, 1)), np.float64(1.0)):
+            with pytest.raises(ValueError):
+                d.pairings(bad)
 
 
 class TestGreedyScore:
@@ -103,6 +212,17 @@ class TestGreedyScore:
             best, best_j, best_sign = naive_best_pairing(d, v)
             assert value == best
             assert (atom.index, atom.sign) == (best_j, best_sign)
+
+    @pytest.mark.parametrize(
+        "d", [FiniteDictionary.coordinate(3),
+              FiniteDictionary.gaussian(3, 7, seed=22), SphereDictionary()],
+        ids=["coordinate", "gaussian", "sphere"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_score_raises(self, d, bad):
+        with pytest.raises(ValueError):
+            greedy_score(np.array([bad, 1.0, 0.0]), d)
+        with pytest.raises(ValueError):
+            greedy_score(np.array([0.0, 1.0, bad]), d)
 
     def test_symmetry_under_negation(self):
         rng = np.random.default_rng(3)

@@ -433,6 +433,26 @@ class TestScoreGapBound:
         with pytest.warns(RuntimeWarning):
             score_gap_bound(E, d, state, np.array([0.1, 0.1]), 5.0)
 
+    def test_coordinate_label_on_general_atoms_warns(self):
+        E = quadratic_2d()
+        rng = np.random.default_rng(2)
+        d = FiniteDictionary(rng.standard_normal((2, 5)), kind="coordinate")
+        state = ExpansionState(G=np.zeros(2), coeffs=[], atoms=[], m=0, A=0.0)
+        with pytest.warns(RuntimeWarning):
+            score_gap_bound(E, d, state, np.array([0.1, 0.1]), 5.0)
+
+    def test_unlabelled_identity_is_verified_exactly(self):
+        import warnings
+        E = quadratic_2d()
+        d = FiniteDictionary(np.eye(2))
+        state = ExpansionState(G=np.zeros(2), coeffs=[], atoms=[], m=0, A=0.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert score_gap_bound(E, d, state, np.array([1.0, 2.0]),
+                                   3.0).holds
+            with pytest.raises(ValueError):
+                score_gap_bound(E, d, state, np.array([1.0, 2.0]), 1.0)
+
     def test_holds_along_a_run(self):
         E = quadratic_2d_unit_l1()
         d = FiniteDictionary.coordinate(2)
