@@ -29,6 +29,9 @@ __all__ = [
 ARGMAX = "argmax"
 FIRST_ABOVE = "first-above"
 
+_U = np.finfo(float).eps / 2.0  # unit roundoff, 2**-53
+_ETA = np.finfo(float).smallest_subnormal  # 2**-1074
+
 
 @dataclass(frozen=True)
 class Atom:
@@ -75,6 +78,13 @@ class FiniteDictionary:
         self.is_identity = (A.shape == (n, n)
                             and np.count_nonzero(self._atoms) == n
                             and bool(np.all(np.diagonal(self._atoms) == 1.0)))
+        # Certificate of the screen in best_pairing: atom k's slack is
+        # _slack_rel[k] * ||v||_2 + _slack_abs.  The 2-norms are not 1 for
+        # p != 2; einsum forms them without a dim x count temporary.
+        l2 = np.sqrt(np.einsum("ij,ij->j", self._atoms, self._atoms))
+        self._l2_max = float(l2.max())
+        self._slack_rel = 4.0 * (n * _U / (1.0 - n * _U)) * l2
+        self._slack_abs = 4.0 * n * _ETA
         self.norm = norm
         self.kind = kind
 
@@ -117,24 +127,121 @@ class FiniteDictionary:
     def column(self, j):
         return self._columns[j]
 
-    def pairings(self, v):
-        """Dot products of a finite vector v against every unsigned atom.
-
-        The values equal ``np.dot(self.column(j), v)`` bit for bit, so a naive
-        scan over the columns reproduces them.  For the identity, every term of
-        column j's dot except v_j * 1 is a signed zero, so the dot is v_j + 0
-        in any summation order; ``v + 0.0`` gives the same, turning -0.0 into
-        +0.0 as the dot does.  Other dictionaries keep one strided ``ddot``
-        per cached column view: a matvec, a row-major copy or a contiguous
-        column each round differently.  Non-finite v is outside the contract.
-        """
+    def _vector(self, v):
         v = np.asarray(v, dtype=float)
         if v.shape != (self.dim,):
             raise ValueError(f"expected a vector of dimension {self.dim}, "
                              f"got shape {v.shape}")
+        return v
+
+    def pairings(self, v):
+        """Dot products of a finite vector v against every unsigned atom.
+
+        This is the exact reference scan: the values equal
+        ``np.dot(self.column(j), v)`` bit for bit, so a naive scan over the
+        columns reproduces them.  For the identity, every term of column j's
+        dot except v_j * 1 is a signed zero, so the dot is v_j + 0 in any
+        summation order; ``v + 0.0`` gives the same, turning -0.0 into +0.0 as
+        the dot does.  Other dictionaries keep one strided ``ddot`` per cached
+        column view: a matvec, a row-major copy or a contiguous column each
+        round differently.  Selection does not call this scan: ``best_pairing``
+        screens the atoms with one matvec and a rounding certificate and
+        re-scores only the survivors with the same ``ddot``, and it falls back
+        to this scan when the certificate cannot be formed.  Non-finite v is
+        outside the contract.
+        """
+        v = self._vector(v)
         if self.is_identity:
             return v + 0.0
         return np.array([np.dot(col, v) for col in self._columns])
+
+    def _screen(self, v):
+        """|A^T v| from one matvec and each atom's certified slack, or None.
+
+        None means the certificate cannot be formed: v is not finite, or
+        max_k ||a_k||_2 ||v||_2 is too close to overflow (see best_pairing).
+        """
+        scale = float(np.max(np.abs(v)))  # NaN and inf propagate
+        if not math.isfinite(scale):
+            return None
+        vnorm = 0.0
+        if scale > 0.0:
+            w = v / scale  # no overflow or underflow in the squares
+            vnorm = scale * math.sqrt(float(np.dot(w, w)))
+        if not math.isfinite(2.0 * self._l2_max * vnorm):
+            return None
+        return (np.abs(self._atoms.T @ v),
+                self._slack_rel * vnorm + self._slack_abs)
+
+    def best_pairing(self, v):
+        """Index j and exact pairing of the first atom maximizing |<a_j, v>|.
+
+        ``(j, s_j)`` equals ``argmax(abs(pairings(v)))`` and its entry bit for
+        bit, but on a general dictionary it costs one matvec plus a ``ddot``
+        per surviving candidate instead of a ``ddot`` per atom.
+
+        Certificate.  Let n = dim, u = 2**-53, gamma_n = n u / (1 - n u) and
+        eta = 2**-1074.  Any floating-point evaluation of a^T v, in any
+        summation order and with or without FMA, has
+        |fl(a^T v) - a^T v| <= gamma_n |a|^T |v| when nothing underflows
+        (Higham, Accuracy and Stability of Numerical Algorithms, sec. 3.1).
+        Gradual underflow adds at most eta/2 per product or sum, at most
+        2n eta in all, and |a|^T |v| <= ||a||_2 ||v||_2 by Cauchy-Schwarz.
+        The matvec entry t_k and the exact strided dot s_k both obey this, so
+        |t_k - s_k| <= delta_k = 2 gamma_n ||a_k||_2 ||v||_2 + 4 n eta.
+        The slack used is twice the relative term, 4 gamma_n ||a_k||_2
+        ||v||_2 + 4 n eta: the computed norms, the slack itself and the cut
+        below each carry a relative error of O(n u), which the second half
+        covers.  ||v||_2 is computed scaled by max |v|, so it neither
+        overflows nor loses its tail to underflow.
+
+        Screen.  If j* is the first maximizer of |s|, then for every k,
+        |t_j*| >= |s_j*| - delta_j* >= |s_k| - delta_j* >= |t_k| - 2 max delta.
+        So keeping every k with |t_k| >= max |t| - 2 max delta keeps j* and
+        every atom tied with it; re-scoring the kept atoms with
+        ``np.dot(column(k), v)`` in ascending index order and keeping the
+        first maximum returns exactly (j*, s_j*).
+
+        Fallback.  When v is not finite, or 2 max_k ||a_k||_2 ||v||_2
+        overflows, this is the full scan ``pairings``.  Otherwise every
+        partial sum of either evaluation is bounded by
+        (1 + gamma_n) ||a_k||_2 ||v||_2, so neither the matvec nor a re-score
+        can overflow and the screen above is sound.  Identity dictionaries
+        always use ``pairings``, which costs O(dim) there.
+        """
+        if not self.is_identity:
+            v = self._vector(v)
+            screen = self._screen(v)
+            if screen is not None:
+                mags, slack = screen
+                keep = np.flatnonzero(mags >= mags.max() - 2.0 * slack.max())
+                pairs = [float(np.dot(self._columns[k], v)) for k in keep]
+                i = int(np.argmax(np.abs(pairs)))
+                return int(keep[i]), pairs[i]
+        s = self.pairings(v)
+        j = int(np.argmax(np.abs(s)))  # the first NaN, if any
+        return j, float(s[j])
+
+    def _first_reaching(self, v, threshold):
+        """Index and exact pairing of the first atom with |<a_j, v>| >= threshold.
+
+        None when no atom reaches it.  An atom with |t_k| < threshold - delta_k
+        cannot reach it (certificate as in ``best_pairing``), so only the
+        others are re-scored, in ascending index order.
+        """
+        if not self.is_identity:
+            v = self._vector(v)
+            screen = self._screen(v)
+            if screen is not None:
+                mags, slack = screen
+                for k in np.flatnonzero(mags >= threshold - slack):
+                    pair = float(np.dot(self._columns[k], v))
+                    if abs(pair) >= threshold:
+                        return int(k), pair
+                return None
+        s = self.pairings(v)
+        hits = np.flatnonzero(np.abs(s) >= threshold)
+        return (int(hits[0]), float(s[hits[0]])) if hits.size else None
 
     def resolve(self, atom):
         """Signed atom vector."""
@@ -182,10 +289,10 @@ def greedy_score(grad_neg, dictionary):
     A zero value returns ``(0.0, None)``, which the caller must treat as the
     stopping signal.
 
-    Finite dictionaries use an exact full scan with ties broken by lowest
-    unsigned index, then positive sign; a non-finite score raises ValueError,
-    as the sphere's dual norm does.  The sphere returns the dual norm of
-    grad_neg and the duality-map direction.
+    Finite dictionaries use ``best_pairing``, which is bit-identical to a full
+    scan, with ties broken by lowest unsigned index, then positive sign; a
+    non-finite score raises ValueError, as the sphere's dual norm does.  The
+    sphere returns the dual norm of grad_neg and the duality-map direction.
     """
     if isinstance(dictionary, SphereDictionary):
         value = dual_norm(grad_neg, dictionary.norm)
@@ -193,14 +300,13 @@ def greedy_score(grad_neg, dictionary):
             return 0.0, None
         return value, Atom(index=-1, sign=1,
                            vec=duality_map(grad_neg, dictionary.norm))
-    s = dictionary.pairings(grad_neg)
-    j = int(np.argmax(np.abs(s)))  # the first NaN, if any
-    best = abs(float(s[j]))
+    j, pair = dictionary.best_pairing(grad_neg)
+    best = abs(pair)
     if not math.isfinite(best):
         raise ValueError("greedy score is not finite")
     if best == 0.0:
         return 0.0, None
-    sign = 1 if s[j] >= 0.0 else -1
+    sign = 1 if pair >= 0.0 else -1
     return best, Atom(index=j, sign=sign)
 
 
@@ -208,10 +314,11 @@ def select_atom(grad_neg, dictionary, t=1.0, mode=ARGMAX, score=None):
     """Weak greedy selection: an atom whose pairing reaches t times the best score.
 
     ARGMAX returns the maximizer itself (satisfies every t).  FIRST_ABOVE
-    computes the best score first, then scans signed atoms in index order
-    (positive sign first) and returns the first one meeting the threshold;
-    this genuinely exercises t < 1.  ``score`` may carry a precomputed
-    ``greedy_score`` result to avoid a second scan.
+    computes the best score first, then returns the first signed atom in index
+    order (positive sign first) whose exact pairing meets the threshold; this
+    genuinely exercises t < 1.  Atoms the matvec screen proves below the
+    threshold are skipped without a dot product.  ``score`` may carry a
+    precomputed ``greedy_score`` result to avoid scoring twice.
     """
     if not (0.0 < t <= 1.0):
         raise ValueError("weakness parameter t must lie in (0, 1]")
@@ -222,14 +329,13 @@ def select_atom(grad_neg, dictionary, t=1.0, mode=ARGMAX, score=None):
         return atom, value
     if mode != FIRST_ABOVE:
         raise ValueError(f"unknown selection mode {mode!r}")
-    s = dictionary.pairings(grad_neg)
     threshold = t * value
-    for j in range(dictionary.size):
-        for sign in (1, -1):
-            pair = sign * float(s[j])
-            if pair >= threshold:
-                return Atom(index=j, sign=sign), pair
-    raise AssertionError("unreachable: the maximizer meets every t <= 1")
+    hit = dictionary._first_reaching(grad_neg, threshold)
+    if hit is None:
+        raise AssertionError("unreachable: the maximizer meets every t <= 1")
+    j, pair = hit
+    sign = 1 if pair >= threshold else -1
+    return Atom(index=j, sign=sign), sign * pair
 
 
 def argmin_atom_by_objective(E, G, c, dictionary):

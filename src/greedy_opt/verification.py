@@ -381,11 +381,17 @@ def c11_oracle_equivalences(ctx):
     """Selection scan, rate fit, and step solver against independent oracles."""
     problems = []
 
-    # full scan versus a naive signed double loop, bit-exact, on a general
-    # dictionary and on the coordinate one, whose scan skips the dot products
+    # screened scan versus a naive signed double loop, bit-exact, on a general
+    # dictionary, on the coordinate one, whose scan skips the dot products,
+    # and on duplicated, negated and ulp-nudged columns, which tie or nearly
+    # tie, so that several atoms survive the screen
+    base = np.random.default_rng(22).standard_normal((16, 8))
+    nudged = base.copy()
+    nudged[0] = np.nextafter(np.nextafter(nudged[0], np.inf), np.inf)
     rng = np.random.default_rng(21)
     for dictionary in (FiniteDictionary.gaussian(16, 1000, seed=5),
-                       FiniteDictionary.coordinate(64)):
+                       FiniteDictionary.coordinate(64),
+                       FiniteDictionary(np.hstack([base, -base, base, nudged]))):
         for _ in range(100):
             v = rng.standard_normal(dictionary.dim)
             value, atom = greedy_score(v, dictionary)

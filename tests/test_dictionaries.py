@@ -1,5 +1,8 @@
 """Dictionary construction and the three selection primitives."""
 
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -37,6 +40,16 @@ def naive_pairings(dictionary, v):
                      for j in range(dictionary.size)])
 
 
+def naive_first_above(dictionary, v, threshold):
+    """The signed index-order loop: first (j, sign) whose pairing reaches it."""
+    for j in range(dictionary.size):
+        pair = float(np.dot(dictionary.column(j), v))
+        for sign in (1, -1):
+            if sign * pair >= threshold:
+                return j, sign, sign * pair
+    return None
+
+
 def assert_same_bits(a, b):
     assert a.dtype == b.dtype and a.shape == b.shape
     assert a.tobytes() == b.tobytes()  # signbit of zeros included
@@ -67,6 +80,46 @@ def coordinate_cases(draw):
                       st.floats(allow_nan=False, allow_infinity=False))
     v = np.array(draw(st.lists(entry, min_size=dim, max_size=dim)))
     return FiniteDictionary.coordinate(dim, norm=NormTag(p)), v
+
+
+TINY = np.finfo(float).smallest_subnormal
+
+
+@st.composite
+def screened_cases(draw):
+    """A general dictionary with exact and near ties, and a vector to score.
+
+    Duplicated and negated columns tie exactly; a column nudged by a few ulps
+    nearly ties.  Dyadic entries make the products of a subnormal vector land
+    on rounding ties, where a matvec and a strided dot round apart.  The
+    vector's magnitude runs from subnormal to near overflow.
+    """
+    dim = draw(st.integers(1, 24))
+    count = draw(st.integers(1, 10))
+    p = draw(st.sampled_from((1.5, 2.0, 3.0)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        base = rng.standard_normal((dim, count))
+    else:
+        base = rng.choice((-1.0, -0.5, -0.25, 0.25, 0.5, 0.75, 1.0),
+                          size=(dim, count))
+    j = draw(st.integers(0, count - 1))
+    nudged = base[:, j].copy()
+    i = draw(st.integers(0, dim - 1))
+    for _ in range(draw(st.integers(1, 4))):
+        nudged[i] = np.nextafter(nudged[i], np.inf)
+    atoms = np.column_stack([base, base[:, j], -base[:, j], nudged])
+    atoms = atoms[:, rng.permutation(atoms.shape[1])]
+    kind = draw(st.sampled_from(("scaled", "subnormal", "zero")))
+    if kind == "scaled":
+        exponent = draw(st.one_of(st.integers(-323, -290), st.integers(-20, 20),
+                                  st.integers(280, 308)))
+        v = rng.uniform(-1.0, 1.0, dim) * 10.0**exponent
+    elif kind == "subnormal":
+        v = rng.integers(-2**20, 2**20, dim) * TINY
+    else:
+        v = np.where(rng.random(dim) < 0.5, -0.0, 0.0)
+    return FiniteDictionary(atoms, norm=NormTag(p)), v
 
 
 class TestConstruction:
@@ -171,6 +224,51 @@ class TestPairings:
         for bad in (np.ones(4), np.ones(2), np.ones((3, 1)), np.float64(1.0)):
             with pytest.raises(ValueError):
                 d.pairings(bad)
+
+
+class TestScreenedScoring:
+    @settings(max_examples=300, deadline=None)
+    @given(screened_cases())
+    def test_screened_selection_matches_column_loop_bitwise(self, case):
+        d, v = case
+        s = naive_pairings(d, v)
+        if not np.all(np.isfinite(s)):
+            with pytest.raises(ValueError):
+                greedy_score(v, d)
+            return
+        j = int(np.argmax(np.abs(s)))
+        best_j, pair = d.best_pairing(v)
+        assert best_j == j
+        assert_same_bits(np.float64(pair), s[j])
+        assert_score_matches_naive(d, v)
+        value, atom = greedy_score(v, d)
+        if atom is None:
+            return
+        selected, pair = select_atom(v, d, t=0.3, mode=ARGMAX)
+        assert (selected.index, selected.sign, pair) == (atom.index, atom.sign,
+                                                         value)
+        for t in (1.0, 0.999, 0.75, 0.5, 0.1, 1e-300):
+            expected = naive_first_above(d, v, t * value)
+            selected, pair = select_atom(v, d, t=t, mode=FIRST_ABOVE)
+            assert (selected.index, selected.sign) == expected[:2]
+            assert_same_bits(np.float64(pair), np.float64(expected[2]))
+
+    @settings(max_examples=150, deadline=None)
+    @given(screened_cases())
+    def test_screen_slack_covers_the_exact_pairing(self, case):
+        """Each of the matvec and the strided dot is within half the slack."""
+        d, v = case
+        screen = d._screen(v)
+        if screen is None:
+            assert not math.isfinite(2.0 * d._l2_max * math.hypot(*v))
+            return
+        mags, slack = screen
+        for k in range(d.size):
+            exact = sum(Fraction(a) * Fraction(x)
+                        for a, x in zip(d.column(k), v))
+            half = Fraction(slack[k]) / 2
+            assert abs(Fraction(mags[k]) - abs(exact)) <= half
+            assert abs(Fraction(float(np.dot(d.column(k), v))) - exact) <= half
 
 
 class TestGreedyScore:

@@ -25,7 +25,8 @@ from greedy_opt import (
     solve_stepsize,
     trace_csv_text,
 )
-from greedy_opt.dictionaries import ARGMAX, FIRST_ABOVE
+from greedy_opt import greedy as greedy_module
+from greedy_opt.dictionaries import ARGMAX, FIRST_ABOVE, Atom
 from greedy_opt.greedy import ExpansionState
 from greedy_opt.instances import logistic_20x5, quadratic_2d, quadratic_2d_unit_l1
 
@@ -292,6 +293,48 @@ class TestRunGgaAdaptive:
                                  StopRule(max_iter=1), majorant=mu)
         assert "unit-step-fallback" in trace.flags[0]
         assert trace.c[0] == 1.0
+
+    def test_first_above_scans_no_more_than_argmax(self, monkeypatch):
+        """One screened pass per selection, and the run of a full-scan loop."""
+        def full_scan_score(grad_neg, dictionary):
+            s = dictionary.pairings(grad_neg)
+            j = int(np.argmax(np.abs(s)))
+            if s[j] == 0.0:
+                return 0.0, None
+            return abs(float(s[j])), Atom(index=j, sign=1 if s[j] >= 0 else -1)
+
+        def full_scan_select(grad_neg, dictionary, t, mode, score):
+            s = dictionary.pairings(grad_neg)
+            for j in range(dictionary.size):
+                for sign in (1, -1):
+                    if sign * float(s[j]) >= t * score[0]:
+                        return Atom(index=j, sign=sign), sign * float(s[j])
+
+        E = quadratic_objective(np.random.default_rng(24).standard_normal(8))
+        d = FiniteDictionary.gaussian(8, 40, seed=1)
+        scans = []
+        pairings = FiniteDictionary.pairings
+
+        def counted(self, v):
+            scans[-1] += 1
+            return pairings(self, v)
+
+        monkeypatch.setattr(FiniteDictionary, "pairings", counted)
+        traces = {}
+        for mode in (ARGMAX, FIRST_ABOVE):
+            scans.append(0)
+            traces[mode] = run_gga_adaptive(E, d, 0.5, 0.5,
+                                            StopRule(max_iter=100, grad_tol=0.0),
+                                            mode=mode)
+        assert len(traces[FIRST_ABOVE]) == 100
+        assert scans[1] <= scans[0]
+        monkeypatch.setattr(greedy_module, "greedy_score", full_scan_score)
+        monkeypatch.setattr(greedy_module, "select_atom", full_scan_select)
+        reference = run_gga_adaptive(E, d, 0.5, 0.5,
+                                     StopRule(max_iter=100, grad_tol=0.0),
+                                     mode=FIRST_ABOVE)
+        assert trace_csv_text(traces[FIRST_ABOVE]) == trace_csv_text(reference)
+        assert traces[FIRST_ABOVE].atoms == reference.atoms
 
     def test_b_range_enforced(self):
         E = quadratic_2d()
