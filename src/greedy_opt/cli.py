@@ -174,15 +174,16 @@ def execute_run(config, base_dir=".", seed_override=None,
                 max_iter_override=None):
     """Build everything from a config and run it.
 
-    The one validation boundary: a ValueError, TypeError, KeyError or
-    IndexError raised while building or running (a parameter out of range, a
-    schedule shorter than the run, a malformed value) becomes a ConfigError.
-    Majorant violations and numeric failures pass through unchanged.
+    The one validation boundary: a ValueError, TypeError, KeyError,
+    IndexError or OSError raised while building or running (a parameter out of
+    range, a schedule shorter than the run, a malformed value, an input file
+    that cannot be read) becomes a ConfigError.  Majorant violations and
+    numeric failures pass through unchanged.
     """
     try:
         return _execute_run(config, base_dir, seed_override,
                             max_iter_override)
-    except (ValueError, TypeError, KeyError, IndexError) as exc:
+    except (ValueError, TypeError, KeyError, IndexError, OSError) as exc:
         message = f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)
         raise ConfigError(message) from exc
 
@@ -424,7 +425,7 @@ def cmd_verify(args):
     failed = [r for r in results if not r.passed]
     for r in results:
         mark = "PASS" if r.passed else "FAIL"
-        print(f"{mark}  {r.name:<{width}}  {r.detail}")
+        print(f"{mark}  {r.name:<{width}}  {r.elapsed:5.2f}s  {r.detail}")
     print(f"{len(results) - len(failed)}/{len(results)} criteria passed")
     if failed:
         print("failed: " + ", ".join(r.name for r in failed))

@@ -358,8 +358,7 @@ def _check_hull(v, trace, hull_radius):
     v.details["hull_radius"] = hull_radius
     cfg = trace.config
     target = cfg.get("objective", {}).get("target")
-    kind = cfg.get("dictionary", {}).get("kind")
-    if target is not None and kind == "coordinate":
+    if target is not None and cfg.get("dictionary", {}).get("identity"):
         l1 = float(np.sum(np.abs(np.asarray(target, dtype=float))))
         if l1 > hull_radius * (1.0 + 1e-12):
             _fail(v, f"minimizer l1 norm {l1:.6g} exceeds hull radius "

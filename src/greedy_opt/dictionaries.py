@@ -249,7 +249,7 @@ class FiniteDictionary:
 
     def describe(self):
         return {"kind": self.kind, "dim": self.dim, "count": self.size,
-                "p": self.norm.p}
+                "p": self.norm.p, "identity": self.is_identity}
 
 
 class SphereDictionary:

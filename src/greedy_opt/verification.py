@@ -63,6 +63,8 @@ __all__ = ["CriterionResult", "VerifyContext", "criterion_names", "run_all"]
 
 @dataclass
 class CriterionResult:
+    """A criterion's verdict; ``_criterion`` stamps ``elapsed`` and ``name``."""
+
     passed: bool
     detail: str
     elapsed: float = 0.0
@@ -126,25 +128,35 @@ def _name_of(fn):
     return re.sub(r"^c(?=\d)", "", fn.__name__).replace("_", "-")
 
 
-def _criterion(fn):
-    """Register a criterion in CRITERIA (definition order is run order) and
-    stamp its name on every result it returns."""
+def _criterion(fn=None, *, limit_s=None):
+    """Register a criterion in CRITERIA (definition order is run order).
+
+    The wrapper times the whole call and stamps the name and elapsed time on
+    the result; a result that took ``limit_s`` seconds or longer fails.
+    """
+    if fn is None:
+        return functools.partial(_criterion, limit_s=limit_s)
+
     @functools.wraps(fn)
-    def named(ctx):
+    def timed(ctx):
+        start = time.perf_counter()
         result = fn(ctx)
+        result.elapsed = time.perf_counter() - start
         result.name = _name_of(fn)
+        if limit_s is not None and result.elapsed >= limit_s:
+            result.passed = False
+            result.detail += f"; over the {limit_s:g} s time limit"
         return result
-    CRITERIA.append(named)
-    return named
+    CRITERIA.append(timed)
+    return timed
 
 
 # --- numbered criteria -----------------------------------------------------
 
 
-@_criterion
+@_criterion(limit_s=1.0)
 def c01_gradient_method_equivalence(ctx):
     """Adaptive run on the Euclidean sphere must reproduce plain gradient descent."""
-    start = time.perf_counter()
     E = ctx.quadratic(quadratic_nd, 10, seed=3)
     gamma = E.majorant.gamma
     b = 0.5
@@ -172,19 +184,16 @@ def c01_gradient_method_equivalence(ctx):
             if abs(E(ref) - final) > 1e-12 * (1.0 + abs(final)):
                 return CriterionResult(
                     False, "greedy run stopped but descent kept moving")
-    elapsed = time.perf_counter() - start
-    ok = (worst <= 1e-12 and len(trace.flags) == trace.flags.count("")
-          and elapsed < 1.0)
+    ok = worst <= 1e-12 and len(trace.flags) == trace.flags.count("")
     return CriterionResult(
         ok,
         f"max per-coordinate relative deviation {worst:.3e} over "
-        f"{len(trace)} iterations (tol 1e-12); {elapsed:.2f}s", elapsed)
+        f"{len(trace)} iterations (tol 1e-12)")
 
 
-@_criterion
+@_criterion(limit_s=10.0)
 def c02_adaptive_energy_inequality(ctx):
     """Per-step energy decrease on every shipped adaptive instance."""
-    start = time.perf_counter()
     checks = []
     for name, E in _shipped_objectives(ctx):
         dim = E.dim
@@ -194,14 +203,12 @@ def c02_adaptive_energy_inequality(ctx):
         ok, where = _energy_inequality_ok(trace, b=0.5)
         fallback = any("unit-step-fallback" in f for f in trace.flags)
         checks.append((name, ok and not fallback, where, len(trace)))
-    elapsed = time.perf_counter() - start
     bad = [c for c in checks if not c[1]]
     detail = "; ".join(f"{n}: {m} iterations" for n, _ok, _w, m in checks)
     if bad:
         detail = "violated at " + ", ".join(f"{n} (iteration {w})"
                                             for n, _ok, w, _m in bad)
-    return CriterionResult(not bad and elapsed < 10.0,
-                           detail + f" (slack 1e-10); {elapsed:.2f}s", elapsed)
+    return CriterionResult(not bad, detail + " (slack 1e-10)")
 
 
 @_criterion
@@ -250,10 +257,9 @@ def c04_score_gap_bound_sweep(ctx):
         "(slack 1e-10)" if ok else f"bound failed at iteration {bad_at}")
 
 
-@_criterion
+@_criterion(limit_s=5.0)
 def c05_fixed_schedule_convergence(ctx):
     """Both fixed-coefficient schemes converge on the unit-l1 2-D quadratic."""
-    start = time.perf_counter()
     E = ctx.quadratic(quadratic_2d_unit_l1)
     dictionary = FiniteDictionary.coordinate(2)
     coeffs = make_power_coefficients(1.0, 2.0, E.majorant.gamma)
@@ -267,21 +273,17 @@ def c05_fixed_schedule_convergence(ctx):
     confined = (not any("left-sublevel-2" in f for f in gga.flags)
                 and not any("left-sublevel-2" in f for f in ega.flags))
     verdict = claim_verdict(FIXED_SUMMABLE_CONVERGENCE, gga, tolerance=1e-2)
-    elapsed = time.perf_counter() - start
     ok = (gga_gap <= 1e-2 and ega_gap <= 1e-2 and confined
-          and verdict.preconditions_met and verdict.bound_satisfied
-          and elapsed < 5.0)
+          and verdict.preconditions_met and verdict.bound_satisfied)
     return CriterionResult(
         ok,
         f"gaps at m=10^4: greedy-selection {gga_gap:.3e}, objective-scan "
-        f"{ega_gap:.3e} (target 1e-2); sublevel confinement {confined}; "
-        f"{elapsed:.2f}s", elapsed)
+        f"{ega_gap:.3e} (target 1e-2); sublevel confinement {confined}")
 
 
-@_criterion
+@_criterion(limit_s=10.0)
 def c06_power_schedule_rate(ctx):
     """Calibrated m^-0.3 envelope for the fixed power schedule (t=1, q=2)."""
-    start = time.perf_counter()
     E = ctx.quadratic(quadratic_geometric, 64)
     dictionary = FiniteDictionary.coordinate(64)
     coeffs = make_power_coefficients(1.0, 2.0, 0.5)
@@ -289,14 +291,12 @@ def c06_power_schedule_rate(ctx):
     ctx.write(trace, "c06_power_rate.csv")
     verdict = claim_verdict(POWER_SCHEDULE_RATE, trace, r=0.3, hull_radius=1.0,
                             calibration=10)
-    elapsed = time.perf_counter() - start
-    ok = (verdict.preconditions_met and bool(verdict.bound_satisfied)
-          and elapsed < 10.0)
+    ok = verdict.preconditions_met and bool(verdict.bound_satisfied)
     return CriterionResult(
         ok,
         f"C = {verdict.details.get('constant', float('nan')):.4g}, "
         f"preconditions {verdict.preconditions_met} {verdict.reasons}, "
-        f"bound {verdict.bound_satisfied}; {elapsed:.2f}s", elapsed)
+        f"bound {verdict.bound_satisfied}")
 
 
 @_criterion
@@ -358,22 +358,19 @@ def c09_exact_line_search_two_step(ctx):
     return CriterionResult(ok, detail)
 
 
-@_criterion
+@_criterion(limit_s=30.0)
 def c10_line_search_logistic_convergence(ctx):
     """Exact-line-search run closes the gap on the logistic instance."""
-    start = time.perf_counter()
     E = logistic_20x5()
     reference = _logistic_reference()
     trace = run_gega(E, FiniteDictionary.coordinate(E.dim), 1.0,
                      StopRule(max_iter=10_000))
     ctx.write(trace, "c10_gega_logistic.csv")
     gap = trace.final_E - reference
-    elapsed = time.perf_counter() - start
-    ok = gap <= 1e-4 and elapsed < 30.0
     return CriterionResult(
-        ok,
+        gap <= 1e-4,
         f"gap to reference infimum {gap:.3e} after {len(trace)} iterations "
-        f"(target 1e-4); {elapsed:.1f}s", elapsed)
+        f"(target 1e-4)")
 
 
 @_criterion
@@ -517,13 +514,10 @@ def run_all(ctx=None):
     ctx = ctx or VerifyContext()
     results = []
     for fn in CRITERIA:
-        started = time.perf_counter()
         try:
             result = fn(ctx)
         except Exception as exc:  # a crash is a failed criterion, not a crash of verify
             result = CriterionResult(False, f"{type(exc).__name__}: {exc}",
                                      name=_name_of(fn))
-        if not result.elapsed:
-            result.elapsed = time.perf_counter() - started
         results.append(result)
     return results

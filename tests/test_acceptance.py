@@ -1,60 +1,56 @@
 """Acceptance gate: every verification criterion at its stated tolerance.
 
 Each test prints one PASS/FAIL line so the suite reads as a checklist.  The
-final test runs the CLI ``verify`` twice end to end and compares every output
-file byte for byte.
+criteria come from the live ``verification.CRITERIA`` list, so a new one is
+gated as soon as it is registered.  The final tests run the CLI ``verify`` end
+to end.
 """
 
 import filecmp
+import types
 
 import pytest
 
+from greedy_opt import verification
 from greedy_opt.cli import main
-from greedy_opt.verification import (
-    VerifyContext,
-    c01_gradient_method_equivalence,
-    c02_adaptive_energy_inequality,
-    c03_smoothness_gap_sweep,
-    c04_score_gap_bound_sweep,
-    c05_fixed_schedule_convergence,
-    c06_power_schedule_rate,
-    c07_adaptive_rate,
-    c08_adaptive_sphere_rate,
-    c09_exact_line_search_two_step,
-    c10_line_search_logistic_convergence,
-    c11_oracle_equivalences,
-    c12_trace_determinism,
-    inv_hoelder_duality,
-    inv_majorant_domination,
-    inv_objective_contracts,
-)
-
-CRITERIA = [
-    c01_gradient_method_equivalence,
-    c02_adaptive_energy_inequality,
-    c03_smoothness_gap_sweep,
-    c04_score_gap_bound_sweep,
-    c05_fixed_schedule_convergence,
-    c06_power_schedule_rate,
-    c07_adaptive_rate,
-    c08_adaptive_sphere_rate,
-    c09_exact_line_search_two_step,
-    c10_line_search_logistic_convergence,
-    c11_oracle_equivalences,
-    c12_trace_determinism,
-    inv_objective_contracts,
-    inv_majorant_domination,
-    inv_hoelder_duality,
-]
+from greedy_opt.verification import CRITERIA, CriterionResult, VerifyContext
 
 
 @pytest.mark.parametrize("criterion", CRITERIA,
-                         ids=lambda fn: fn.__name__.lstrip("_"))
+                         ids=[fn.__name__ for fn in CRITERIA])
 def test_criterion(criterion):
     result = criterion(VerifyContext(out_dir=None))
-    print(f"{'PASS' if result.passed else 'FAIL'}  {result.name}: "
-          f"{result.detail}")
+    print(f"{'PASS' if result.passed else 'FAIL'}  {result.name} "
+          f"{result.elapsed:.2f}s: {result.detail}")
     assert result.passed, f"{result.name}: {result.detail}"
+
+
+@pytest.mark.parametrize("limit_s,passed", [(0.5, False), (2.0, True)])
+def test_criterion_time_limit(monkeypatch, limit_s, passed):
+    """The registering wrapper times each call once, on a clock that ticks
+    1 s per reading here, and fails a result at or over its limit; run_all
+    reports that same time."""
+    ticks = iter(range(100))
+    monkeypatch.setattr(verification, "time",
+                        types.SimpleNamespace(perf_counter=lambda: next(ticks)))
+    saved = list(CRITERIA)
+    try:
+        CRITERIA.clear()
+
+        @verification._criterion(limit_s=limit_s)
+        def c99_probe(ctx):
+            return CriterionResult(True, "probe ran")
+
+        results = verification.run_all()
+    finally:
+        CRITERIA[:] = saved
+    assert CRITERIA == saved
+    assert len(results) == 1
+    result = results[0]
+    assert (result.name, result.elapsed, result.passed) == ("99-probe", 1.0,
+                                                            passed)
+    assert result.detail.startswith("probe ran")
+    assert (f"{limit_s:g} s time limit" in result.detail) is not passed
 
 
 def test_verify_cli_is_byte_deterministic(tmp_path, capsys):

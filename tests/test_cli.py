@@ -335,6 +335,37 @@ class TestRunCommand:
                      algorithm={"kind": "GEGA", "tau": 1.0})
         assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 0
 
+    def test_missing_dictionary_file_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "config.json"
+        write_config(cfg, dictionary={"kind": "csv", "path": "nope.csv"},
+                     algorithm={"kind": "GEGA", "tau": 1.0})
+        assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        assert "nope.csv" in capsys.readouterr().err
+
+    def test_hull_check_reads_the_atoms_not_the_label(self, tmp_path):
+        """A csv dictionary of 3 I_8 is the coordinate basis once normalised,
+        so the minimizer's hull membership is checked, as for ``coordinate``."""
+        from greedy_opt.instances import quadratic_geometric
+        np.savetxt(tmp_path / "atoms.csv", 3.0 * np.eye(8), delimiter=",")
+        target = [float(t) for t in quadratic_geometric(8).minimizer]
+        cfg = tmp_path / "config.json"
+        write_config(
+            cfg,
+            objective={"kind": "quadratic", "target": target},
+            dictionary={"kind": "csv", "path": "atoms.csv"},
+            algorithm={"kind": "GGA_FIXED", "tau": 1.0,
+                       "coefficients": {"kind": "power-rule", "t": 1.0}},
+            stop={"max_iter": 200},
+            diagnostics={"claims": [{"claim": "power-schedule-rate",
+                                     "r": 0.3, "hull_radius": 1.0}]})
+        out = tmp_path / "out"
+        assert main(["run", str(cfg), "--out", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["run_config"]["dictionary"]["identity"] is True
+        verdict = manifest["results"]["verdicts"][0]
+        assert verdict["details"]["hull_radius"] == 1.0
+        assert not any("not verified" in note for note in verdict["notes"])
+
 
 class TestSweepCommand:
     def test_grid_rows_in_deterministic_order(self, tmp_path):
@@ -402,6 +433,22 @@ class TestSweepCommand:
         assert len(lines) == 3
         assert lines[1].split(",")[2] == "max-iter"
         assert lines[2].split(",")[2] == "error: ConfigError"
+
+    def test_unreadable_dictionary_fails_its_row_only(self, tmp_path):
+        np.savetxt(tmp_path / "atoms.csv", np.eye(2), delimiter=",")
+        cfg = tmp_path / "config.json"
+        write_config(cfg, dictionary={"kind": "csv", "path": "atoms.csv"})
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps({"dictionary.path": ["nope.csv",
+                                                        "atoms.csv"]}))
+        out = tmp_path / "sweep"
+        assert main(["sweep", str(cfg), "--grid", str(grid), "--out",
+                     str(out)]) == 0
+        lines = (out / "summary.csv").read_text().strip().split("\n")
+        assert len(lines) == 3
+        assert lines[1].split(",")[2] == "error: ConfigError"
+        assert not lines[2].split(",")[2].startswith("error")
+        assert (out / "run_0001" / "trace.csv").exists()
 
 
 class TestVerifyCommand:

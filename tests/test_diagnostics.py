@@ -163,6 +163,16 @@ class TestClaimVerdicts:
         ok = claim_verdict(LINE_SEARCH_CONVERGENCE, trace, tolerance=1e-10)
         assert ok.preconditions_met and ok.bound_satisfied
 
+    def test_hull_check_ignores_a_coordinate_label_on_other_atoms(self):
+        atoms = np.random.default_rng(4).standard_normal((8, 8))
+        trace = run_gga_fixed(quadratic_geometric(8),
+                              FiniteDictionary(atoms, kind="coordinate"), 1.0,
+                              make_power_coefficients(1.0, 2.0, 0.5),
+                              StopRule(max_iter=50))
+        verdict = claim_verdict(POWER_SCHEDULE_RATE, trace, r=0.3,
+                                hull_radius=1.0)
+        assert "hull membership of the minimizer not verified" in verdict.notes
+
     def test_verdict_is_reproducible(self):
         E = quadratic_geometric(8)
         cs = make_power_coefficients(1.0, 2.0, 0.5)
