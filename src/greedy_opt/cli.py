@@ -17,7 +17,13 @@ from pathlib import Path
 import numpy as np
 
 from .core import Majorant, NormTag, NumericFailure
-from .dictionaries import ARGMAX, FIRST_ABOVE, FiniteDictionary, SphereDictionary
+from .dictionaries import (
+    ARGMAX,
+    FIRST_ABOVE,
+    FiniteDictionary,
+    SphereDictionary,
+    read_csv_matrix,
+)
 from .diagnostics import ALL_CLAIMS, claim_verdict, fit_rate
 from .greedy import (
     CoefficientSequence,
@@ -57,12 +63,13 @@ def _load_json(path):
         raise ConfigError(f"config is not valid JSON: {exc}")
 
 
-def _load_matrix_csv(path, base_dir):
-    return np.loadtxt(Path(base_dir) / path, delimiter=",", ndmin=2)
-
-
-def _load_vector_csv(path, base_dir):
-    return np.loadtxt(Path(base_dir) / path, delimiter=",").reshape(-1)
+def _array(spec, key, base_dir, vector=False):
+    """``spec[key]`` inline, or else read from the CSV file named by
+    ``spec[key + "_csv"]`` and flattened when ``vector``."""
+    if key in spec:
+        return np.asarray(spec[key], dtype=float)
+    data = read_csv_matrix(Path(base_dir) / spec[key + "_csv"])
+    return data.reshape(-1) if vector else data
 
 
 def build_objective(spec, base_dir="."):
@@ -74,17 +81,12 @@ def build_objective(spec, base_dir="."):
         return quadratic_objective(spec["target"],
                                    scale=spec.get("scale", 1.0))
     if kind == "p_power":
-        design = (np.asarray(spec["design"], dtype=float) if "design" in spec
-                  else _load_matrix_csv(spec["design_csv"], base_dir))
-        response = (np.asarray(spec["response"], dtype=float)
-                    if "response" in spec
-                    else _load_vector_csv(spec["response_csv"], base_dir))
+        design = _array(spec, "design", base_dir)
+        response = _array(spec, "response", base_dir, vector=True)
         return p_power_objective(design, response, spec.get("p", 2.0))
     if kind == "logistic":
-        design = (np.asarray(spec["design"], dtype=float) if "design" in spec
-                  else _load_matrix_csv(spec["design_csv"], base_dir))
-        labels = (np.asarray(spec["labels"], dtype=float) if "labels" in spec
-                  else _load_vector_csv(spec["labels_csv"], base_dir))
+        design = _array(spec, "design", base_dir)
+        labels = _array(spec, "labels", base_dir, vector=True)
         return logistic_objective(design, labels,
                                   region_radius=spec.get("region_radius", 10.0))
     raise ConfigError(f"unknown objective kind {kind!r}")
@@ -170,8 +172,7 @@ def _mode(spec):
     return mode
 
 
-def execute_run(config, base_dir=".", seed_override=None,
-                max_iter_override=None):
+def execute_run(config, base_dir=".", max_iter_override=None):
     """Build everything from a config and run it.
 
     The one validation boundary: a ValueError, TypeError, KeyError,
@@ -181,19 +182,16 @@ def execute_run(config, base_dir=".", seed_override=None,
     numeric failures pass through unchanged.
     """
     try:
-        return _execute_run(config, base_dir, seed_override,
-                            max_iter_override)
+        return _execute_run(config, base_dir, max_iter_override)
     except (ValueError, TypeError, KeyError, IndexError, OSError) as exc:
         message = f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)
         raise ConfigError(message) from exc
 
 
-def _execute_run(config, base_dir, seed_override, max_iter_override):
+def _execute_run(config, base_dir, max_iter_override):
     _require(isinstance(config, dict)
              and config.get("schema") == SCHEMA_VERSION,
              f"config schema must be {SCHEMA_VERSION}")
-    seed = int(seed_override if seed_override is not None
-               else config.get("seed", 0))
     objective = build_objective(config.get("objective"), base_dir)
     dictionary = build_dictionary(config.get("dictionary"), base_dir)
     algo = config.get("algorithm")
@@ -210,26 +208,25 @@ def _execute_run(config, base_dir, seed_override, max_iter_override):
     if kind == "GBE":
         coeffs = build_coefficients(algo.get("coefficients"), objective)
         trace = run_gbe(objective, dictionary, algo.get("t", 1.0), coeffs,
-                        stop, mode=_mode(algo), seed=seed)
+                        stop, mode=_mode(algo))
     elif kind == "EGA":
         coeffs = build_coefficients(algo.get("coefficients"), objective)
-        trace = run_ega(objective, dictionary, coeffs, stop, seed=seed)
+        trace = run_ega(objective, dictionary, coeffs, stop)
     elif kind == "GGA_FIXED":
         tau = build_weakness(algo.get("tau", algo.get("t")))
         coeffs = build_coefficients(algo.get("coefficients"), objective)
         trace = run_gga_fixed(objective, dictionary, tau, coeffs, stop,
-                              mode=_mode(algo), seed=seed)
+                              mode=_mode(algo))
     elif kind == "GGA_ADAPTIVE":
         tau = build_weakness(algo.get("tau", algo.get("t")))
         mu = build_majorant(algo.get("mu", "objective"), objective)
         trace = run_gga_adaptive(objective, dictionary, tau,
                                  algo.get("b", 0.5), stop,
-                                 majorant=mu, mode=_mode(algo), seed=seed)
+                                 majorant=mu, mode=_mode(algo))
     elif kind == "GEGA":
         tau = build_weakness(algo.get("tau", algo.get("t")))
         trace = run_gega(objective, dictionary, tau, stop, mode=_mode(algo),
-                         line_tol=float(algo.get("line_tol", 1e-12)),
-                         seed=seed)
+                         line_tol=float(algo.get("line_tol", 1e-12)))
     else:
         raise ConfigError(f"unknown algorithm kind {kind!r}")
 
@@ -249,7 +246,6 @@ def _execute_run(config, base_dir, seed_override, max_iter_override):
     if verdicts:
         results["verdicts"] = verdicts
     resolved = dict(config)
-    resolved["seed"] = seed
     resolved["stop"] = trace.config["stop"]
     manifest = {"schema": SCHEMA_VERSION, "config": resolved,
                 "results": results, "run_config": trace.config}
@@ -332,7 +328,6 @@ def cmd_run(args):
     config = _unwrap_manifest(_load_json(args.config))
     base_dir = Path(args.config).parent
     trace, manifest = execute_run(config, base_dir=base_dir,
-                                  seed_override=args.seed,
                                   max_iter_override=args.max_iter)
     trace_path, manifest_path = _write_outputs(trace, manifest, config,
                                                args.out)
@@ -355,11 +350,10 @@ def _set_by_path(config, dotted, value):
     node[parts[-1]] = value
 
 
-def _sweep_one(index, config, base_dir, out_dir, seed, max_iter):
+def _sweep_one(index, config, base_dir, out_dir, max_iter):
     run_dir = Path(out_dir) / f"run_{index:04d}"
     try:
         trace, manifest = execute_run(config, base_dir=base_dir,
-                                      seed_override=seed,
                                       max_iter_override=max_iter)
         _write_outputs(trace, manifest, config, run_dir)
         fit = manifest["results"].get("fit") or {}
@@ -388,7 +382,7 @@ def cmd_sweep(args):
         point = json.loads(json.dumps(config))  # deep copy
         for name, value in zip(names, values):
             _set_by_path(point, name, value)
-        rows.append(_sweep_one(index, point, base_dir, args.out, args.seed,
+        rows.append(_sweep_one(index, point, base_dir, args.out,
                                args.max_iter))
 
     lines = ["run," + ",".join(names)
@@ -444,8 +438,6 @@ def main(argv=None):
     p_run = sub.add_parser("run", help="execute one configured run")
     p_run.add_argument("config", help="JSON config (or a manifest) to execute")
     p_run.add_argument("--out", default=".", help="output directory")
-    p_run.add_argument("--seed", type=int, default=None,
-                       help="override the config seed")
     p_run.add_argument("--max-iter", type=int, default=None,
                        help="override the stop rule's max_iter")
 
@@ -454,7 +446,6 @@ def main(argv=None):
     p_sweep.add_argument("--grid", required=True,
                          help="JSON file mapping dotted config paths to value lists")
     p_sweep.add_argument("--out", default="sweep-out")
-    p_sweep.add_argument("--seed", type=int, default=None)
     p_sweep.add_argument("--max-iter", type=int, default=None)
 
     p_verify = sub.add_parser("verify", help="run the acceptance criteria")

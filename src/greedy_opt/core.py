@@ -261,8 +261,6 @@ def finite_difference_gradient_check(E, x, h=1e-5, tol=1e-6):
 class SmoothnessWitness:
     """Record of an empirical majorant-domination sweep."""
 
-    sampled_u: list
-    sampled_rho: list
     violations: list  # (x, y, u) triples where the majorant failed
 
     @property
@@ -270,31 +268,24 @@ class SmoothnessWitness:
         return not self.violations
 
 
-def majorant_domination_witness(E, u_grid=None, samples=200, seed=0, tol=1e-9,
+def majorant_domination_witness(E, samples=200, seed=0, tol=1e-9,
                                 norm=EUCLIDEAN):
-    """Sweep scales u and record any sampled point whose second difference
-    exceeds the declared majorant.
+    """Sweep 8 scales u from 1e-3 to min(2, domain bound) and record any
+    sampled point whose second difference exceeds the declared majorant.
 
     The sweep is evidence, not proof: an empty violation list certifies the
     majorant only at the sampled points.
     """
     majorant = E.majorant
-    if u_grid is None:
-        top = min(2.0, majorant.domain_bound)
-        u_grid = np.geomspace(1e-3, top, 8)
     rng = np.random.default_rng(seed)
-    sampled_u, sampled_rho, violations = [], [], []
-    for u in u_grid:
+    violations = []
+    for u in np.geomspace(1e-3, min(2.0, majorant.domain_bound), 8):
         u = float(u)
         bound = majorant(u)
-        worst = 0.0
         for _ in range(samples):
             x = sample_ball(rng, E.dim, radius=E.region_radius, norm=norm)
             y = unit_direction(rng, E.dim, norm=norm)
             rho_hat = 0.5 * abs(E(x + u * y) + E(x - u * y) - 2.0 * E(x))
-            worst = max(worst, rho_hat)
             if rho_hat > bound + tol:
                 violations.append((x, y, u))
-        sampled_u.append(u)
-        sampled_rho.append(worst)
-    return SmoothnessWitness(sampled_u, sampled_rho, violations)
+    return SmoothnessWitness(violations)

@@ -50,13 +50,13 @@ class RateFit:
                 "intercept": self.intercept, "r_squared": self.r_squared}
 
 
-def fit_rate(trace, window=None, min_points=10):
+def fit_rate(trace, window=None):
     """Fit gap_m ~ exp(intercept) * m^exponent over a window of iterations.
 
-    Only iterations with positive gaps enter the fit.  Fewer than
-    ``min_points`` usable points (e.g. after exact convergence), or a flat
-    window where every usable gap is equal (e.g. a plateau at the
-    floating-point floor), yields a DEGENERATE fit instead of a slope.
+    Only iterations with positive gaps enter the fit.  Fewer than 10 usable
+    points (e.g. after exact convergence), or a flat window where every usable
+    gap is equal (e.g. a plateau at the floating-point floor), yields a
+    DEGENERATE fit instead of a slope.
     """
     gaps = trace.gaps()
     if gaps is None:
@@ -72,7 +72,7 @@ def fit_rate(trace, window=None, min_points=10):
     usable = a > 0.0
     n = int(np.sum(usable))
     y = np.log(a[usable])
-    if n < min_points or np.all(y == y[0]):
+    if n < 10 or np.all(y == y[0]):
         return RateFit(status="degenerate", window=(lo, hi), n_points=n)
     x = np.log(m[usable])
     slope, intercept = np.polyfit(x, y, 1)
@@ -146,15 +146,22 @@ def bound_holds(gaps, bounds, C, start):
     return _first_violation(gaps, bounds, C, start) is None
 
 
-def _power_series_sum(a, terms=1_000_000):
-    """Upper bound on sum_k k^-a: ``terms`` exact terms plus the integral tail.
+# Exact terms of the power-series bound; the schedule's calibration and the
+# claims' budget check must both use this one value.
+_SERIES_TERMS = 1_000_000
+
+
+def _power_series_sum(a):
+    """Upper bound on sum_k k^-a: ``_SERIES_TERMS`` exact terms plus the
+    integral tail.
 
     Infinite for a <= 1, where the series diverges.
     """
     if a <= 1.0:
         return math.inf
-    k = np.arange(1, terms + 1, dtype=float)
-    return float(np.sum(k ** (-a))) + terms ** (1.0 - a) / (a - 1.0)
+    k = np.arange(1, _SERIES_TERMS + 1, dtype=float)
+    return (float(np.sum(k ** (-a)))
+            + _SERIES_TERMS ** (1.0 - a) / (a - 1.0))
 
 
 def _tau_array(trace):

@@ -24,6 +24,7 @@ __all__ = [
     "greedy_score",
     "select_atom",
     "argmin_atom_by_objective",
+    "read_csv_matrix",
 ]
 
 ARGMAX = "argmax"
@@ -102,19 +103,8 @@ class FiniteDictionary:
 
     @classmethod
     def from_csv(cls, path, norm=EUCLIDEAN):
-        """Load atoms from a CSV matrix, one atom per column.
-
-        A first row that fails to parse as numbers is treated as a header.
-        """
-        with open(path, "r", encoding="utf-8") as fh:
-            first = fh.readline()
-        try:
-            [float(tok) for tok in first.strip().split(",") if tok != ""]
-            skip = 0
-        except ValueError:
-            skip = 1
-        A = np.loadtxt(path, delimiter=",", skiprows=skip, ndmin=2)
-        return cls(A, norm=norm, kind="csv")
+        """Atoms from a CSV matrix, one per column (see ``read_csv_matrix``)."""
+        return cls(read_csv_matrix(path), norm=norm, kind="csv")
 
     @property
     def dim(self):
@@ -268,6 +258,21 @@ class SphereDictionary:
 
     def describe(self):
         return {"kind": "sphere", "p": self.norm.p}
+
+
+def read_csv_matrix(path):
+    """A comma-separated numeric matrix, at least 2-D.
+
+    A first row that fails to parse as numbers is treated as a header.
+    """
+    with open(path, "r", encoding="utf-8") as fh:
+        first = fh.readline()
+    try:
+        [float(tok) for tok in first.strip().split(",") if tok != ""]
+        skip = 0
+    except ValueError:
+        skip = 1
+    return np.loadtxt(path, delimiter=",", skiprows=skip, ndmin=2)
 
 
 def duality_map(v, norm=EUCLIDEAN):

@@ -48,6 +48,10 @@ __all__ = [
     "check_rate_bound",
 ]
 
+# Tolerance of the adaptive scheme's per-step energy-decrease check, recorded
+# in its run config; the verification suite rechecks traces against the same.
+ENERGY_SLACK = 1e-10
+
 
 @dataclass(frozen=True)
 class StopRule:
@@ -154,13 +158,13 @@ class CoefficientSequence:
         return {"kind": "explicit", "values": self._values}
 
 
-def make_power_coefficients(t, q, gamma, terms=1_000_000):
+def make_power_coefficients(t, q, gamma):
     """Power-decay schedule c * k^(-s) calibrated against the majorant.
 
     Sets s = (t + 1) / (t + q) and picks c so that gamma * c^q * Z = 1, where Z
-    upper-bounds the full series sum_k k^(-s q) by ``terms`` exact terms plus an
-    integral tail.  The summability budget gamma * sum_k mu(c_k) <= 1 then holds
-    by construction.
+    upper-bounds the full series sum_k k^(-s q) (see ``_power_series_sum``,
+    which the fixed-schedule claims' budget check also uses).  The summability
+    budget gamma * sum_k mu(c_k) <= 1 then holds by construction.
     """
     t, q, gamma = float(t), float(q), float(gamma)
     if not (0.0 < t <= 1.0):
@@ -174,29 +178,28 @@ def make_power_coefficients(t, q, gamma, terms=1_000_000):
     if a <= 1.0 + 1e-12:
         raise ValueError(f"series exponent s*q = {a} must exceed 1; "
                          "the coefficient series would diverge")
-    series_bound = _power_series_sum(a, terms)
+    series_bound = _power_series_sum(a)
     c = (gamma * series_bound) ** (-1.0 / q)
     meta = {"t": t, "q": q, "gamma": gamma, "series_bound": series_bound}
     return CoefficientSequence.power(c, s, meta=meta)
 
 
-def solve_stepsize(majorant, slope, c_max=None):
+def solve_stepsize(majorant, slope):
     """Positive c solving mu(c)/c = slope, or None when no solution exists.
 
     Power majorants solve in closed form, c = (slope/gamma)^(1/(q-1)).
-    Tabulated majorants bisect the nondecreasing map mu(c)/c over (0, c_max]
-    (c_max defaults to the majorant's domain bound, which must then be finite);
-    if mu(c)/c stays below the slope everywhere, returns None and the caller
-    falls back to a unit step.
+    Tabulated majorants bisect the nondecreasing map mu(c)/c over
+    (0, domain_bound], which must then be finite; if mu(c)/c stays below the
+    slope everywhere, returns None and the caller falls back to a unit step.
     """
     slope = float(slope)
     if slope <= 0:
         raise ValueError("slope must be positive (stopping fires upstream)")
     if majorant.is_power:
         return float((slope / majorant.gamma) ** (1.0 / (majorant.q - 1.0)))
-    top = float(c_max) if c_max is not None else majorant.domain_bound
-    if not math.isfinite(top) or top <= 0:
-        raise ValueError("tabulated majorants need a finite positive search bound")
+    top = majorant.domain_bound
+    if not math.isfinite(top):
+        raise ValueError("tabulated majorants need a finite domain_bound")
     f = majorant.slope
     if f(top) < slope:
         return None
@@ -226,46 +229,45 @@ def solve_stepsize(majorant, slope, c_max=None):
 @dataclass(frozen=True)
 class LineSearchResult:
     c: float
-    value: float
     clamped: bool = False
 
 
-def line_search_exact(E, start, direction, c_hi=1.0, tol=1e-12, bound=None):
+def line_search_exact(E, start, direction, tol=1e-12, bound=None):
     """Exact minimization of the convex section c -> E(start + c * direction).
 
-    Brackets by doubling from [0, c_hi] on the side the derivative points to
+    Brackets by doubling from [0, 1] on the side the derivative points to
     (signed steps are allowed), then bisects on the directional derivative until
     the minimizer is located within ``tol``.  If the derivative never changes
     sign before |c| reaches ``bound`` (default twice the objective's region
-    radius), the bound is returned with ``clamped=True``.
+    radius), the bound is returned with ``clamped=True``.  Only gradients are
+    evaluated; the caller evaluates E at the step it takes.
     """
     if bound is None:
         bound = 2.0 * E.region_radius
-    if bound <= 0 or c_hi <= 0:
-        raise ValueError("bound and c_hi must be positive")
+    if bound <= 0:
+        raise ValueError("bound must be positive")
 
     def deriv(c):
         return pairing(E.gradient(start + c * direction), direction)
 
     d0 = deriv(0.0)
     if d0 == 0.0:
-        return LineSearchResult(0.0, E(start), False)
+        return LineSearchResult(0.0)
     if d0 > 0.0:
-        res = line_search_exact(E, start, -direction, c_hi=c_hi, tol=tol,
-                                bound=bound)
-        return LineSearchResult(-res.c, res.value, res.clamped)
+        res = line_search_exact(E, start, -direction, tol=tol, bound=bound)
+        return LineSearchResult(-res.c, res.clamped)
 
-    lo, hi = 0.0, float(c_hi)
+    lo, hi = 0.0, 1.0
     while True:
         if hi > bound:
             hi = bound
         dh = deriv(hi)
         if dh == 0.0:
-            return LineSearchResult(hi, E(start + hi * direction), False)
+            return LineSearchResult(hi)
         if dh > 0.0:
             break
         if hi >= bound:
-            return LineSearchResult(bound, E(start + bound * direction), True)
+            return LineSearchResult(bound, True)
         lo, hi = hi, 2.0 * hi
 
     for _ in range(200):
@@ -274,13 +276,12 @@ def line_search_exact(E, start, direction, c_hi=1.0, tol=1e-12, bound=None):
         mid = 0.5 * (lo + hi)
         dm = deriv(mid)
         if dm == 0.0:
-            return LineSearchResult(mid, E(start + mid * direction), False)
+            return LineSearchResult(mid)
         if dm < 0.0:
             lo = mid
         else:
             hi = mid
-    c = 0.5 * (lo + hi)
-    return LineSearchResult(c, E(start + c * direction), False)
+    return LineSearchResult(0.5 * (lo + hi))
 
 
 class MajorantViolationError(RuntimeError):
@@ -305,8 +306,6 @@ class ExpansionState:
     """Live state of an expansion after m iterations."""
 
     G: np.ndarray
-    coeffs: list
-    atoms: list
     m: int
     A: float  # sum of |c_j|
 
@@ -361,7 +360,7 @@ class RunTrace:
 
 
 def _run(E, dictionary, stop, algorithm, step, tau=None, mode=ARGMAX,
-         seed=None, check=None, **params):
+         check=None, **params):
     """The one expansion loop; the public drivers differ only in its arguments.
 
     With a weakness ``tau`` (a WeaknessSequence, or a number for constant t),
@@ -371,17 +370,15 @@ def _run(E, dictionary, stop, algorithm, step, tau=None, mode=ARGMAX,
     for the atom minimizing E(G + c_m * atom).
     ``check(m, t_m, E_prev, E_new, c_m, score_prev)`` may reject a finished
     step by raising.  The run config records the objective, dictionary, stop
-    rule, seed, algorithm, weakness and mode, plus ``params``.
+    rule, algorithm, weakness and mode, plus ``params``.
     """
     config = {
         "objective": E.describe(),
         "dictionary": dictionary.describe(),
         "stop": {"max_iter": stop.max_iter, "grad_tol": stop.grad_tol,
                  "target_gap": stop.target_gap},
+        "algorithm": algorithm,
     }
-    if seed is not None:
-        config["seed"] = seed
-    config["algorithm"] = algorithm
     if tau is not None:
         if not isinstance(tau, WeaknessSequence):
             tau = WeaknessSequence.constant(tau)
@@ -458,7 +455,7 @@ def _prescribed(rule, positive=False):
     return step
 
 
-def run_gbe(E, dictionary, t, coeff_rule, stop, mode=ARGMAX, seed=None):
+def run_gbe(E, dictionary, t, coeff_rule, stop, mode=ARGMAX):
     """Generic expansion: weak-greedy atom, externally prescribed positive steps.
 
     ``coeff_rule`` is a CoefficientSequence, recorded in the run config, or any
@@ -470,10 +467,10 @@ def run_gbe(E, dictionary, t, coeff_rule, stop, mode=ARGMAX, seed=None):
         coeff_rule = coeff_rule.value
     return _run(E, dictionary, stop, "GBE",
                 _prescribed(coeff_rule, positive=True),
-                WeaknessSequence.constant(t), mode, seed, **params)
+                WeaknessSequence.constant(t), mode, **params)
 
 
-def run_ega(E, dictionary, coeffs, stop, seed=None):
+def run_ega(E, dictionary, coeffs, stop):
     """Pure objective-greedy expansion with prescribed coefficients.
 
     Each iteration scans all signed atoms for the one minimizing
@@ -482,47 +479,45 @@ def run_ega(E, dictionary, coeffs, stop, seed=None):
     if isinstance(dictionary, SphereDictionary):
         raise TypeError("objective-greedy runs need a finite dictionary")
     return _run(E, dictionary, stop, "EGA", _prescribed(coeffs.value),
-                seed=seed, coefficients=coeffs.describe())
+                coefficients=coeffs.describe())
 
 
-def run_gga_fixed(E, dictionary, tau, coeffs, stop, mode=ARGMAX, seed=None):
+def run_gga_fixed(E, dictionary, tau, coeffs, stop, mode=ARGMAX):
     """Weak gradient-greedy selection with prescribed coefficients."""
     return _run(E, dictionary, stop, "GGA_FIXED", _prescribed(coeffs.value),
-                tau, mode, seed, coefficients=coeffs.describe())
+                tau, mode, coefficients=coeffs.describe())
 
 
-def run_gga_adaptive(E, dictionary, tau, b, stop, majorant=None, mode=ARGMAX,
-                     energy_slack=1e-10, seed=None):
+def run_gga_adaptive(E, dictionary, tau, b, stop, majorant=None, mode=ARGMAX):
     """Gradient-greedy selection with steps solved from the majorant.
 
     The step solves mu(c)/c = (t_m b / 2) * score, falling back to c = 1 when
     the equation has no solution (flagged).  Every step must satisfy the energy
     decrease E(G_m) <= E(G_{m-1}) - t_m (1-b) c_m * score(G_{m-1}) within
-    ``energy_slack``; a violation aborts with MajorantViolationError, since it
+    ``ENERGY_SLACK``; a violation aborts with MajorantViolationError, since it
     means the majorant fails to dominate the true modulus.
     """
     b = float(b)
     if not (0.0 < b < 1.0):
         raise ValueError("b must be in (0,1)")
     mu = majorant if majorant is not None else E.majorant
-    c_cap = mu.domain_bound if math.isfinite(mu.domain_bound) else None
 
     def step(m, t_m, G, atom, score):
-        c = solve_stepsize(mu, 0.5 * t_m * b * score, c_max=c_cap)
+        c = solve_stepsize(mu, 0.5 * t_m * b * score)
         if c is None:
             return 1.0, ["unit-step-fallback"]
         return float(c), []
 
     def check(m, t_m, prev_e, new_e, c_m, prev_score):
         required = prev_e - t_m * (1.0 - b) * c_m * prev_score
-        if new_e > required + energy_slack:
+        if new_e > required + ENERGY_SLACK:
             raise MajorantViolationError(m, new_e, required)
 
-    return _run(E, dictionary, stop, "GGA_ADAPTIVE", step, tau, mode, seed,
-                check, b=b, mu=mu.describe(), energy_slack=energy_slack)
+    return _run(E, dictionary, stop, "GGA_ADAPTIVE", step, tau, mode, check,
+                b=b, mu=mu.describe(), energy_slack=ENERGY_SLACK)
 
 
-def run_gega(E, dictionary, tau, stop, mode=ARGMAX, line_tol=1e-12, seed=None):
+def run_gega(E, dictionary, tau, stop, mode=ARGMAX, line_tol=1e-12):
     """Gradient-greedy selection with exact line search along the chosen atom.
 
     The one-dimensional minimization runs over all real c (the dictionary is
@@ -532,7 +527,7 @@ def run_gega(E, dictionary, tau, stop, mode=ARGMAX, line_tol=1e-12, seed=None):
         res = line_search_exact(E, G, dictionary.resolve(atom), tol=line_tol)
         return float(res.c), ["clamped"] if res.clamped else []
 
-    return _run(E, dictionary, stop, "GEGA", step, tau, mode, seed,
+    return _run(E, dictionary, stop, "GEGA", step, tau, mode,
                 line_tol=line_tol)
 
 
@@ -540,8 +535,7 @@ def iter_states(trace, dictionary):
     """Replay a trace into per-iteration expansion states.
 
     Reconstruction applies the same update in the same order as the run, so the
-    yielded iterates match the run's bit for bit.  The coeff/atom lists grow in
-    place; consume them immediately or copy.
+    yielded iterates match the run's bit for bit.
     """
     if not len(trace):
         return
@@ -549,14 +543,11 @@ def iter_states(trace, dictionary):
         G = np.zeros(dictionary.dim)
     else:
         G = np.zeros(trace.atoms[0].vec.size)
-    coeffs, atoms = [], []
     a_mass = 0.0
     for k, (atom, c) in enumerate(zip(trace.atoms, trace.c), start=1):
         G = G + c * dictionary.resolve(atom)
-        coeffs.append(c)
-        atoms.append(atom)
         a_mass += abs(c)
-        yield ExpansionState(G=G, coeffs=coeffs, atoms=atoms, m=k, A=a_mass)
+        yield ExpansionState(G=G, m=k, A=a_mass)
 
 
 @dataclass(frozen=True)
@@ -566,10 +557,10 @@ class BoundCheck:
     holds: bool
 
 
-def score_gap_bound(E, dictionary, state, reference, hull_radius, slack=1e-10):
+def score_gap_bound(E, dictionary, state, reference, hull_radius):
     """Check that the greedy score dominates the scaled optimality gap:
 
-        score(G_k) >= (E(G_k) - E(reference)) / (hull_radius + A_k).
+        score(G_k) >= (E(G_k) - E(reference)) / (hull_radius + A_k) - 1e-10.
 
     Valid when reference / hull_radius lies in the closed convex hull of the
     dictionary.  Membership is verified exactly for the sphere (lp norm) and
@@ -595,7 +586,7 @@ def score_gap_bound(E, dictionary, state, reference, hull_radius, slack=1e-10):
     grad = E.gradient(state.G)
     lhs, _ = greedy_score(-grad, dictionary)
     rhs = (E(state.G) - E(reference)) / (hull_radius + state.A)
-    return BoundCheck(lhs=lhs, rhs=rhs, holds=bool(lhs >= rhs - slack))
+    return BoundCheck(lhs=lhs, rhs=rhs, holds=bool(lhs >= rhs - 1e-10))
 
 
 def check_rate_bound(trace, alpha, C, burn_in=0):

@@ -198,19 +198,20 @@ def logistic_objective(design, labels, region_radius=10.0):
     )
 
 
-def reference_infimum(E, norm=EUCLIDEAN, grad_tol=1e-10, max_iter=200_000):
+def reference_infimum(E, norm=EUCLIDEAN):
     """High-accuracy infimum for objectives without a closed form.
 
     Runs exact-line-search steepest descent (the sphere-dictionary expansion)
-    until the dual gradient norm drops below ``grad_tol`` and returns the final
-    value.  A derived oracle: treat it as a reference, never as exact.
+    until the dual gradient norm drops below 1e-10, within 200 000 steps, and
+    returns the final value.  A derived oracle: treat it as a reference, never
+    as exact.
     """
     from .dictionaries import SphereDictionary
     from .greedy import StopRule, WeaknessSequence, run_gega
 
     trace = run_gega(
         E, SphereDictionary(norm), WeaknessSequence.constant(1.0),
-        StopRule(max_iter=max_iter, grad_tol=grad_tol),
+        StopRule(max_iter=200_000, grad_tol=1e-10),
     )
     if trace.status != "gradient":
         raise RuntimeError(f"reference solve did not reach grad_tol "
@@ -218,14 +219,14 @@ def reference_infimum(E, norm=EUCLIDEAN, grad_tol=1e-10, max_iter=200_000):
     return trace.E[-1] if len(trace.E) else trace.E0
 
 
-def validate_objective(E, samples=300, seed=0, norm=EUCLIDEAN,
-                       convexity_tol=1e-10, subgradient_tol=1e-9):
+def validate_objective(E, samples=300, seed=0, norm=EUCLIDEAN):
     """Sampling audit of an objective's contracts.
 
-    Checks midpoint convexity, the gradient against central differences, the
-    supporting-hyperplane inequality E(y) >= E(x) + <E'(x), y - x>, and
-    domination of the empirical modulus by the declared majorant.  Returns a
-    dict of booleans plus details.
+    Checks midpoint convexity (within 1e-10), the gradient against central
+    differences, the supporting-hyperplane inequality
+    E(y) >= E(x) + <E'(x), y - x> (within 1e-9), and domination of the
+    empirical modulus by the declared majorant.  Returns a dict of booleans
+    plus details.
     """
     rng = np.random.default_rng(seed)
     radius = E.region_radius
@@ -235,9 +236,9 @@ def validate_objective(E, samples=300, seed=0, norm=EUCLIDEAN,
     for _ in range(samples):
         x = sample_ball(rng, E.dim, radius=radius, norm=norm)
         y = sample_ball(rng, E.dim, radius=radius, norm=norm)
-        if E(0.5 * (x + y)) > 0.5 * E(x) + 0.5 * E(y) + convexity_tol:
+        if E(0.5 * (x + y)) > 0.5 * E(x) + 0.5 * E(y) + 1e-10:
             convex_ok = False
-        if E(y) < E(x) + pairing(E.gradient(x), y - x) - subgradient_tol:
+        if E(y) < E(x) + pairing(E.gradient(x), y - x) - 1e-9:
             support_ok = False
 
     gradient_ok = all(

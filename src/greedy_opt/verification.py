@@ -37,6 +37,7 @@ from .diagnostics import (
     smallest_dominating_constant,
 )
 from .greedy import (
+    ENERGY_SLACK,
     StopRule,
     iter_states,
     make_power_coefficients,
@@ -99,13 +100,13 @@ def _logistic_reference():
     return _REFERENCE_CACHE["logistic-20x5"]
 
 
-def _energy_inequality_ok(trace, b, slack=1e-10):
+def _energy_inequality_ok(trace, b):
     """Recheck E(G_m) <= E(G_{m-1}) - t_m (1-b) c_m score(G_{m-1}) from the trace."""
     prev_e, prev_score = trace.E0, trace.ED0
     for i in range(len(trace)):
         t_m = trace.t_used[i]
         required = prev_e - t_m * (1.0 - b) * trace.c[i] * prev_score
-        if trace.E[i] > required + slack:
+        if trace.E[i] > required + ENERGY_SLACK:
             return False, i + 1
         prev_e, prev_score = trace.E[i], trace.ED[i]
     return True, None
@@ -131,8 +132,9 @@ def _name_of(fn):
 def _criterion(fn=None, *, limit_s=None):
     """Register a criterion in CRITERIA (definition order is run order).
 
-    The wrapper times the whole call and stamps the name and elapsed time on
-    the result; a result that took ``limit_s`` seconds or longer fails.
+    The wrapper times the whole call, turns an exception into a failed result
+    naming it, and stamps the name and elapsed time on the result; a result
+    that took ``limit_s`` seconds or longer fails.
     """
     if fn is None:
         return functools.partial(_criterion, limit_s=limit_s)
@@ -140,7 +142,10 @@ def _criterion(fn=None, *, limit_s=None):
     @functools.wraps(fn)
     def timed(ctx):
         start = time.perf_counter()
-        result = fn(ctx)
+        try:
+            result = fn(ctx)
+        except Exception as exc:  # a crash fails the criterion, not verify
+            result = CriterionResult(False, f"{type(exc).__name__}: {exc}")
         result.elapsed = time.perf_counter() - start
         result.name = _name_of(fn)
         if limit_s is not None and result.elapsed >= limit_s:
@@ -208,7 +213,7 @@ def c02_adaptive_energy_inequality(ctx):
     if bad:
         detail = "violated at " + ", ".join(f"{n} (iteration {w})"
                                             for n, _ok, w, _m in bad)
-    return CriterionResult(not bad, detail + " (slack 1e-10)")
+    return CriterionResult(not bad, detail + f" (slack {ENERGY_SLACK:g})")
 
 
 @_criterion
@@ -510,14 +515,6 @@ def criterion_names():
 
 
 def run_all(ctx=None):
-    """Execute every criterion, catching per-criterion failures."""
+    """Execute every criterion in order; a crash is reported as a FAIL."""
     ctx = ctx or VerifyContext()
-    results = []
-    for fn in CRITERIA:
-        try:
-            result = fn(ctx)
-        except Exception as exc:  # a crash is a failed criterion, not a crash of verify
-            result = CriterionResult(False, f"{type(exc).__name__}: {exc}",
-                                     name=_name_of(fn))
-        results.append(result)
-    return results
+    return [fn(ctx) for fn in CRITERIA]

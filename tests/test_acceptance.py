@@ -25,11 +25,15 @@ def test_criterion(criterion):
     assert result.passed, f"{result.name}: {result.detail}"
 
 
-@pytest.mark.parametrize("limit_s,passed", [(0.5, False), (2.0, True)])
-def test_criterion_time_limit(monkeypatch, limit_s, passed):
+@pytest.mark.parametrize("limit_s,crash,passed", [
+    pytest.param(0.5, None, False, id="0.5-False"),
+    pytest.param(2.0, None, True, id="2.0-True"),
+    pytest.param(2.0, RuntimeError("probe crashed"), False, id="raises"),
+])
+def test_criterion_time_limit(monkeypatch, limit_s, crash, passed):
     """The registering wrapper times each call once, on a clock that ticks
-    1 s per reading here, and fails a result at or over its limit; run_all
-    reports that same time."""
+    1 s per reading here, turns a crash into a FAIL naming the exception, and
+    fails a result at or over its limit; run_all reports that same time."""
     ticks = iter(range(100))
     monkeypatch.setattr(verification, "time",
                         types.SimpleNamespace(perf_counter=lambda: next(ticks)))
@@ -39,6 +43,8 @@ def test_criterion_time_limit(monkeypatch, limit_s, passed):
 
         @verification._criterion(limit_s=limit_s)
         def c99_probe(ctx):
+            if crash is not None:
+                raise crash
             return CriterionResult(True, "probe ran")
 
         results = verification.run_all()
@@ -49,8 +55,9 @@ def test_criterion_time_limit(monkeypatch, limit_s, passed):
     result = results[0]
     assert (result.name, result.elapsed, result.passed) == ("99-probe", 1.0,
                                                             passed)
-    assert result.detail.startswith("probe ran")
-    assert (f"{limit_s:g} s time limit" in result.detail) is not passed
+    assert result.detail.startswith("RuntimeError: probe crashed" if crash
+                                    else "probe ran")
+    assert (f"{limit_s:g} s time limit" in result.detail) is (limit_s <= 1.0)
 
 
 def test_verify_cli_is_byte_deterministic(tmp_path, capsys):

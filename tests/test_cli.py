@@ -277,16 +277,38 @@ class TestRunCommand:
                                      "scale": 1e60})
         assert main(["run", str(cfg), "--out", str(tmp_path / "n")]) == 4
 
-    def test_seed_and_max_iter_overrides(self, tmp_path):
+    def test_max_iter_override(self, tmp_path):
         cfg = tmp_path / "config.json"
         write_config(cfg)
         out = tmp_path / "out"
-        assert main(["run", str(cfg), "--out", str(out), "--seed", "7",
+        assert main(["run", str(cfg), "--out", str(out),
                      "--max-iter", "3"]) == 0
         manifest = json.loads((out / "manifest.json").read_text())
-        assert manifest["config"]["seed"] == 7
         assert manifest["config"]["stop"]["max_iter"] == 3
         assert manifest["results"]["iterations"] <= 3
+
+    def test_config_seed_is_ignored_and_has_no_flag(self, tmp_path):
+        """A top-level seed changes nothing, so it is only echoed back with
+        the config, and ``--seed`` is not an option."""
+        config = write_config(tmp_path / "seeded.json", seed=7)
+        del config["seed"]
+        (tmp_path / "plain.json").write_text(json.dumps(config))
+        outs = {}
+        for name in ("seeded", "plain"):
+            outs[name] = tmp_path / name
+            assert main(["run", str(tmp_path / f"{name}.json"),
+                         "--out", str(outs[name])]) == 0
+        assert (outs["seeded"] / "trace.csv").read_bytes() == \
+            (outs["plain"] / "trace.csv").read_bytes()
+        seeded, plain = (json.loads((outs[n] / "manifest.json").read_text())
+                         for n in ("seeded", "plain"))
+        assert seeded["config"].pop("seed") == 7
+        assert "seed" not in plain["config"]
+        assert "seed" not in plain["run_config"]
+        assert seeded == plain
+        with pytest.raises(SystemExit) as exc:
+            main(["run", str(tmp_path / "plain.json"), "--seed", "1"])
+        assert exc.value.code == 2
 
     def test_sphere_p1_rejected(self, tmp_path):
         cfg = tmp_path / "config.json"
@@ -334,6 +356,30 @@ class TestRunCommand:
                      dictionary={"kind": "coordinate", "dim": 2},
                      algorithm={"kind": "GEGA", "tau": 1.0})
         assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 0
+
+    def test_csv_header_row_is_skipped_for_every_input(self, tmp_path):
+        """Design and response CSVs take an optional header row, like the
+        dictionary CSV; with one, the run writes the same trace."""
+        design = np.array([[1.0, 0.2], [0.1, 1.0], [0.5, -0.4]])
+        response = np.array([0.5, -0.2, 0.1])
+        traces = []
+        for header in ("", "a,b"):
+            run_dir = tmp_path / (header.replace(",", "") or "bare")
+            run_dir.mkdir()
+            np.savetxt(run_dir / "design.csv", design, delimiter=",",
+                       header=header, comments="")
+            np.savetxt(run_dir / "response.csv", response, delimiter=",",
+                       header=header and "y", comments="")
+            cfg = run_dir / "config.json"
+            write_config(cfg,
+                         objective={"kind": "p_power",
+                                    "design_csv": "design.csv",
+                                    "response_csv": "response.csv", "p": 1.5},
+                         dictionary={"kind": "coordinate", "dim": 2},
+                         algorithm={"kind": "GEGA", "tau": 1.0})
+            assert main(["run", str(cfg), "--out", str(run_dir / "out")]) == 0
+            traces.append((run_dir / "out" / "trace.csv").read_bytes())
+        assert traces[0] == traces[1]
 
     def test_missing_dictionary_file_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "config.json"

@@ -28,6 +28,7 @@ from greedy_opt import (
 from greedy_opt import greedy as greedy_module
 from greedy_opt.dictionaries import ARGMAX, FIRST_ABOVE, Atom
 from greedy_opt.greedy import ExpansionState
+from greedy_opt.objectives import Objective
 from greedy_opt.instances import logistic_20x5, quadratic_2d, quadratic_2d_unit_l1
 
 
@@ -123,7 +124,7 @@ class TestLineSearch:
     def test_quadratic_vertex(self):
         E = quadratic_2d()
         res = line_search_exact(E, np.zeros(2), np.array([0.0, 1.0]))
-        assert res.c == 2.0 and res.value == 0.5 and not res.clamped
+        assert res.c == 2.0 and not res.clamped
 
     def test_already_optimal_direction(self):
         E = quadratic_2d()
@@ -375,6 +376,22 @@ class TestRunGega:
         assert trace.E == [0.5, 0.0]
         assert [(a.index, a.sign) for a in trace.atoms] == [(1, 1), (0, 1)]
 
+    def test_one_objective_value_per_iteration(self, monkeypatch):
+        """E(0) once, then E(G_m) once per iteration: the line search itself
+        evaluates only gradients."""
+        calls = []
+        value = Objective.__call__
+
+        def counted(E, x):
+            calls.append(None)
+            return value(E, x)
+
+        monkeypatch.setattr(Objective, "__call__", counted)
+        trace = run_gega(quadratic_2d(), FiniteDictionary.coordinate(2), 1.0,
+                         StopRule(max_iter=10))
+        assert len(trace) == 2
+        assert len(calls) == 1 + len(trace)
+
     def test_energy_never_increases(self):
         E = logistic_20x5()
         trace = run_gega(E, FiniteDictionary.coordinate(5), 1.0,
@@ -445,7 +462,7 @@ class TestScoreGapBound:
         # at G_0 = 0: score 2, gap (2.5 - 0)/(3 + 0) = 0.8333...
         E = quadratic_2d()
         d = FiniteDictionary.coordinate(2)
-        state = ExpansionState(G=np.zeros(2), coeffs=[], atoms=[], m=0, A=0.0)
+        state = ExpansionState(G=np.zeros(2), m=0, A=0.0)
         chk = score_gap_bound(E, d, state, np.array([1.0, 2.0]), 3.0)
         assert chk.lhs == 2.0
         np.testing.assert_allclose(chk.rhs, 2.5 / 3.0, rtol=1e-15)
@@ -455,14 +472,14 @@ class TestScoreGapBound:
         E = quadratic_2d()
         d = FiniteDictionary.coordinate(2)
         G = np.array([0.4, 0.7])
-        state = ExpansionState(G=G, coeffs=[0.4, 0.7], atoms=[], m=2, A=1.1)
+        state = ExpansionState(G=G, m=2, A=1.1)
         chk = score_gap_bound(E, d, state, G, 1.1)
         assert chk.rhs == 0.0 and chk.holds
 
     def test_bad_hull_radius_rejected(self):
         E = quadratic_2d()
         d = FiniteDictionary.coordinate(2)
-        state = ExpansionState(G=np.zeros(2), coeffs=[], atoms=[], m=0, A=0.0)
+        state = ExpansionState(G=np.zeros(2), m=0, A=0.0)
         with pytest.raises(ValueError):
             score_gap_bound(E, d, state, np.array([1.0, 2.0]), 0.0)
         with pytest.raises(ValueError):
@@ -472,7 +489,7 @@ class TestScoreGapBound:
     def test_general_dictionary_warns(self):
         E = quadratic_2d()
         d = FiniteDictionary.gaussian(2, 5, seed=1)
-        state = ExpansionState(G=np.zeros(2), coeffs=[], atoms=[], m=0, A=0.0)
+        state = ExpansionState(G=np.zeros(2), m=0, A=0.0)
         with pytest.warns(RuntimeWarning):
             score_gap_bound(E, d, state, np.array([0.1, 0.1]), 5.0)
 
@@ -480,7 +497,7 @@ class TestScoreGapBound:
         E = quadratic_2d()
         rng = np.random.default_rng(2)
         d = FiniteDictionary(rng.standard_normal((2, 5)), kind="coordinate")
-        state = ExpansionState(G=np.zeros(2), coeffs=[], atoms=[], m=0, A=0.0)
+        state = ExpansionState(G=np.zeros(2), m=0, A=0.0)
         with pytest.warns(RuntimeWarning):
             score_gap_bound(E, d, state, np.array([0.1, 0.1]), 5.0)
 
@@ -488,7 +505,7 @@ class TestScoreGapBound:
         import warnings
         E = quadratic_2d()
         d = FiniteDictionary(np.eye(2))
-        state = ExpansionState(G=np.zeros(2), coeffs=[], atoms=[], m=0, A=0.0)
+        state = ExpansionState(G=np.zeros(2), m=0, A=0.0)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert score_gap_bound(E, d, state, np.array([1.0, 2.0]),
