@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -38,7 +39,7 @@ from .greedy import (
     run_gga_fixed,
 )
 from .objectives import logistic_objective, p_power_objective, quadratic_objective
-from .traceio import write_manifest, write_trace_csv
+from .traceio import atomic_write_text, write_manifest, write_trace_csv
 from .verification import VerifyContext, criterion_names, run_all
 
 SCHEMA_VERSION = 1
@@ -144,7 +145,7 @@ def build_coefficients(spec, objective):
     raise ConfigError(f"unknown coefficient kind {kind!r}")
 
 
-def build_majorant(spec, objective):
+def build_majorant(spec):
     if spec is None or spec == "objective":
         return None  # runner falls back to the objective's majorant
     _require(isinstance(spec, dict) and spec.get("kind") == "power",
@@ -219,7 +220,7 @@ def _execute_run(config, base_dir, max_iter_override):
                               mode=_mode(algo))
     elif kind == "GGA_ADAPTIVE":
         tau = build_weakness(algo.get("tau", algo.get("t")))
-        mu = build_majorant(algo.get("mu", "objective"), objective)
+        mu = build_majorant(algo.get("mu", "objective"))
         trace = run_gga_adaptive(objective, dictionary, tau,
                                  algo.get("b", 0.5), stop,
                                  majorant=mu, mode=_mode(algo))
@@ -297,13 +298,20 @@ def _claim_specs(claims):
 
 
 def _output_names(config):
-    """(trace, manifest) file names; checked before the solve starts."""
+    """(trace, manifest) file names, two distinct files neither of which lies
+    inside the other's path; checked before the solve starts."""
     output = config.get("output") or {}
     _require(isinstance(output, dict), "output must be an object")
     names = (output.get("trace", "trace.csv"),
              output.get("manifest", "manifest.json"))
     _require(all(isinstance(name, str) for name in names),
              "output file names must be strings")
+    for name in names:
+        _require(os.path.basename(name) not in ("", ".", ".."),
+                 f"output name {name!r} does not name a file")
+    trace, manifest = (os.path.normpath(name) + os.sep for name in names)
+    _require(not (trace.startswith(manifest) or manifest.startswith(trace)),
+             "output trace and manifest must be distinct files")
     return names
 
 
@@ -350,20 +358,25 @@ def _set_by_path(config, dotted, value):
     node[parts[-1]] = value
 
 
+_SUMMARY_COLUMNS = ["status", "iterations", "final_E", "final_gap",
+                   "fit_exponent"]
+
+
 def _sweep_one(index, config, base_dir, out_dir, max_iter):
+    """The point's summary cells, read from its manifest's results."""
     run_dir = Path(out_dir) / f"run_{index:04d}"
     try:
         trace, manifest = execute_run(config, base_dir=base_dir,
                                       max_iter_override=max_iter)
         _write_outputs(trace, manifest, config, run_dir)
-        fit = manifest["results"].get("fit") or {}
-        return {"status": trace.status, "iterations": len(trace),
-                "final_E": trace.final_E, "final_gap": trace.final_gap,
-                "fit_exponent": fit.get("exponent")}
     except (ConfigError, MajorantViolationError, NumericFailure,
             FloatingPointError, OverflowError) as exc:
-        return {"status": f"error: {type(exc).__name__}", "iterations": None,
-                "final_E": None, "final_gap": None, "fit_exponent": None}
+        return [f"error: {type(exc).__name__}"] + [""] * 4
+    results = manifest["results"]
+    values = [results[key] for key in _SUMMARY_COLUMNS[:4]]
+    values.append((results.get("fit") or {}).get("exponent"))
+    return ["" if v is None else format(v, ".17g") if isinstance(v, float)
+            else str(v) for v in values]
 
 
 def cmd_sweep(args):
@@ -377,30 +390,16 @@ def cmd_sweep(args):
     points = list(itertools.product(*(grid[n] for n in names)))
     base_dir = Path(args.config).parent
 
-    rows = []
+    lines = [",".join(["run"] + names + _SUMMARY_COLUMNS)]
+    succeeded = 0
     for index, values in enumerate(points):
         point = json.loads(json.dumps(config))  # deep copy
         for name, value in zip(names, values):
             _set_by_path(point, name, value)
-        rows.append(_sweep_one(index, point, base_dir, args.out,
-                               args.max_iter))
-
-    lines = ["run," + ",".join(names)
-             + ",status,iterations,final_E,final_gap,fit_exponent"]
-    succeeded = 0
-    for index, (values, row) in enumerate(zip(points, rows)):
-        if not str(row["status"]).startswith("error"):
-            succeeded += 1
-        cells = [str(index)] + [json.dumps(v) for v in values]
-        for key in ("status", "iterations", "final_E", "final_gap",
-                    "fit_exponent"):
-            val = row[key]
-            if isinstance(val, float):
-                cells.append(format(val, ".17g"))
-            else:
-                cells.append("" if val is None else str(val))
-        lines.append(",".join(cells))
-    from .traceio import atomic_write_text
+        cells = _sweep_one(index, point, base_dir, args.out, args.max_iter)
+        succeeded += not cells[0].startswith("error")
+        lines.append(",".join([str(index)] + [json.dumps(v) for v in values]
+                              + cells))
     summary = Path(args.out) / "summary.csv"
     atomic_write_text(summary, "\n".join(lines) + "\n")
     print(f"sweep: {succeeded}/{len(points)} runs succeeded; summary {summary}")

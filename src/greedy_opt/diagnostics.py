@@ -13,6 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .core import NormTag, lp_norm
+
 __all__ = [
     "RateFit",
     "fit_rate",
@@ -355,6 +357,25 @@ def _rate_bounds(v, trace, claim, algorithm, r=None, hull_radius=None):
     return mass ** (1.0 - q)
 
 
+INSIDE, OUTSIDE, UNVERIFIABLE = "inside", "outside", "unverifiable"
+
+
+def _hull_membership(point, dictionary, radius):
+    """(verdict, norm name, norm) of ``point`` against ``radius`` times the
+    convex hull of a dictionary given by its ``describe()``: exact for the lp
+    sphere (the lp ball) and for atoms exactly the coordinate basis (the l1
+    ball); otherwise a linear program, so (UNVERIFIABLE, None, None)."""
+    point = np.asarray(point, dtype=float)
+    if dictionary.get("kind") == "sphere":
+        p = dictionary["p"]
+        name, norm = f"l{p:g}", lp_norm(point, NormTag(p))
+    elif dictionary.get("identity"):
+        name, norm = "l1", float(np.sum(np.abs(point)))
+    else:
+        return UNVERIFIABLE, None, None
+    return (OUTSIDE if norm > radius * (1.0 + 1e-12) else INSIDE), name, norm
+
+
 def _check_hull(v, trace, hull_radius):
     """Gap is measured against the infimum over the scaled dictionary hull; when
     the known minimizer provably lies inside that hull the two coincide."""
@@ -365,12 +386,14 @@ def _check_hull(v, trace, hull_radius):
     v.details["hull_radius"] = hull_radius
     cfg = trace.config
     target = cfg.get("objective", {}).get("target")
-    if target is not None and cfg.get("dictionary", {}).get("identity"):
-        l1 = float(np.sum(np.abs(np.asarray(target, dtype=float))))
-        if l1 > hull_radius * (1.0 + 1e-12):
-            _fail(v, f"minimizer l1 norm {l1:.6g} exceeds hull radius "
-                     f"{hull_radius:.6g}")
-    else:
+    where = UNVERIFIABLE
+    if target is not None:
+        where, name, norm = _hull_membership(
+            target, cfg.get("dictionary", {}), hull_radius)
+    if where == OUTSIDE:
+        _fail(v, f"minimizer {name} norm {norm:.6g} exceeds hull radius "
+                 f"{hull_radius:.6g}")
+    elif where == UNVERIFIABLE:
         v.notes.append("hull membership of the minimizer not verified")
 
 

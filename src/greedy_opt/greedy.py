@@ -12,14 +12,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 import numpy as np
 
-from .core import dual_norm, lp_norm, pairing
-from .diagnostics import _first_violation, _power_series_sum
+from .core import dual_norm, pairing
+from .diagnostics import (OUTSIDE, UNVERIFIABLE, _first_violation,
+                          _hull_membership, _power_series_sum)
 from .dictionaries import (
     ARGMAX,
-    FiniteDictionary,
     SphereDictionary,
     argmin_atom_by_objective,
     greedy_score,
@@ -310,16 +311,21 @@ class ExpansionState:
     A: float  # sum of |c_j|
 
 
+def _running_sums(terms):
+    """Running sums from +0.0, as a loop accumulator starts: -0.0 sums to 0."""
+    return list(accumulate(terms, initial=0.0))[1:]
+
+
 @dataclass
 class RunTrace:
     """Per-iteration log of an expansion run.
 
     Row j (0-based) describes iteration m = j + 1: the objective value and
     greedy score at the *new* iterate G_m, the applied coefficient, the chosen
-    atom, the cumulative coefficient mass A_m = sum |c_j|, the raw partial sums
-    sum c_j and sum c_j * score(G_j), and any flags.  E0/ED0 hold the m = 0
-    values.  ``t_used`` records the realized weakness parameters for runs that
-    have them.
+    atom and any flags.  E0/ED0 hold the m = 0 values.  ``t_used`` records the
+    realized weakness parameters for runs that have them.  Derived, not
+    stored: the coefficient mass ``A`` (A_m = sum |c_j|) and the raw partial
+    sums ``sum_c`` (sum c_j) and ``sum_cED`` (sum c_j * score(G_j)).
     """
 
     algorithm: str
@@ -330,9 +336,6 @@ class RunTrace:
     ED: list = field(default_factory=list)
     c: list = field(default_factory=list)
     atoms: list = field(default_factory=list)
-    A: list = field(default_factory=list)
-    sum_c: list = field(default_factory=list)
-    sum_cED: list = field(default_factory=list)
     flags: list = field(default_factory=list)
     infimum: float | None = None
     config: dict = field(default_factory=dict)
@@ -340,6 +343,19 @@ class RunTrace:
 
     def __len__(self):
         return len(self.E)
+
+    @property
+    def A(self):
+        return _running_sums(abs(c) for c in self.c)
+
+    @property
+    def sum_c(self):
+        return _running_sums(self.c)
+
+    @property
+    def sum_cED(self):
+        return _running_sums(c * ed for c, ed in zip(self.c, self.ED,
+                                                     strict=True))
 
     def gaps(self):
         """E(G_m) - infimum per iteration, or None when no infimum is known."""
@@ -394,9 +410,6 @@ def _run(E, dictionary, stop, algorithm, step, tau=None, mode=ARGMAX,
     trace = RunTrace(algorithm=algorithm, status="max-iter", E0=e0,
                      ED0=score_val, infimum=E.infimum, config=config,
                      t_used=None if tau is None else [])
-    a_mass = 0.0
-    s_c = 0.0
-    s_ced = 0.0
     for m in range(1, stop.max_iter + 1):
         if dual_norm(grad, dictionary.norm) <= gtol:
             trace.status = "gradient"
@@ -424,16 +437,10 @@ def _run(E, dictionary, stop, algorithm, step, tau=None, mode=ARGMAX,
             iter_flags = iter_flags + ["no-progress"]
         if e_cur > e0 + 2.0:
             iter_flags = iter_flags + ["left-sublevel-2"]
-        a_mass += abs(c_m)
-        s_c += c_m
-        s_ced += c_m * score_val
         trace.E.append(e_cur)
         trace.ED.append(score_val)
         trace.c.append(c_m)
         trace.atoms.append(atom)
-        trace.A.append(a_mass)
-        trace.sum_c.append(s_c)
-        trace.sum_cED.append(s_ced)
         trace.flags.append(";".join(iter_flags))
         if tau is not None:
             trace.t_used.append(t_m)
@@ -543,10 +550,9 @@ def iter_states(trace, dictionary):
         G = np.zeros(dictionary.dim)
     else:
         G = np.zeros(trace.atoms[0].vec.size)
-    a_mass = 0.0
-    for k, (atom, c) in enumerate(zip(trace.atoms, trace.c), start=1):
+    steps = zip(trace.atoms, trace.c, trace.A, strict=True)
+    for k, (atom, c, a_mass) in enumerate(steps, start=1):
         G = G + c * dictionary.resolve(atom)
-        a_mass += abs(c)
         yield ExpansionState(G=G, m=k, A=a_mass)
 
 
@@ -563,23 +569,22 @@ def score_gap_bound(E, dictionary, state, reference, hull_radius):
         score(G_k) >= (E(G_k) - E(reference)) / (hull_radius + A_k) - 1e-10.
 
     Valid when reference / hull_radius lies in the closed convex hull of the
-    dictionary.  Membership is verified exactly for the sphere (lp norm) and
-    for finite dictionaries whose atoms are exactly the coordinate basis (l1
-    norm), whatever their ``kind`` label; for other finite dictionaries it is
-    the caller's responsibility (deciding it exactly is a linear program) and a
-    warning is emitted.
+    dictionary, as decided by ``_hull_membership``: a reference outside raises
+    ValueError, and one it cannot decide (general finite dictionaries, where
+    deciding is a linear program) is the caller's responsibility and emits a
+    warning.
     """
     hull_radius = float(hull_radius)
     if hull_radius <= 0:
         raise ValueError("hull_radius must be positive")
     reference = np.asarray(reference, dtype=float)
-    if isinstance(dictionary, SphereDictionary):
-        if lp_norm(reference, dictionary.norm) > hull_radius * (1.0 + 1e-12):
-            raise ValueError("reference lies outside the scaled unit ball")
-    elif isinstance(dictionary, FiniteDictionary) and dictionary.is_identity:
-        if float(np.sum(np.abs(reference))) > hull_radius * (1.0 + 1e-12):
-            raise ValueError("reference l1 norm exceeds hull_radius")
-    else:
+    where, _, _ = _hull_membership(reference, dictionary.describe(),
+                                  hull_radius)
+    if where == OUTSIDE:
+        raise ValueError("reference lies outside the scaled unit ball"
+                         if isinstance(dictionary, SphereDictionary)
+                         else "reference l1 norm exceeds hull_radius")
+    if where == UNVERIFIABLE:
         import warnings
         warnings.warn("hull membership not verified for general finite "
                       "dictionaries", RuntimeWarning, stacklevel=2)

@@ -216,7 +216,7 @@ def reference_infimum(E, norm=EUCLIDEAN):
     if trace.status != "gradient":
         raise RuntimeError(f"reference solve did not reach grad_tol "
                            f"(status {trace.status!r})")
-    return trace.E[-1] if len(trace.E) else trace.E0
+    return trace.final_E
 
 
 def validate_objective(E, samples=300, seed=0, norm=EUCLIDEAN):

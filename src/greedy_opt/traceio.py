@@ -11,6 +11,8 @@ import os
 import tempfile
 from pathlib import Path
 
+import numpy as np
+
 from .dictionaries import Atom
 from .greedy import RunTrace
 
@@ -28,29 +30,17 @@ TRACE_COLUMNS = ["m", "E", "gap", "E_D", "c_m", "atom", "sign", "A_m",
                  "sum_c", "sum_cED", "flags"]
 
 
-def _fmt(x):
-    return format(float(x), ".17g")
+_ROW = "%d,%.17g,%s,%.17g,%.17g,%d,%d,%.17g,%.17g,%.17g,%s"
 
 
 def trace_csv_text(trace):
-    lines = [",".join(TRACE_COLUMNS)]
     gaps = trace.gaps()
-    for i in range(len(trace)):
-        atom = trace.atoms[i]
-        row = [
-            str(i + 1),
-            _fmt(trace.E[i]),
-            _fmt(gaps[i]) if gaps is not None else "",
-            _fmt(trace.ED[i]),
-            _fmt(trace.c[i]),
-            str(atom.index),
-            str(atom.sign),
-            _fmt(trace.A[i]),
-            _fmt(trace.sum_c[i]),
-            _fmt(trace.sum_cED[i]),
-            trace.flags[i],
-        ]
-        lines.append(",".join(row))
+    gaps = [""] * len(trace) if gaps is None else ["%.17g" % g for g in gaps]
+    rows = zip(trace.E, gaps, trace.ED, trace.c, trace.atoms, trace.A,
+               trace.sum_c, trace.sum_cED, trace.flags, strict=True)
+    lines = [",".join(TRACE_COLUMNS)]
+    lines += [_ROW % (m, e, gap, ed, c, atom.index, atom.sign, *rest)
+              for m, (e, gap, ed, c, atom, *rest) in enumerate(rows, 1)]
     return "\n".join(lines) + "\n"
 
 
@@ -77,7 +67,8 @@ def write_trace_csv(trace, path):
 
 
 def read_trace_csv(path):
-    """Rebuild a trace from CSV.
+    """Rebuild a trace from CSV; A_m, sum_c and sum_cED must equal the sums
+    derived from c_m and E_D.
 
     Config and explicit atom vectors are not serialized, so the result suits
     diagnostics and plotting, not replay of sphere runs.
@@ -89,6 +80,7 @@ def read_trace_csv(path):
         trace = RunTrace(algorithm="", status="", E0=float("nan"),
                          ED0=float("nan"))
         infimum = None
+        sums = []
         for line in fh:
             parts = line.rstrip("\n").split(",")
             if len(parts) != len(TRACE_COLUMNS):
@@ -99,13 +91,15 @@ def read_trace_csv(path):
             trace.c.append(float(c))
             trace.atoms.append(Atom(index=int(atom), sign=int(sign))
                                if int(atom) >= 0 else None)
-            trace.A.append(float(a))
-            trace.sum_c.append(float(sum_c))
-            trace.sum_cED.append(float(sum_ced))
             trace.flags.append(flags)
+            sums.append((float(a), float(sum_c), float(sum_ced)))
             if gap != "" and infimum is None:
                 infimum = float(e) - float(gap)
         trace.infimum = infimum
+    if not np.array_equal(sums, list(zip(trace.A, trace.sum_c, trace.sum_cED)),
+                          equal_nan=True):
+        raise ValueError(f"{path}: A_m, sum_c or sum_cED disagrees with the "
+                         "running sums of c_m and E_D")
     return trace
 
 

@@ -184,7 +184,7 @@ def c01_gradient_method_equivalence(ctx):
     if len(trace) < steps:
         # run stopped on an exactly zero gradient; descent must have frozen too
         tail = iterates[len(trace):]
-        final = trace.E[-1] if len(trace) else trace.E0
+        final = trace.final_E
         for ref in tail:
             if abs(E(ref) - final) > 1e-12 * (1.0 + abs(final)):
                 return CriterionResult(

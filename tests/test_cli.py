@@ -134,6 +134,19 @@ BAD_DIAGNOSTICS = {
 }
 
 
+# output names that do not name two distinct files below --out
+BAD_OUTPUTS = {
+    "trace-dot": {"trace": "."},
+    "trace-dotdot": {"trace": ".."},
+    "trace-subdir-dot": {"trace": "sub/."},
+    "trace-trailing-slash": {"trace": "sub/"},
+    "manifest-empty": {"manifest": ""},
+    "same-name": {"trace": "out.json", "manifest": "out.json"},
+    "same-file": {"trace": "a/t.csv", "manifest": "a/./t.csv"},
+    "manifest-inside-trace": {"trace": "x", "manifest": "x/m.json"},
+}
+
+
 class TestRunCommand:
     @pytest.mark.parametrize("diagnostics,field", BAD_DIAGNOSTICS.values(),
                              ids=BAD_DIAGNOSTICS.keys())
@@ -151,6 +164,21 @@ class TestRunCommand:
         assert err.startswith("config error: ") and field in err
         assert not (tmp_path / "o").exists()
 
+
+    @pytest.mark.parametrize("output", BAD_OUTPUTS.values(),
+                             ids=BAD_OUTPUTS.keys())
+    def test_bad_output_names_exit_2_before_the_solve(
+            self, tmp_path, capsys, monkeypatch, output):
+        import greedy_opt.cli as cli
+
+        def no_solve(*args, **kwargs):
+            raise AssertionError("the solve started")
+        monkeypatch.setattr(cli, "run_gga_adaptive", no_solve)
+        cfg = tmp_path / "config.json"
+        write_config(cfg, output=output)
+        assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err.startswith("config error: output")
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("overrides", BAD_CONFIGS.values(),
                              ids=BAD_CONFIGS.keys())
@@ -270,6 +298,7 @@ class TestRunCommand:
                                        "q": 2.0}})
         assert main(["run", str(cfg), "--out", str(tmp_path / "v")]) == 3
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_numeric_failure_exits_4(self, tmp_path):
         cfg = tmp_path / "config.json"
         write_config(cfg, objective={"kind": "quadratic",
@@ -495,6 +524,23 @@ class TestSweepCommand:
         assert lines[1].split(",")[2] == "error: ConfigError"
         assert not lines[2].split(",")[2].startswith("error")
         assert (out / "run_0001" / "trace.csv").exists()
+
+    @pytest.mark.parametrize("output", BAD_OUTPUTS.values(),
+                             ids=BAD_OUTPUTS.keys())
+    def test_bad_output_names_fail_their_row_only(self, tmp_path, output):
+        cfg = tmp_path / "config.json"
+        write_config(cfg, stop={"max_iter": 5})
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps({"output": [output, {}]}))
+        out = tmp_path / "sweep"
+        assert main(["sweep", str(cfg), "--grid", str(grid), "--out",
+                     str(out)]) == 0
+        lines = (out / "summary.csv").read_text().strip().split("\n")
+        assert len(lines) == 3
+        assert lines[1].endswith("error: ConfigError,,,,")
+        assert ",max-iter,5," in lines[2]
+        assert not (out / "run_0000").exists()
+        assert (out / "run_0001" / "trace.csv").is_file()
 
 
 class TestVerifyCommand:

@@ -147,6 +147,27 @@ class TestClaimVerdicts:
         verdict = claim_verdict(ADAPTIVE_RATE, trace, hull_radius=3.0)
         assert not verdict.preconditions_met
 
+    @pytest.mark.parametrize("radius,inside", [(0.1, False), (1.0, True)])
+    def test_sphere_hull_check_uses_the_lp_ball(self, radius, inside):
+        # the minimizer (0.3, 0.4) has l2 norm 0.5
+        from greedy_opt import score_gap_bound
+        from greedy_opt.greedy import ExpansionState
+        E = quadratic_objective([0.3, 0.4])
+        sphere = SphereDictionary()
+        trace = run_gga_adaptive(E, sphere, 1.0, 0.5, StopRule(max_iter=30))
+        verdict = claim_verdict(ADAPTIVE_RATE, trace, hull_radius=radius)
+        assert verdict.preconditions_met is inside
+        assert "hull membership of the minimizer not verified" \
+            not in verdict.notes
+        assert any("l2 norm 0.5 exceeds" in r
+                   for r in verdict.reasons) is not inside
+        state = ExpansionState(G=np.zeros(2), m=0, A=0.0)
+        if inside:
+            assert score_gap_bound(E, sphere, state, E.minimizer, radius).holds
+        else:
+            with pytest.raises(ValueError, match="outside the scaled unit"):
+                score_gap_bound(E, sphere, state, E.minimizer, radius)
+
     def test_adaptive_sphere_rate_on_real_run(self):
         E = quadratic_objective(np.random.default_rng(1).standard_normal(6))
         trace = run_gga_adaptive(E, SphereDictionary(), 1.0, 0.5,
