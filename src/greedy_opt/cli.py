@@ -315,6 +315,16 @@ def _output_names(config):
     return names
 
 
+def _out_dir(out):
+    """``--out`` as a Path, checked before any solve: neither it nor a parent
+    may exist as anything but a directory."""
+    path = Path(out)
+    for part in (path, *path.parents):
+        _require(part.is_dir() or not part.exists(),
+                 f"--out {out}: {part} is not a directory")
+    return path
+
+
 def _write_outputs(trace, manifest, config, out_dir):
     trace_name, manifest_name = _output_names(config)
     trace_path = Path(out_dir) / trace_name
@@ -335,10 +345,10 @@ def _unwrap_manifest(payload):
 def cmd_run(args):
     config = _unwrap_manifest(_load_json(args.config))
     base_dir = Path(args.config).parent
+    out = _out_dir(args.out)
     trace, manifest = execute_run(config, base_dir=base_dir,
                                   max_iter_override=args.max_iter)
-    trace_path, manifest_path = _write_outputs(trace, manifest, config,
-                                               args.out)
+    trace_path, manifest_path = _write_outputs(trace, manifest, config, out)
     print(f"{trace.config['algorithm']}: {len(trace)} iterations, "
           f"status {trace.status}, final E {trace.final_E:.6g}"
           + (f", gap {trace.final_gap:.3e}" if trace.final_gap is not None
@@ -389,6 +399,7 @@ def cmd_sweep(args):
                  f"grid entry {name!r} must be a nonempty list")
     points = list(itertools.product(*(grid[n] for n in names)))
     base_dir = Path(args.config).parent
+    out = _out_dir(args.out)
 
     lines = [",".join(["run"] + names + _SUMMARY_COLUMNS)]
     succeeded = 0
@@ -396,11 +407,11 @@ def cmd_sweep(args):
         point = json.loads(json.dumps(config))  # deep copy
         for name, value in zip(names, values):
             _set_by_path(point, name, value)
-        cells = _sweep_one(index, point, base_dir, args.out, args.max_iter)
+        cells = _sweep_one(index, point, base_dir, out, args.max_iter)
         succeeded += not cells[0].startswith("error")
         lines.append(",".join([str(index)] + [json.dumps(v) for v in values]
                               + cells))
-    summary = Path(args.out) / "summary.csv"
+    summary = out / "summary.csv"
     atomic_write_text(summary, "\n".join(lines) + "\n")
     print(f"sweep: {succeeded}/{len(points)} runs succeeded; summary {summary}")
     return 0 if succeeded else 1
@@ -411,7 +422,7 @@ def cmd_verify(args):
         for name in criterion_names():
             print(name)
         return 0
-    ctx = VerifyContext(out_dir=Path(args.out),
+    ctx = VerifyContext(out_dir=_out_dir(args.out),
                         fault_gamma_half=(args.inject_fault == "gamma-half"))
     results = run_all(ctx)
     width = max(len(r.name) for r in results)

@@ -7,6 +7,7 @@ sphere is handled analytically through the duality map.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -81,8 +82,10 @@ class FiniteDictionary:
                             and bool(np.all(np.diagonal(self._atoms) == 1.0)))
         # Certificate of the screen in best_pairing: atom k's slack is
         # _slack_rel[k] * ||v||_2 + _slack_abs.  The 2-norms are not 1 for
-        # p != 2; einsum forms them without a dim x count temporary.
-        l2 = np.sqrt(np.einsum("ij,ij->j", self._atoms, self._atoms))
+        # p != 2; einsum forms them without a dim x count temporary.  Their
+        # squares feed the objective scan's model (_lookahead_model).
+        l2_sq = np.einsum("ij,ij->j", self._atoms, self._atoms)
+        self._l2_sq, l2 = l2_sq, np.sqrt(l2_sq)
         self._l2_max = float(l2.max())
         self._slack_rel = 4.0 * (n * _U / (1.0 - n * _U)) * l2
         self._slack_abs = 4.0 * n * _ETA
@@ -233,6 +236,33 @@ class FiniteDictionary:
         hits = np.flatnonzero(np.abs(s) >= threshold)
         return (int(hits[0]), float(s[hits[0]])) if hits.size else None
 
+    def _lookahead_model(self, G, grad, c, curvature):
+        """``(q, e)``: models of E(G + c * (+-a_k)) - E(G) in the scan order
+        (q[2k] for (k, +), q[2k + 1] for (k, -)) and their certified slack;
+        None when a bound is not finite (see argmin_atom_by_objective)."""
+        n = self.dim
+        n_eta = n * _ETA
+        gam = (n + 4) * _U / (1.0 - (n + 4) * _U)
+        half = 0.5 * curvature
+        g = grad.tolist()
+        gnorm = math.hypot(*g)  # no overflow or underflow
+        rho = (gnorm + n_eta) / curvature
+        A = abs(c) * self._l2_max
+        D = rho + A
+        dx = gam * (A + A + math.hypot(*G.tolist()) + D) + n_eta
+        B = D + dx
+        f = (1.0 + abs(c)) * (1.0 + rho + self._l2_max)
+        e = (half * ((D + B) * dx + gam * B * B)
+             + gam * A * (gnorm + gnorm + n_eta + half * A)
+             + 4.0 * n_eta * (1.0 + half) * f * f)
+        if not math.isfinite(4.0 * ((half + 1.0) * B * B + A * gnorm + e)):
+            return None
+        w = half * c * c
+        p = g if self.is_identity else (self._atoms.T @ grad).tolist()
+        quad = [w * x for x in self._l2_sq.tolist()]
+        lin = [c * x for x in p]
+        return [v for a, b in zip(quad, lin) for v in (a + b, a - b)], e
+
     def resolve(self, atom):
         """Signed atom vector."""
         return atom.sign * self._columns[atom.index]
@@ -343,25 +373,67 @@ def select_atom(grad_neg, dictionary, t=1.0, mode=ARGMAX, score=None):
     return Atom(index=j, sign=sign), sign * pair
 
 
-def argmin_atom_by_objective(E, G, c, dictionary):
+def argmin_atom_by_objective(E, G, c, dictionary, grad=None):
     """Exact one-step lookahead: minimize E(G + c * (+-atom)) over all signed atoms.
 
     Finite dictionaries only; the infimum over the sphere continuum has no
-    closed form for general E.  Ties resolve to the lowest unsigned index,
-    positive sign first.
+    closed form for general E.  The scan evaluates E in index order, positive
+    sign first, and keeps a value only when strictly lower, so ties resolve to
+    the lowest unsigned index, positive sign first.  ``grad`` may carry E'(G).
+
+    Screen.  An E with a ``curvature`` s is the quadratic (s/2)||x - t||^2,
+    evaluated as ``0.5 * s * dot(x - t, x - t)`` with gradient ``s * (x - t)``.
+    Let n = dim, u = 2**-53, eta = 2**-1074, gam = (n+4)u / (1 - (n+4)u),
+    w = fl(s/2), F(x) = w ||x - t||^2, r = G - t, g the computed gradient,
+    alpha_k = ||a_k||_2 and A = |c| max alpha_k.  In the reals,
+    F(G + c sigma a_k) - F(G) = c sigma 2w <r, a_k> + w c^2 alpha_k^2; its
+    floating-point form q = fl(fl(w c c) fl(alpha_k^2) + sigma fl(c p_k)),
+    with p_k = fl(<g, a_k>) from one matvec (g itself on the identity), is the
+    model.  To first order in u (Higham, Accuracy and Stability of Numerical
+    Algorithms, sec. 3.1):
+    - rho = (||g|| + n eta) / s >= ||r||; D = rho + A >= ||r + c sigma a_k||.
+    - Value: forming x = G + fl(c sigma a_k) and x - t moves r + c sigma a_k
+      by at most dx = gam (2A + ||G|| + D) + n eta; the dot and the product
+      add gam ||.||^2, so a value is within
+      e_val = w ((2D + dx) dx + gam (D + dx)^2) of F(G + c sigma a_k).
+    - Model: the matvec, g against s r and the products and sum of q put q
+      within e_mod = gam (A (2 ||g|| + n eta) + w A^2) of the real difference.
+    - Underflow, which Higham's bounds exclude: O(n) operations, each off by at
+      most eta/2 times factors below (1 + w), (1 + |c|)^2 and
+      (1 + rho + max alpha)^2; 4 n eta times their product covers them.
+    With e = e_val + e_mod and (k*, s*) the first minimizer of the computed
+    values v, q(k*, s*) <= v(k*, s*) - F(G) + e <= v(j, t) - F(G) + e <=
+    q(j, t) + 2e for every (j, t).  So every signed atom with q <= min q + 2e
+    is kept, (k*, s*) and its ties among them, and only those are evaluated,
+    in the same order: atom and value are the full scan's, bit for bit.  The
+    cut uses 2e twice over, for the O(n u) relative error of the norms
+    (``math.hypot``, no overflow or underflow), of e and of the cut.  The full
+    scan runs without a curvature, at c = 0 (every value is E(G)), and when e
+    or the largest intermediate, (w + 1)(D + dx)^2 + A ||g||, is not finite,
+    so an overflowing value still raises.  The curvature comes from E's
+    definition, not its declared majorant, which cannot change the atom.
     """
     if isinstance(dictionary, SphereDictionary):
         raise TypeError("objective-scan selection needs a finite dictionary; "
                         "the one-step infimum over the sphere has no closed form")
     G = as_vector(G, dictionary.dim)
     c = float(c)
+    model = None
+    if E.curvature is not None and c != 0.0:
+        model = dictionary._lookahead_model(
+            G, E.gradient(G) if grad is None else grad, c, E.curvature)
+    if model is None:
+        order = itertools.product(range(dictionary.size), (1, -1))
+    else:
+        q, e = model
+        cut = min(q) + 4.0 * e
+        order = [(k >> 1, -1 if k & 1 else 1)
+                 for k, v in enumerate(q) if v <= cut]
     best_val = math.inf
     best_atom = None
-    for j in range(dictionary.size):
-        col = dictionary.column(j)
-        for sign in (1, -1):
-            val = E(G + (c * sign) * col)
-            if val < best_val:
-                best_val = val
-                best_atom = Atom(index=j, sign=sign)
+    for j, sign in order:
+        val = E(G + (c * sign) * dictionary.column(j))
+        if val < best_val:
+            best_val = val
+            best_atom = Atom(index=j, sign=sign)
     return best_atom, float(best_val)

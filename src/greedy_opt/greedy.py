@@ -420,7 +420,7 @@ def _run(E, dictionary, stop, algorithm, step, tau=None, mode=ARGMAX,
         if tau is None:
             t_m = None
             c_m, iter_flags = step(m, t_m, G, None, score_val)
-            atom, _ = argmin_atom_by_objective(E, G, c_m, dictionary)
+            atom, _ = argmin_atom_by_objective(E, G, c_m, dictionary, grad)
         else:
             t_m = tau(m)
             atom, _ = select_atom(-grad, dictionary, t=t_m, mode=mode,

@@ -39,11 +39,15 @@ class Objective:
     ``region_radius`` is the radius of a ball (around the origin) enclosing the
     sublevel set {x : E(x) <= E(0) + 2}; smoothness claims are only asserted
     inside it.  ``known_inf`` is an optional ``(value, minimizer)`` pair.
+    ``curvature`` is a scale s for which E(x + h) = E(x) + <E'(x), h> +
+    (s/2) ||h||_2^2 holds exactly in the reals; only ``quadratic_objective``
+    sets it, and the objective scan's screen relies on its value and gradient
+    expressions.  It comes from the definition, never from the majorant.
     Evaluations that stop being finite raise NumericFailure.
     """
 
     def __init__(self, dim, value, gradient, majorant, region_radius,
-                 known_inf=None, description=None):
+                 known_inf=None, description=None, curvature=None):
         self.dim = int(dim)
         self._value = value
         self._gradient = gradient
@@ -51,6 +55,7 @@ class Objective:
         self.region_radius = float(region_radius)
         self.known_inf = known_inf
         self.description = dict(description or {})
+        self.curvature = curvature
 
     def __call__(self, x):
         v = float(self._value(x))
@@ -84,7 +89,8 @@ class Objective:
 def with_majorant(E, majorant):
     """Copy of E carrying a different declared majorant (fault injection, tests)."""
     return Objective(E.dim, E._value, E._gradient, majorant, E.region_radius,
-                     known_inf=E.known_inf, description=E.description)
+                     known_inf=E.known_inf, description=E.description,
+                     curvature=E.curvature)
 
 
 def quadratic_objective(target, scale=1.0):
@@ -114,6 +120,7 @@ def quadratic_objective(target, scale=1.0):
         known_inf=(0.0, target),
         description={"kind": "quadratic", "scale": scale,
                      "target": [float(t) for t in target]},
+        curvature=scale,
     )
 
 

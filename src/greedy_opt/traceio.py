@@ -33,13 +33,19 @@ TRACE_COLUMNS = ["m", "E", "gap", "E_D", "c_m", "atom", "sign", "A_m",
 _ROW = "%d,%.17g,%s,%.17g,%.17g,%d,%d,%.17g,%.17g,%.17g,%s"
 
 
+def _atom_cells(atom):
+    """(index, sign); None is a sphere atom read back without its vector,
+    whose sign is folded into the vector, so its cells are always (-1, 1)."""
+    return (-1, 1) if atom is None else (atom.index, atom.sign)
+
+
 def trace_csv_text(trace):
     gaps = trace.gaps()
     gaps = [""] * len(trace) if gaps is None else ["%.17g" % g for g in gaps]
     rows = zip(trace.E, gaps, trace.ED, trace.c, trace.atoms, trace.A,
                trace.sum_c, trace.sum_cED, trace.flags, strict=True)
     lines = [",".join(TRACE_COLUMNS)]
-    lines += [_ROW % (m, e, gap, ed, c, atom.index, atom.sign, *rest)
+    lines += [_ROW % (m, e, gap, ed, c, *_atom_cells(atom), *rest)
               for m, (e, gap, ed, c, atom, *rest) in enumerate(rows, 1)]
     return "\n".join(lines) + "\n"
 
@@ -71,7 +77,9 @@ def read_trace_csv(path):
     derived from c_m and E_D.
 
     Config and explicit atom vectors are not serialized, so the result suits
-    diagnostics and plotting, not replay of sphere runs.
+    diagnostics and plotting, not replay of sphere runs: a sphere atom
+    (index -1, sign 1) reads back as None, which ``trace_csv_text`` writes
+    back as the same cells.
     """
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().strip().split(",")
@@ -89,6 +97,8 @@ def read_trace_csv(path):
             trace.E.append(float(e))
             trace.ED.append(float(ed))
             trace.c.append(float(c))
+            if int(atom) < 0 and int(sign) != 1:
+                raise ValueError(f"sphere atom with sign {sign}: {line!r}")
             trace.atoms.append(Atom(index=int(atom), sign=int(sign))
                                if int(atom) >= 0 else None)
             trace.flags.append(flags)

@@ -26,7 +26,8 @@ from .core import (
     smoothness_gap_check,
     unit_direction,
 )
-from .dictionaries import FiniteDictionary, SphereDictionary, greedy_score
+from .dictionaries import (FiniteDictionary, SphereDictionary,
+                           argmin_atom_by_objective, greedy_score)
 from .diagnostics import (
     ADAPTIVE_RATE,
     FIXED_SUMMABLE_CONVERGENCE,
@@ -407,6 +408,27 @@ def c11_oracle_equivalences(ctx):
                     and atom.sign == best_sign):
                 problems.append(f"scan mismatch: {value} vs {best}")
                 break
+
+    # the screened objective scan versus its naive signed loop, bit-exact, on
+    # 6 atoms that tie exactly (repeated, negated) or nearly (nudged), from
+    # states at distances 1 to 1e-16 of the target, where rounding decides;
+    # unit in l_1.5, so their 2-norms, and the curvature term, differ
+    ties = FiniteDictionary(np.hstack([base[:, :2], base[:, :1], -base[:, :1],
+                                       nudged[:, :2]]), norm=NormTag(1.5))
+    E = quadratic_nd(16, seed=21)
+    for _ in range(100):
+        G = E.minimizer + rng.standard_normal(16) * 10.0 ** -rng.integers(17)
+        atom, value = argmin_atom_by_objective(E, G, 0.5, ties)
+        best, best_j, best_sign = np.inf, -1, 1
+        for j in range(ties.size):
+            for sign in (1, -1):
+                val = E(G + (0.5 * sign) * ties.column(j))
+                if val < best:
+                    best, best_j, best_sign = val, j, sign
+        if not (value == best and atom.index == best_j
+                and atom.sign == best_sign):
+            problems.append(f"lookahead mismatch: {value} vs {best}")
+            break
 
     # rate fit on exact power laws
     from .greedy import RunTrace

@@ -180,6 +180,22 @@ class TestRunCommand:
         assert capsys.readouterr().err.startswith("config error: output")
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("out", ["afile", "afile/sub"])
+    def test_out_at_or_under_a_file_exits_2_before_the_solve(
+            self, tmp_path, capsys, monkeypatch, out):
+        import greedy_opt.cli as cli
+
+        def no_solve(*args, **kwargs):
+            raise AssertionError("the solve started")
+        monkeypatch.setattr(cli, "run_gga_adaptive", no_solve)
+        cfg = tmp_path / "config.json"
+        write_config(cfg)
+        (tmp_path / "afile").write_text("keep me")
+        assert main(["run", str(cfg), "--out", str(tmp_path / out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and str(tmp_path / out) in err
+        assert (tmp_path / "afile").read_text() == "keep me"
+
     @pytest.mark.parametrize("overrides", BAD_CONFIGS.values(),
                              ids=BAD_CONFIGS.keys())
     def test_library_errors_exit_2(self, tmp_path, capsys, overrides):
@@ -460,6 +476,25 @@ class TestSweepCommand:
         for i in range(6):
             assert (out / f"run_{i:04d}" / "trace.csv").exists()
 
+    def test_out_that_is_a_file_exits_2_before_any_run(self, tmp_path,
+                                                         capsys, monkeypatch):
+        import greedy_opt.cli as cli
+
+        def no_solve(*args, **kwargs):
+            raise AssertionError("a run started")
+        monkeypatch.setattr(cli, "execute_run", no_solve)
+        cfg = tmp_path / "config.json"
+        write_config(cfg)
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps({"algorithm.b": [0.3, 0.6]}))
+        out = tmp_path / "afile"
+        out.write_text("keep me")
+        assert main(["sweep", str(cfg), "--grid", str(grid), "--out",
+                     str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and str(out) in err
+        assert out.read_text() == "keep me"
+
     def test_empty_grid_exits_2(self, tmp_path):
         cfg = tmp_path / "config.json"
         write_config(cfg)
@@ -549,3 +584,16 @@ class TestVerifyCommand:
         out = capsys.readouterr().out
         assert "01-gradient-method-equivalence" in out
         assert "12-trace-determinism" in out
+
+    @pytest.mark.parametrize("out", ["afile", "afile/sub"])
+    def test_out_at_or_under_a_file_exits_2_before_the_suite(
+            self, tmp_path, capsys, monkeypatch, out):
+        import greedy_opt.cli as cli
+
+        def no_suite(*args, **kwargs):
+            raise AssertionError("the suite started")
+        monkeypatch.setattr(cli, "run_all", no_suite)
+        (tmp_path / "afile").write_text("keep me")
+        assert main(["verify", "--out", str(tmp_path / out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and str(tmp_path / out) in err

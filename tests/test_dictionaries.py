@@ -12,7 +12,9 @@ from greedy_opt import (
     ARGMAX,
     FIRST_ABOVE,
     FiniteDictionary,
+    Majorant,
     NormTag,
+    Objective,
     SphereDictionary,
     argmin_atom_by_objective,
     dual_norm,
@@ -20,6 +22,7 @@ from greedy_opt import (
     lp_norm,
     quadratic_objective,
     select_atom,
+    with_majorant,
 )
 
 
@@ -120,6 +123,63 @@ def screened_cases(draw):
     else:
         v = np.where(rng.random(dim) < 0.5, -0.0, 0.0)
     return FiniteDictionary(atoms, norm=NormTag(p)), v
+
+
+# a CSV dictionary rich in ties: duplicated, negated and ulp-nudged columns
+_TIE_BASE = np.random.default_rng(23).standard_normal((3, 3))
+_TIE_NUDGED = _TIE_BASE.copy()
+_TIE_NUDGED[0] = np.nextafter(_TIE_NUDGED[0], np.inf)
+TIE_CSV = np.hstack([_TIE_BASE, _TIE_BASE, -_TIE_BASE, _TIE_NUDGED])
+
+
+@pytest.fixture(scope="module")
+def tie_csv(tmp_path_factory):
+    path = tmp_path_factory.mktemp("atoms") / "ties.csv"
+    np.savetxt(path, TIE_CSV, delimiter=",", fmt="%.17g")
+    return path
+
+
+@st.composite
+def lookahead_cases(draw, csv_path):
+    """A quadratic, a dictionary, an iterate G and a step c for the scan.
+
+    Coordinate, Gaussian and CSV dictionaries in three lp norms (so the atoms'
+    2-norms differ for p != 2); the CSV one ties exactly and nearly.  The
+    symmetric target (1, ..., 1)/2 makes +-e_j tie exactly from G = 0.  G,
+    the target and c are of order 1, huge, near the underflow of their
+    squares, or subnormal; c may be 0.
+    """
+    kind = draw(st.sampled_from(("coordinate", "gaussian", "csv")))
+    norm = NormTag(draw(st.sampled_from((1.5, 2.0, 3.0))))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "coordinate":
+        d = FiniteDictionary.coordinate(draw(st.integers(1, 8)), norm=norm)
+    elif kind == "gaussian":
+        d = FiniteDictionary.gaussian(draw(st.integers(1, 6)),
+                                      draw(st.integers(1, 8)),
+                                      seed=draw(st.integers(0, 99)), norm=norm)
+    else:
+        d = FiniteDictionary.from_csv(csv_path, norm=norm)
+    m = draw(st.sampled_from((1.0, 1e150, 1e-155, 1e-160, 1e-310)))
+    if draw(st.booleans()):
+        target = np.full(d.dim, 0.5 * m)
+    else:
+        target = rng.standard_normal(d.dim) * m
+    G = draw(st.sampled_from((0.0, 0.5, 1.0))) * rng.standard_normal(d.dim) * m
+    c = draw(st.sampled_from((0.0, 1e-3, 0.1, 0.5, 1.0, 3.0))) * m
+    scale = draw(st.sampled_from((1.0, 0.3, 4.0)))
+    return quadratic_objective(target, scale=scale), d, G, c
+
+
+def naive_lookahead(E, G, c, dictionary):
+    """The signed double loop over E(G + c * sign * a_j), strict <."""
+    best, best_j, best_sign = math.inf, -1, 1
+    for j in range(dictionary.size):
+        for sign in (1, -1):
+            value = E(G + (c * sign) * dictionary.column(j))
+            if value < best:
+                best, best_j, best_sign = value, j, sign
+    return best, best_j, best_sign
 
 
 class TestConstruction:
@@ -446,3 +506,64 @@ class TestArgminAtom:
         E = quadratic_objective([1.0, 2.0])
         with pytest.raises(TypeError):
             argmin_atom_by_objective(E, np.zeros(2), 1.0, SphereDictionary())
+
+    @settings(max_examples=400, deadline=None)
+    @given(data=st.data())
+    def test_screened_scan_matches_double_loop_bitwise(self, tie_csv, data):
+        E, d, G, c = data.draw(lookahead_cases(tie_csv))
+        best, best_j, best_sign = naive_lookahead(E, G, c, d)
+        # a declared majorant, even a wrong one, does not choose the atom
+        wrong = with_majorant(E, Majorant.power(E.majorant.gamma / 2.0, 2.0))
+        for objective in (E, wrong):
+            atom, value = argmin_atom_by_objective(objective, G, c, d)
+            assert (atom.index, atom.sign) == (best_j, best_sign)
+            assert_same_bits(np.float64(value), np.float64(best))
+
+    def test_symmetric_target_ties_resolve_to_the_first_atom(self):
+        E = quadratic_objective([0.5, 0.5])
+        d = FiniteDictionary.coordinate(2)
+        # +e1 and +e2 tie at 0.125, -e1 and -e2 at 0.625; +e1 comes first
+        atom, value = argmin_atom_by_objective(E, np.zeros(2), 0.5, d)
+        assert (atom.index, atom.sign) == (0, 1) and value == 0.125
+        # +e2 and +e3 tie below +-e1, whose values tie too
+        E = quadratic_objective([0.0, 0.5, 0.5])
+        atom, value = argmin_atom_by_objective(
+            E, np.zeros(3), 0.5, FiniteDictionary.coordinate(3))
+        assert (atom.index, atom.sign) == (1, 1) and value == 0.125
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_slack_covers_the_value_and_model_rounding(self, tie_csv, data):
+        """|value - F(G + h)| + |model - (F(G + h) - F(G))| <= e, exactly."""
+        E, d, G, c = data.draw(lookahead_cases(tie_csv))
+        grad = E.gradient(G)
+        model = d._lookahead_model(G, grad, c, E.curvature)
+        if model is None:
+            return
+        q, e = model
+        half = Fraction(0.5 * E.curvature)
+        t = [Fraction(x) for x in E.minimizer]
+        r = [Fraction(x) - ti for x, ti in zip(G, t)]
+        base = half * sum(ri * ri for ri in r)
+        for j in range(d.size):
+            for k, sign in ((2 * j, 1), (2 * j + 1, -1)):
+                h = [Fraction(c) * sign * Fraction(a) for a in d.column(j)]
+                exact = half * sum((ri + hi) ** 2 for ri, hi in zip(r, h))
+                value = Fraction(E(G + (c * sign) * d.column(j)))
+                assert (abs(value - exact) + abs(Fraction(q[k]) - (exact - base))
+                        <= Fraction(e))
+
+    def test_screen_evaluates_one_atom_per_step_on_a_quadratic(self):
+        from greedy_opt.greedy import StopRule, make_power_coefficients, run_ega
+        from greedy_opt.instances import quadratic_geometric
+        E = quadratic_geometric(64)
+        calls = []
+        counted = Objective(E.dim, lambda x: calls.append(1) or E._value(x),
+                            E._gradient, E.majorant, E.region_radius,
+                            known_inf=E.known_inf, curvature=E.curvature)
+        d = FiniteDictionary.coordinate(64)
+        coeffs = make_power_coefficients(1.0, 2.0, E.majorant.gamma)
+        trace = run_ega(counted, d, coeffs, StopRule(max_iter=300))
+        # one value at G_0, one per step for the scan and one per new iterate
+        assert len(trace) == 300 and len(calls) == 1 + 2 * 300
+        assert trace.E == run_ega(E, d, coeffs, StopRule(max_iter=300)).E

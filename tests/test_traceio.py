@@ -91,13 +91,25 @@ def test_logistic_trace_has_empty_gaps():
     assert all(row.split(",")[2] == "" for row in rows)
 
 
-# sphere atoms are not serialized, so a sphere trace reads back without them
-@pytest.mark.parametrize("name", [n for n in TRACES if n != "sphere"])
+# a sphere trace reads back without its atom vectors and writes out the same
+@pytest.mark.parametrize("name", TRACES)
 def test_reader_round_trips_the_writer(tmp_path, name):
     text = trace_csv_text(TRACES[name]())
     path = tmp_path / "trace.csv"
     path.write_text(text, encoding="utf-8")
     assert trace_csv_text(read_trace_csv(path)) == text
+
+
+def test_reader_rejects_a_signed_sphere_atom(tmp_path):
+    lines = trace_csv_text(TRACES["sphere"]()).split("\n")
+    cells = lines[1].split(",")
+    assert cells[5:7] == ["-1", "1"]
+    cells[6] = "-1"
+    lines[1] = ",".join(cells)
+    path = tmp_path / "trace.csv"
+    path.write_text("\n".join(lines), encoding="utf-8")
+    with pytest.raises(ValueError, match="sphere atom"):
+        read_trace_csv(path)
 
 
 @pytest.mark.parametrize("column", ["A_m", "sum_c", "sum_cED"])
