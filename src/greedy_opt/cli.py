@@ -173,23 +173,24 @@ def _mode(spec):
     return mode
 
 
-def execute_run(config, base_dir=".", max_iter_override=None):
+def execute_run(config, base_dir=".", max_iter_override=None, out_dir="."):
     """Build everything from a config and run it.
 
     The one validation boundary: a ValueError, TypeError, KeyError,
     IndexError or OSError raised while building or running (a parameter out of
     range, a schedule shorter than the run, a malformed value, an input file
-    that cannot be read) becomes a ConfigError.  Majorant violations and
-    numeric failures pass through unchanged.
+    that cannot be read) becomes a ConfigError, and so do output paths under
+    ``out_dir`` that could not be written, checked before the solve.
+    Majorant violations and numeric failures pass through unchanged.
     """
     try:
-        return _execute_run(config, base_dir, max_iter_override)
+        return _execute_run(config, base_dir, max_iter_override, out_dir)
     except (ValueError, TypeError, KeyError, IndexError, OSError) as exc:
         message = f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)
         raise ConfigError(message) from exc
 
 
-def _execute_run(config, base_dir, max_iter_override):
+def _execute_run(config, base_dir, max_iter_override, out_dir):
     _require(isinstance(config, dict)
              and config.get("schema") == SCHEMA_VERSION,
              f"config schema must be {SCHEMA_VERSION}")
@@ -203,7 +204,7 @@ def _execute_run(config, base_dir, max_iter_override):
     _require(isinstance(diag, dict), "diagnostics must be an object")
     window = _fit_window(diag.get("fit_window"))
     claims = _claim_specs(diag.get("claims") or [])
-    _output_names(config)
+    _output_paths(config, out_dir)
     kind = algo["kind"]
 
     if kind == "GBE":
@@ -315,22 +316,37 @@ def _output_names(config):
     return names
 
 
-def _out_dir(out):
-    """``--out`` as a Path, checked before any solve: neither it nor a parent
-    may exist as anything but a directory."""
-    path = Path(out)
+def _no_file_on(path, label):
+    """Neither ``path`` nor a parent may exist as anything but a directory."""
     for part in (path, *path.parents):
         _require(part.is_dir() or not part.exists(),
-                 f"--out {out}: {part} is not a directory")
+                 f"{label}: {part} is not a directory")
+
+
+def _out_dir(out):
+    """``--out`` as a Path, checked before any solve (``_no_file_on``)."""
+    path = Path(out)
+    _no_file_on(path, f"--out {out}")
     return path
 
 
+def _output_paths(config, out_dir):
+    """(trace, manifest) paths under ``out_dir``, checked before the solve:
+    neither may be a directory or lie under a file."""
+    paths = [Path(out_dir) / name for name in _output_names(config)]
+    for path in paths:
+        _require(not path.is_dir(), f"output {path} is a directory")
+        _no_file_on(path.parent, f"output {path}")
+    return paths
+
+
 def _write_outputs(trace, manifest, config, out_dir):
-    trace_name, manifest_name = _output_names(config)
-    trace_path = Path(out_dir) / trace_name
-    manifest_path = Path(out_dir) / manifest_name
-    write_trace_csv(trace, trace_path)
-    write_manifest(manifest, manifest_path)
+    trace_path, manifest_path = _output_paths(config, out_dir)
+    try:
+        write_trace_csv(trace, trace_path)
+        write_manifest(manifest, manifest_path)
+    except OSError as exc:
+        raise ConfigError(f"cannot write the outputs: {exc}") from exc
     return trace_path, manifest_path
 
 
@@ -347,7 +363,7 @@ def cmd_run(args):
     base_dir = Path(args.config).parent
     out = _out_dir(args.out)
     trace, manifest = execute_run(config, base_dir=base_dir,
-                                  max_iter_override=args.max_iter)
+                                  max_iter_override=args.max_iter, out_dir=out)
     trace_path, manifest_path = _write_outputs(trace, manifest, config, out)
     print(f"{trace.config['algorithm']}: {len(trace)} iterations, "
           f"status {trace.status}, final E {trace.final_E:.6g}"
@@ -377,7 +393,8 @@ def _sweep_one(index, config, base_dir, out_dir, max_iter):
     run_dir = Path(out_dir) / f"run_{index:04d}"
     try:
         trace, manifest = execute_run(config, base_dir=base_dir,
-                                      max_iter_override=max_iter)
+                                      max_iter_override=max_iter,
+                                      out_dir=run_dir)
         _write_outputs(trace, manifest, config, run_dir)
     except (ConfigError, MajorantViolationError, NumericFailure,
             FloatingPointError, OverflowError) as exc:

@@ -101,6 +101,34 @@ def pairing(f, x):
     return float(np.dot(f, x))
 
 
+U = 2.0 ** -53  # unit roundoff of float64
+ETA = 2.0 ** -1074  # smallest subnormal
+
+
+def higham_gamma(k):
+    """Higham's gamma_k = k u / (1 - k u), the base of every rounding bound.
+
+    This is the one derivation the certificates share (the matvec screen of
+    ``best_pairing``, the objective scan's model, the line-search replay).
+    Any floating-point evaluation of a length-k dot x^T y, in any summation
+    order and with or without FMA, has |fl(x^T y) - x^T y| <= gamma_k |x|^T |y|
+    when nothing underflows, and k roundings in a row, each by a factor
+    (1 + delta) with |delta| <= u, stay within a factor 1 +- gamma_k
+    (Higham, Accuracy and Stability of Numerical Algorithms, sec. 3.1).
+    Gradual underflow, which these bounds exclude, makes a product at most
+    eta/2 off and a sum not at all, so a length-k dot is at most k eta off.
+    A bound formed in floating point carries a relative error of O(k u)
+    itself; each certificate covers that by doubling its relative term.
+    """
+    return k * U / (1.0 - k * U)
+
+
+def norm2(v):
+    """||v||_2 with no overflow or underflow in the squares (``math.hypot``,
+    which scales); inf or NaN when v is not finite."""
+    return math.hypot(*np.asarray(v, dtype=float).tolist())
+
+
 @dataclass(frozen=True)
 class Majorant:
     """Continuous upper bound mu(u) on the smoothness modulus, mu(u)/u nondecreasing.
@@ -167,6 +195,9 @@ class Majorant:
         return {"kind": "tabulated", "domain_bound": self.domain_bound}
 
 
+_SIGNS = np.array([-1.0, 1.0])
+
+
 def sample_ball(rng, dim, radius=1.0, norm=EUCLIDEAN):
     """Uniform draw from the lp ball of the given radius, rejection-free.
 
@@ -176,7 +207,7 @@ def sample_ball(rng, dim, radius=1.0, norm=EUCLIDEAN):
     """
     p = norm.p
     g = rng.gamma(1.0 / p, size=dim) ** (1.0 / p)
-    g *= rng.choice([-1.0, 1.0], size=dim)
+    g *= _SIGNS[rng.integers(0, 2, size=dim)]
     w = rng.standard_exponential()
     denom = (np.sum(np.abs(g) ** p) + w) ** (1.0 / p)
     return radius * g / denom

@@ -13,7 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import EUCLIDEAN, as_vector, dual_norm, lp_norm
+from .core import (ETA, EUCLIDEAN, as_vector, dual_norm, higham_gamma,
+                   lp_norm, norm2)
 
 __all__ = [
     "ARGMAX",
@@ -30,9 +31,6 @@ __all__ = [
 
 ARGMAX = "argmax"
 FIRST_ABOVE = "first-above"
-
-_U = np.finfo(float).eps / 2.0  # unit roundoff, 2**-53
-_ETA = np.finfo(float).smallest_subnormal  # 2**-1074
 
 
 @dataclass(frozen=True)
@@ -87,8 +85,8 @@ class FiniteDictionary:
         l2_sq = np.einsum("ij,ij->j", self._atoms, self._atoms)
         self._l2_sq, l2 = l2_sq, np.sqrt(l2_sq)
         self._l2_max = float(l2.max())
-        self._slack_rel = 4.0 * (n * _U / (1.0 - n * _U)) * l2
-        self._slack_abs = 4.0 * n * _ETA
+        self._slack_rel = 4.0 * higham_gamma(n) * l2
+        self._slack_abs = 4.0 * n * ETA
         self.norm = norm
         self.kind = kind
 
@@ -133,19 +131,20 @@ class FiniteDictionary:
         This is the exact reference scan: the values equal
         ``np.dot(self.column(j), v)`` bit for bit, so a naive scan over the
         columns reproduces them.  For the identity, every term of column j's
-        dot except v_j * 1 is a signed zero, so the dot is v_j + 0 in any
-        summation order; ``v + 0.0`` gives the same, turning -0.0 into +0.0 as
-        the dot does.  Other dictionaries keep one strided ``ddot`` per cached
-        column view: a matvec, a row-major copy or a contiguous column each
-        round differently.  Selection does not call this scan: ``best_pairing``
-        screens the atoms with one matvec and a rounding certificate and
-        re-scores only the survivors with the same ``ddot``, and it falls back
-        to this scan when the certificate cannot be formed.  Non-finite v is
-        outside the contract.
+        dot except v_j * 1 is a signed zero, so the dot is v_j + 0 as numpy
+        accumulates it; ``v + 0.0`` gives the same, turning -0.0 into +0.0 as
+        the dot does.  At dim 1 numpy's dot is the single product v_0 * 1,
+        which keeps -0.0, and so does ``v * 1.0``.  Other dictionaries keep
+        one strided ``ddot`` per cached column view: a matvec, a row-major
+        copy or a contiguous column each round differently.  Selection does
+        not call this scan: ``best_pairing`` screens the atoms with one matvec
+        and a rounding certificate and re-scores only the survivors with the
+        same ``ddot``, and it falls back to this scan when the certificate
+        cannot be formed.  Non-finite v is outside the contract.
         """
         v = self._vector(v)
         if self.is_identity:
-            return v + 0.0
+            return v + 0.0 if v.size > 1 else v * 1.0
         return np.array([np.dot(col, v) for col in self._columns])
 
     def _screen(self, v):
@@ -154,13 +153,7 @@ class FiniteDictionary:
         None means the certificate cannot be formed: v is not finite, or
         max_k ||a_k||_2 ||v||_2 is too close to overflow (see best_pairing).
         """
-        scale = float(np.max(np.abs(v)))  # NaN and inf propagate
-        if not math.isfinite(scale):
-            return None
-        vnorm = 0.0
-        if scale > 0.0:
-            w = v / scale  # no overflow or underflow in the squares
-            vnorm = scale * math.sqrt(float(np.dot(w, w)))
+        vnorm = norm2(v)  # NaN and inf propagate
         if not math.isfinite(2.0 * self._l2_max * vnorm):
             return None
         return (np.abs(self._atoms.T @ v),
@@ -173,20 +166,15 @@ class FiniteDictionary:
         bit, but on a general dictionary it costs one matvec plus a ``ddot``
         per surviving candidate instead of a ``ddot`` per atom.
 
-        Certificate.  Let n = dim, u = 2**-53, gamma_n = n u / (1 - n u) and
-        eta = 2**-1074.  Any floating-point evaluation of a^T v, in any
-        summation order and with or without FMA, has
-        |fl(a^T v) - a^T v| <= gamma_n |a|^T |v| when nothing underflows
-        (Higham, Accuracy and Stability of Numerical Algorithms, sec. 3.1).
-        Gradual underflow adds at most eta/2 per product or sum, at most
-        2n eta in all, and |a|^T |v| <= ||a||_2 ||v||_2 by Cauchy-Schwarz.
-        The matvec entry t_k and the exact strided dot s_k both obey this, so
-        |t_k - s_k| <= delta_k = 2 gamma_n ||a_k||_2 ||v||_2 + 4 n eta.
-        The slack used is twice the relative term, 4 gamma_n ||a_k||_2
-        ||v||_2 + 4 n eta: the computed norms, the slack itself and the cut
-        below each carry a relative error of O(n u), which the second half
-        covers.  ||v||_2 is computed scaled by max |v|, so it neither
-        overflows nor loses its tail to underflow.
+        Certificate.  With n = dim, gamma_n and eta as in
+        ``core.higham_gamma``, the matvec entry t_k and the exact strided dot
+        s_k each lie within gamma_n |a_k|^T |v| + n eta of a_k^T v, and
+        |a_k|^T |v| <= ||a_k||_2 ||v||_2 by Cauchy-Schwarz, so
+        |t_k - s_k| <= delta_k = 2 gamma_n ||a_k||_2 ||v||_2 + 2 n eta.
+        The slack used is 4 gamma_n ||a_k||_2 ||v||_2 + 4 n eta: doubling
+        covers the O(n u) relative error of the computed norms, the slack
+        itself and the cut below.  ||v||_2 comes from ``core.norm2``, so it
+        neither overflows nor loses its tail to underflow.
 
         Screen.  If j* is the first maximizer of |s|, then for every k,
         |t_j*| >= |s_j*| - delta_j* >= |s_k| - delta_j* >= |t_k| - 2 max delta.
@@ -241,15 +229,14 @@ class FiniteDictionary:
         (q[2k] for (k, +), q[2k + 1] for (k, -)) and their certified slack;
         None when a bound is not finite (see argmin_atom_by_objective)."""
         n = self.dim
-        n_eta = n * _ETA
-        gam = (n + 4) * _U / (1.0 - (n + 4) * _U)
+        n_eta = n * ETA
+        gam = higham_gamma(n + 4)
         half = 0.5 * curvature
-        g = grad.tolist()
-        gnorm = math.hypot(*g)  # no overflow or underflow
+        gnorm = norm2(grad)
         rho = (gnorm + n_eta) / curvature
         A = abs(c) * self._l2_max
         D = rho + A
-        dx = gam * (A + A + math.hypot(*G.tolist()) + D) + n_eta
+        dx = gam * (A + A + norm2(G) + D) + n_eta
         B = D + dx
         f = (1.0 + abs(c)) * (1.0 + rho + self._l2_max)
         e = (half * ((D + B) * dx + gam * B * B)
@@ -258,7 +245,7 @@ class FiniteDictionary:
         if not math.isfinite(4.0 * ((half + 1.0) * B * B + A * gnorm + e)):
             return None
         w = half * c * c
-        p = g if self.is_identity else (self._atoms.T @ grad).tolist()
+        p = (grad if self.is_identity else self._atoms.T @ grad).tolist()
         quad = [w * x for x in self._l2_sq.tolist()]
         lin = [c * x for x in p]
         return [v for a, b in zip(quad, lin) for v in (a + b, a - b)], e
@@ -383,14 +370,13 @@ def argmin_atom_by_objective(E, G, c, dictionary, grad=None):
 
     Screen.  An E with a ``curvature`` s is the quadratic (s/2)||x - t||^2,
     evaluated as ``0.5 * s * dot(x - t, x - t)`` with gradient ``s * (x - t)``.
-    Let n = dim, u = 2**-53, eta = 2**-1074, gam = (n+4)u / (1 - (n+4)u),
+    Let n = dim, u and eta as in ``core.higham_gamma``, gam = gamma_{n+4},
     w = fl(s/2), F(x) = w ||x - t||^2, r = G - t, g the computed gradient,
     alpha_k = ||a_k||_2 and A = |c| max alpha_k.  In the reals,
     F(G + c sigma a_k) - F(G) = c sigma 2w <r, a_k> + w c^2 alpha_k^2; its
     floating-point form q = fl(fl(w c c) fl(alpha_k^2) + sigma fl(c p_k)),
     with p_k = fl(<g, a_k>) from one matvec (g itself on the identity), is the
-    model.  To first order in u (Higham, Accuracy and Stability of Numerical
-    Algorithms, sec. 3.1):
+    model.  To first order in u:
     - rho = (||g|| + n eta) / s >= ||r||; D = rho + A >= ||r + c sigma a_k||.
     - Value: forming x = G + fl(c sigma a_k) and x - t moves r + c sigma a_k
       by at most dx = gam (2A + ||G|| + D) + n eta; the dot and the product
@@ -407,7 +393,7 @@ def argmin_atom_by_objective(E, G, c, dictionary, grad=None):
     is kept, (k*, s*) and its ties among them, and only those are evaluated,
     in the same order: atom and value are the full scan's, bit for bit.  The
     cut uses 2e twice over, for the O(n u) relative error of the norms
-    (``math.hypot``, no overflow or underflow), of e and of the cut.  The full
+    (``core.norm2``, no overflow or underflow), of e and of the cut.  The full
     scan runs without a curvature, at c = 0 (every value is E(G)), and when e
     or the largest intermediate, (w + 1)(D + dx)^2 + A ||g||, is not finite,
     so an overflowing value still raises.  The curvature comes from E's

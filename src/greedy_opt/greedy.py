@@ -233,24 +233,95 @@ class LineSearchResult:
     clamped: bool = False
 
 
+def _derivative_signs(E, start, direction, bound):
+    """c -> the computed pairing(E'(start + c d), d), or a stand-in for it with
+    the same signs and zeros at every c in [0, bound].
+
+    The stand-in answers from E's section model (``Objective.section``)
+    wherever the model certifies the sign, and evaluates the gradient
+    elsewhere.  phi(c) = E(start + c d) is convex, so phi' never decreases;
+    if the computed model value at c_L is below -slack, phi'(c_L) is below
+    -(the derivative's own rounding bound), and then so is phi'(c) at every
+    c <= c_L: each computed derivative there is negative, and not zero.
+    Likewise above +slack at c_R.  Safeguarded Newton steps on the model,
+    inside [0, bound], tighten c_L and c_R from c = 0 until the model is
+    within the slack of zero; one more step gives the model's root c*.
+    Probes at c* -+ w, w = 1.1 slack / phi''(c*), growing fourfold at most
+    twice, then try to certify each side.  Only queries strictly between c_L
+    and c_R evaluate the gradient.
+    """
+    def deriv(c):
+        return pairing(E.gradient(start + c * direction), direction)
+
+    section = None if E.section is None else E.section(start, direction,
+                                                        bound)
+    if section is None:
+        return deriv
+    model, slack = section
+    lo, hi = -math.inf, math.inf
+    c = 0.0
+    for _ in range(16):
+        m, h = model(c)
+        if abs(m) <= slack:
+            break
+        if m < 0.0:
+            lo = c
+        else:
+            hi = c
+        nxt = min(max(c - m / h, 0.0), bound) if h > 0.0 else math.nan
+        if not lo < nxt < hi:
+            nxt = 0.5 * (lo + hi)
+            if not lo < nxt < hi:
+                break
+        c = nxt
+    if abs(m) <= slack and h > 0.0:
+        nxt = c - m / h
+        if lo < nxt < hi:
+            c = nxt
+        w = 1.1 * slack / h
+        for side in (-1.0, 1.0):
+            for grow in (1.0, 4.0, 16.0):
+                p = c + side * grow * w
+                if not (lo < p < hi and 0.0 <= p <= bound):
+                    break
+                if side * model(p)[0] > slack:
+                    lo, hi = (p, hi) if side < 0.0 else (lo, p)
+                    break
+
+    def sign(c):
+        if c <= lo:
+            return -1.0
+        if c >= hi:
+            return 1.0
+        return deriv(c)
+    return sign
+
+
 def line_search_exact(E, start, direction, tol=1e-12, bound=None):
     """Exact minimization of the convex section c -> E(start + c * direction).
 
     Brackets by doubling from [0, 1] on the side the derivative points to
     (signed steps are allowed), then bisects on the directional derivative until
-    the minimizer is located within ``tol``.  If the derivative never changes
-    sign before |c| reaches ``bound`` (default twice the objective's region
-    radius), the bound is returned with ``clamped=True``.  Only gradients are
-    evaluated; the caller evaluates E at the step it takes.
+    the minimizer is located within ``tol``, or until the midpoint of the
+    bracket is no longer strictly inside it, after which bisection could only
+    repeat itself.  If the derivative never changes sign before |c| reaches
+    ``bound`` (default twice the objective's region radius), the bound is
+    returned with ``clamped=True``.  The caller evaluates E at the step it
+    takes.
+
+    Every decision depends only on the sign of the computed derivative
+    pairing(E'(start + c d), d) and on whether it is exactly zero.  An
+    objective with a section model gets those from ``_derivative_signs``,
+    which evaluates the gradient only where the model's certificate cannot
+    decide, so ``c`` and ``clamped`` equal a search that evaluates every
+    derivative, bit for bit, from a handful of gradients.
     """
     if bound is None:
         bound = 2.0 * E.region_radius
     if bound <= 0:
         raise ValueError("bound must be positive")
 
-    def deriv(c):
-        return pairing(E.gradient(start + c * direction), direction)
-
+    deriv = _derivative_signs(E, start, direction, bound)
     d0 = deriv(0.0)
     if d0 == 0.0:
         return LineSearchResult(0.0)
@@ -275,6 +346,8 @@ def line_search_exact(E, start, direction, tol=1e-12, bound=None):
         if (hi - lo) <= 2.0 * tol:
             break
         mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
         dm = deriv(mid)
         if dm == 0.0:
             return LineSearchResult(mid)

@@ -11,13 +11,17 @@ import math
 import numpy as np
 
 from .core import (
+    ETA,
     EUCLIDEAN,
+    U,
     Majorant,
     NumericFailure,
     as_vector,
     finite_difference_gradient_check,
+    higham_gamma,
     lp_norm,
     majorant_domination_witness,
+    norm2,
     pairing,
     sample_ball,
 )
@@ -42,12 +46,20 @@ class Objective:
     ``curvature`` is a scale s for which E(x + h) = E(x) + <E'(x), h> +
     (s/2) ||h||_2^2 holds exactly in the reals; only ``quadratic_objective``
     sets it, and the objective scan's screen relies on its value and gradient
-    expressions.  It comes from the definition, never from the majorant.
-    Evaluations that stop being finite raise NumericFailure.
+    expressions.  ``section(x, d, bound)``, set by the quadratic and the
+    logistic objective, models the section phi(c) = E(x + c d) for the line
+    search's replay.  It returns ``(model, slack)``, or None when a bound is
+    not finite: ``model(c)`` is ``(m, h)``, a computed phi'(c) and an estimate
+    of phi''(c), and for every |c| <= bound, with deriv(c) =
+    ``pairing(E.gradient(x + c * d), d)`` as computed,
+    |deriv(c) - phi'(c)| + |m - phi'(c)| <= slack.  Both hooks come from the
+    definition, never from the majorant.  Evaluations that stop being finite
+    raise NumericFailure.
     """
 
     def __init__(self, dim, value, gradient, majorant, region_radius,
-                 known_inf=None, description=None, curvature=None):
+                 known_inf=None, description=None, curvature=None,
+                 section=None):
         self.dim = int(dim)
         self._value = value
         self._gradient = gradient
@@ -56,6 +68,7 @@ class Objective:
         self.known_inf = known_inf
         self.description = dict(description or {})
         self.curvature = curvature
+        self.section = section
 
     def __call__(self, x):
         v = float(self._value(x))
@@ -90,7 +103,7 @@ def with_majorant(E, majorant):
     """Copy of E carrying a different declared majorant (fault injection, tests)."""
     return Objective(E.dim, E._value, E._gradient, majorant, E.region_radius,
                      known_inf=E.known_inf, description=E.description,
-                     curvature=E.curvature)
+                     curvature=E.curvature, section=E.section)
 
 
 def quadratic_objective(target, scale=1.0):
@@ -98,11 +111,31 @@ def quadratic_objective(target, scale=1.0):
 
     The canonical q = 2 instance: its smoothness modulus is exactly
     (scale/2) u^2, so the declared majorant is tight.
+
+    Section.  Along x + c d, phi'(c) = s (alpha + c beta) in the reals, with
+    s = scale, alpha = <x - t, d> and beta = ||d||^2; the model is
+    fl(s fl(fl(<fl(x - t), d>) + c fl(beta))).  Let n = dim, C = bound,
+    R = ||x - t||, X = ||x||, D = ||d||, and gamma_k, u and eta as in
+    ``core.higham_gamma``.  To first order in u, for |c| <= C:
+    - Gradient: x + c d is formed within gamma_2 (|x_i| + C |d_i|), then
+      x - t and the product with s round once each, and the dot with d adds
+      gamma_n; so |deriv(c) - phi'(c)| <= s D (gamma_{n+2} (R + C D) +
+      gamma_2 (X + C D)) by Cauchy-Schwarz.
+    - Model: the two dots and three roundings put m within
+      s D gamma_{n+3} (R + C D) of phi'(c).
+    - Underflow: 5n + 2 products, each at most eta/2 off, reach the
+      derivative or the model through factors below (1 + s)(1 + C)(1 + D).
+    The slack is twice the sum of the first two, plus
+    4 n eta (1 + s)(1 + C)(1 + D).  It is None when it, or the largest
+    intermediate of either evaluation, below 4 max(s, 1)(X + ||t|| + C D)
+    (1 + D), is not finite, so no gradient the replay skips could overflow.
     """
     target = as_vector(target)
     scale = float(scale)
     if scale <= 0:
         raise ValueError("scale must be positive")
+    n = target.size
+    t_norm = norm2(target)
 
     def value(x):
         d = x - target
@@ -110,6 +143,21 @@ def quadratic_objective(target, scale=1.0):
 
     def gradient(x):
         return scale * (x - target)
+
+    def section(x, d, bound):
+        r = x - target
+        D = norm2(d)
+        CD = bound * D
+        X = norm2(x)
+        slack = (2.0 * scale * D * (2.0 * higham_gamma(n + 3) * (norm2(r) + CD)
+                                    + higham_gamma(2) * (X + CD))
+                 + 4.0 * n * ETA * (1.0 + scale) * (1.0 + bound) * (1.0 + D))
+        top = 4.0 * max(scale, 1.0) * (X + t_norm + CD) * (1.0 + D)
+        if not math.isfinite(top + slack):
+            return None
+        alpha, beta = float(np.dot(r, d)), float(np.dot(d, d))
+        h = scale * beta
+        return (lambda c: (scale * (alpha + c * beta), h)), slack
 
     e0 = value(np.zeros_like(target))
     radius = lp_norm(target) + math.sqrt(2.0 * (e0 + 2.0) / scale)
@@ -121,6 +169,7 @@ def quadratic_objective(target, scale=1.0):
         description={"kind": "quadratic", "scale": scale,
                      "target": [float(t) for t in target]},
         curvature=scale,
+        section=section,
     )
 
 
@@ -176,6 +225,39 @@ def logistic_objective(design, labels, region_radius=10.0):
     q = 2 with the global curvature bound gamma = (1/8) sum ||row_i||_2^2, so
     ``region_radius`` only scopes where sampling sweeps look, not where the
     majorant holds.  No closed-form infimum; use ``reference_infimum``.
+
+    Section.  Along x + c d, with a_i = y_i <row_i, d>, z_i = y_i <row_i, x>
+    and sigma(t) = 1 / (1 + e^-t), phi'(c) = -sum_i a_i sigma(-(z_i + c a_i))
+    in the reals; two matvecs give a and z, and the model is
+    m = -fl(<a, 1 / (1 + exp(z + c a))>), with the estimate
+    h = <a^2, s (1 - s)> of phi''.  Let A have M rows and n columns,
+    C = bound,
+    b = |A| |d|, q = |A| |x| + C b (so |a_i| <= b_i and |z_i + c a_i| <= q_i
+    for |c| <= C), and gamma_k, u and eta as in ``core.higham_gamma``.
+    Assumed: numpy's exp and the exp and log1p inside its logaddexp are
+    within k = 4 ulp, a relative 2 k u; numpy's own validation sets
+    (umath-validation-set-{exp,log1p}.csv) record at most 1 ulp, so k
+    carries a safety factor of 4.  To first order in u, for |c| <= C:
+    - Arguments: x + c d, the matvec and the y_i factor put the gradient's
+      z_i + c a_i within gamma_{n+2} q_i, and the model's within
+      gamma_{n+2} q_i too.  sigma(-t) is 1/4-Lipschitz.
+    - Gradient sigmoid: the computed logaddexp(0, z) is L (1 +- (4k + 1) u),
+      L the exact value, so exp(-L) comes within
+      (4k + 1) u L e^-L + 2k u <= (4k + 1) u / e + 2k u of e^-L, as
+      L e^-L <= 1/e.  Model sigmoid: within (2k + 2) u.  Both add up to
+      below 25 u.
+    - Sums: A^T (y s) and its dot with d, against the model's <a, s>, with
+      every s_i <= 1 (+ 2k u): 2 gamma_{M+n+1} sum_i b_i in all.
+    - Underflow: |z| < 700 keeps every exp and log1p normal, so only the
+      products of the matvecs, of c d and of c a underflow, each at most
+      eta/2 off.  Summed through the factors each passes (at most 1/4 |a_i|
+      times a row of |A|, |d_j| or 1), they stay below
+      (M + n + 1)(n + 1) eta (1 + r + C)(1 + sum b + ||d||_1), with r the
+      largest row l1 norm of A.
+    The slack is twice 2 gamma_{M+n+1} sum_i b_i +
+    sum_i |a_i| (25 u + gamma_{n+2} q_i / 2), plus the underflow term.  It is
+    None unless max q < 700 and every bound and intermediate is finite, so
+    no gradient the replay skips could overflow.
     """
     A = np.asarray(design, dtype=float)
     if A.ndim != 2 or not np.all(np.isfinite(A)):
@@ -184,6 +266,12 @@ def logistic_objective(design, labels, region_radius=10.0):
     if not np.all(np.abs(yv) == 1.0):
         raise ValueError("labels must be +-1")
     count, dim = A.shape
+    absA = np.abs(A)
+    row_l1 = float(absA.sum(axis=1).max())
+    col_l1 = float(absA.sum(axis=0).max())
+    gam_sums = 2.0 * higham_gamma(count + dim + 1)
+    gam_args = 0.5 * higham_gamma(dim + 2)
+    eta_terms = (count + dim + 1) * (dim + 1) * ETA
 
     def value(x):
         z = yv * (A @ x)
@@ -195,6 +283,27 @@ def logistic_objective(design, labels, region_radius=10.0):
         s = np.exp(-np.logaddexp(0.0, z))
         return -(A.T @ (yv * s))
 
+    def section(x, d, bound):
+        abs_d = np.abs(d)
+        b = absA @ abs_d
+        q = absA @ np.abs(x) + bound * b
+        a = yv * (A @ d)
+        z = yv * (A @ x)
+        b_sum, d_l1 = float(b.sum()), float(abs_d.sum())
+        slack = (2.0 * (gam_sums * b_sum
+                        + float(np.dot(np.abs(a), 25.0 * U + gam_args * q)))
+                 + eta_terms * (1.0 + row_l1 + bound) * (1.0 + b_sum + d_l1))
+        top = (float(np.max(np.abs(x))) + bound * float(abs_d.max())
+               + col_l1 * (1.0 + d_l1))
+        if not (float(q.max()) < 700.0 and math.isfinite(4.0 * top + slack)):
+            return None
+        a_sq = a * a
+
+        def model(c):
+            s = 1.0 / (1.0 + np.exp(z + c * a))
+            return -float(np.dot(a, s)), float(np.dot(a_sq, s - s * s))
+        return model, slack
+
     gamma = 0.125 * float(np.sum(A * A))
     return Objective(
         dim, value, gradient,
@@ -202,6 +311,7 @@ def logistic_objective(design, labels, region_radius=10.0):
         region_radius=region_radius,
         description={"kind": "logistic", "rows": count,
                      "gamma_note": "conservative analytic bound"},
+        section=section,
     )
 
 

@@ -41,6 +41,7 @@ from .greedy import (
     ENERGY_SLACK,
     StopRule,
     iter_states,
+    line_search_exact,
     make_power_coefficients,
     run_ega,
     run_gega,
@@ -57,7 +58,8 @@ from .instances import (
     quadratic_geometric,
     quadratic_nd,
 )
-from .objectives import reference_infimum, validate_objective, with_majorant
+from .objectives import (Objective, reference_infimum, validate_objective,
+                         with_majorant)
 from .traceio import write_trace_csv
 
 __all__ = ["CriterionResult", "VerifyContext", "criterion_names", "run_all"]
@@ -381,7 +383,8 @@ def c10_line_search_logistic_convergence(ctx):
 
 @_criterion
 def c11_oracle_equivalences(ctx):
-    """Selection scan, rate fit, and step solver against independent oracles."""
+    """Selection scan, objective scan, line-search replay, rate fit, and step
+    solver against independent oracles."""
     problems = []
 
     # screened scan versus a naive signed double loop, bit-exact, on a general
@@ -429,6 +432,35 @@ def c11_oracle_equivalences(ctx):
                 and atom.sign == best_sign):
             problems.append(f"lookahead mismatch: {value} vs {best}")
             break
+
+    # the replayed line search versus plain bisection with no section model,
+    # bit-exact: quadratic sections whose roots sit at 0, on the doubling
+    # and bisection points (exact zeros), beyond the bound or a rounding
+    # away, and logistic ones, along coordinate and dense directions, down
+    # to a bracket of adjacent floats (tol 0), where rounding decides signs
+    for objective in (E, logistic_20x5()):
+        bare = Objective(objective.dim, objective._value, objective._gradient,
+                         objective.majorant, objective.region_radius)
+        n = objective.dim
+        for k in range(40):
+            d = np.zeros(n)
+            d[k % n] = 1.0 - 2.0 * (k % 3 == 0)
+            if k % 2:
+                d = rng.standard_normal(n)
+                d /= np.linalg.norm(d)
+            if objective is E:
+                root = (0.0, 1.0, 2.0, 0.5, 0.75, -3.0, 1e6, 0.1)[k % 8]
+                x = E.minimizer - root * d
+                if k % 5 == 4:
+                    x = x + rng.standard_normal(n) * 10.0 ** -rng.integers(17)
+            else:
+                x = rng.standard_normal(n) * (0.0, 0.1, 1.0, 3.0)[k % 4]
+            tol = 0.0 if k % 4 == 3 else 1e-12
+            res = line_search_exact(objective, x, d, tol=tol)
+            ref = line_search_exact(bare, x, d, tol=tol)
+            if (res.c.hex(), res.clamped) != (ref.c.hex(), ref.clamped):
+                problems.append(f"line search mismatch: {res.c} vs {ref.c}")
+                break
 
     # rate fit on exact power laws
     from .greedy import RunTrace

@@ -196,6 +196,36 @@ class TestRunCommand:
         assert err.startswith("config error: ") and str(tmp_path / out) in err
         assert (tmp_path / "afile").read_text() == "keep me"
 
+    @pytest.mark.parametrize("trace", ["sub/trace.csv", "sub/deeper/t.csv"])
+    def test_output_under_a_file_in_out_exits_2_before_the_solve(
+            self, tmp_path, capsys, monkeypatch, trace):
+        import greedy_opt.cli as cli
+
+        def no_solve(*args, **kwargs):
+            raise AssertionError("the solve started")
+        monkeypatch.setattr(cli, "run_gga_adaptive", no_solve)
+        cfg = tmp_path / "config.json"
+        write_config(cfg, output={"trace": trace})
+        out = tmp_path / "o"
+        out.mkdir()
+        (out / "sub").write_text("keep me")
+        assert main(["run", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and str(out / "sub") in err
+        assert (out / "sub").read_text() == "keep me"
+
+    def test_output_that_is_a_directory_exits_2_before_the_solve(
+            self, tmp_path, capsys):
+        cfg = tmp_path / "config.json"
+        write_config(cfg)
+        out = tmp_path / "o"
+        (out / "manifest.json").mkdir(parents=True)
+        assert main(["run", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ")
+        assert str(out / "manifest.json") in err
+        assert not (out / "trace.csv").exists()
+
     @pytest.mark.parametrize("overrides", BAD_CONFIGS.values(),
                              ids=BAD_CONFIGS.keys())
     def test_library_errors_exit_2(self, tmp_path, capsys, overrides):
@@ -494,6 +524,27 @@ class TestSweepCommand:
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and str(out) in err
         assert out.read_text() == "keep me"
+
+    def test_a_point_whose_run_dir_is_a_file_gets_an_error_row(
+            self, tmp_path, capsys):
+        cfg = tmp_path / "config.json"
+        write_config(cfg)
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps({"algorithm.b": [0.3, 0.6, 0.9]}))
+        out = tmp_path / "s"
+        out.mkdir()
+        (out / "run_0001").write_text("keep me")
+        assert main(["sweep", str(cfg), "--grid", str(grid), "--out",
+                     str(out)]) == 0
+        rows = [line.split(",")
+                for line in (out / "summary.csv").read_text().splitlines()]
+        assert [row[0] for row in rows[1:]] == ["0", "1", "2"]
+        assert rows[2][2:] == ["error: ConfigError", "", "", "", ""]
+        assert not rows[1][2].startswith("error") and rows[1][3]
+        assert not rows[3][2].startswith("error") and rows[3][3]
+        assert (out / "run_0001").read_text() == "keep me"
+        assert (out / "run_0002" / "trace.csv").exists()
+        assert "2/3 runs succeeded" in capsys.readouterr().out
 
     def test_empty_grid_exits_2(self, tmp_path):
         cfg = tmp_path / "config.json"

@@ -111,6 +111,29 @@ class TestBallSampling:
                 x = sample_ball(rng, 5, radius=3.0, norm=tag)
                 assert lp_norm(x, tag) <= 3.0 * (1.0 + 1e-12)
 
+    def test_sign_draw_matches_rng_choice_bit_for_bit(self):
+        """The sign draw indexes [-1, 1] with rng.integers; on the numpy this
+        was written against, that gives rng.choice([-1.0, 1.0])'s points and
+        leaves the generator in the same state.  A numpy that changes either
+        would shift every sampled audit, so this fails loudly then."""
+        def with_choice(rng, dim, radius, norm):
+            p = norm.p
+            g = rng.gamma(1.0 / p, size=dim) ** (1.0 / p)
+            g *= rng.choice([-1.0, 1.0], size=dim)
+            w = rng.standard_exponential()
+            return radius * g / (np.sum(np.abs(g) ** p) + w) ** (1.0 / p)
+
+        for dim in (1, 2, 5, 64, 401):
+            for p in (1.5, 2.0, 3.0):
+                ours = np.random.default_rng([dim, int(10 * p)])
+                theirs = np.random.default_rng([dim, int(10 * p)])
+                for _ in range(40):
+                    x = sample_ball(ours, dim, radius=2.5, norm=NormTag(p))
+                    y = with_choice(theirs, dim, 2.5, NormTag(p))
+                    assert x.tobytes() == y.tobytes()
+                assert (ours.bit_generator.state
+                        == theirs.bit_generator.state)
+
     def test_directions_are_unit(self):
         rng = np.random.default_rng(3)
         for p in (1.5, 2.0, 3.0):

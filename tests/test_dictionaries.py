@@ -230,6 +230,13 @@ class TestPairings:
         s = FiniteDictionary.coordinate(3).pairings(np.array([-0.0, 1.0, 0.0]))
         assert not np.signbit(s[0])
 
+    def test_negative_zero_keeps_its_sign_at_dim_1(self):
+        # numpy's length-1 dot is the product itself: -0.0 * 1 = -0.0
+        d = FiniteDictionary.coordinate(1)
+        v = np.array([-0.0])
+        assert_same_bits(d.pairings(v), naive_pairings(d, v))
+        assert np.signbit(d.pairings(v)[0])
+
     def test_general_scan_matches_column_loop_bitwise(self):
         rng = np.random.default_rng(15)
         d = FiniteDictionary.gaussian(256, 300, seed=16)

@@ -1,7 +1,11 @@
 """Run drivers, scalar solvers, and expansion invariants."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from greedy_opt import (
     CoefficientSequence,
@@ -14,7 +18,9 @@ from greedy_opt import (
     check_rate_bound,
     iter_states,
     line_search_exact,
+    logistic_objective,
     make_power_coefficients,
+    pairing,
     quadratic_objective,
     run_ega,
     run_gbe,
@@ -28,8 +34,66 @@ from greedy_opt import (
 from greedy_opt import greedy as greedy_module
 from greedy_opt.dictionaries import ARGMAX, FIRST_ABOVE, Atom
 from greedy_opt.greedy import ExpansionState
-from greedy_opt.objectives import Objective
+from greedy_opt.objectives import Objective, with_majorant
 from greedy_opt.instances import logistic_20x5, quadratic_2d, quadratic_2d_unit_l1
+
+
+def plain(E, calls=None):
+    """E without its section model, so that every sign query of the line
+    search evaluates the gradient; ``calls`` counts those evaluations."""
+    gradient = E._gradient
+    if calls is not None:
+        def gradient(x):
+            calls.append(None)
+            return E._gradient(x)
+    return Objective(E.dim, E._value, gradient, E.majorant, E.region_radius,
+                     known_inf=E.known_inf)
+
+
+@st.composite
+def sections(draw):
+    """A quadratic or logistic objective with a start x, a direction d and a
+    bound for the line search, plus the logistic's design and labels.
+
+    Directions are signed coordinate vectors or dense ones, unit or scaled.
+    Quadratic sections put the root at 0 (x at the target), at dyadic points
+    such as the bracket ends 1, 2 and 4, negative, beyond the bound, near
+    1.2e5 (where bisection meets its fixed point), or anywhere; logistic ones
+    come from random designs of 1 to 30 rows with scaled rows and starts.
+    Magnitudes near overflow or underflow test where the model gives up.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(1, 8))
+    if draw(st.booleans()):
+        d = np.zeros(n)
+        d[draw(st.integers(0, n - 1))] = draw(st.sampled_from((1.0, -1.0)))
+    else:
+        d = rng.standard_normal(n)
+        d /= np.linalg.norm(d)
+    d = d * draw(st.sampled_from((1.0, 1.0, 3.0, 1e-3, 1e-170)))
+    bound = draw(st.sampled_from((None, None, 0.75, 5.0, 1e6)))
+    if draw(st.booleans()):
+        scale = draw(st.sampled_from((1.0, 0.3, 4.0)))
+        target = rng.standard_normal(n) * draw(st.sampled_from(
+            (1.0, 1e-3, 1e5, 1e150, 1e-160)))
+        root = draw(st.sampled_from(
+            (None, 0.0, 1.0, 2.0, 4.0, 0.5, 0.75, -1.0, -2.0, 3.0, 1.2e5)))
+        if root is None:
+            x = rng.standard_normal(n) * draw(st.sampled_from((1.0, 10.0)))
+        elif root == 1.2e5:
+            target = root * d + rng.standard_normal(n)
+            x = rng.standard_normal(n)
+        else:
+            x = target - root * d
+        return quadratic_objective(target, scale=scale), x, d, bound, None
+    rows = draw(st.integers(1, 30))
+    A = rng.standard_normal((rows, n)) * draw(st.sampled_from(
+        (1.0, 0.05, 4.0, 300.0, 1e-150)))
+    y = np.where(rng.random(rows) < 0.5, -1.0, 1.0)
+    E = logistic_objective(A, y, region_radius=draw(
+        st.sampled_from((10.0, 0.5, 100.0))))
+    x = rng.standard_normal(n) * draw(st.sampled_from((0.0, 0.1, 1.0, 5.0)))
+    return E, x, d, bound, (A, y)
 
 
 class TestPowerCoefficients:
@@ -154,6 +218,112 @@ class TestLineSearch:
         E = quadratic_objective([50.0, 0.0])
         res = line_search_exact(E, np.zeros(2), np.array([1.0, 0.0]), bound=4.0)
         assert res.clamped and res.c == 4.0
+
+    def test_bisection_stops_at_its_fixed_point(self):
+        """Near 1.2e5 floats are 2**-36 apart, more than 2 tol, and no
+        computed derivative is exactly zero: bisection reaches a bracket of
+        adjacent floats, where the midpoint is an end and nothing changes.
+        It stops there after d0, 18 doublings to 2**17 and 52 halvings,
+        instead of repeating the same state up to its cap of 200."""
+        rng = np.random.default_rng(0)
+        d = rng.standard_normal(8)
+        d /= np.linalg.norm(d)
+        E = quadratic_objective(1.2e5 * d + rng.standard_normal(8))
+        x = rng.standard_normal(8)
+        calls = []
+        res = line_search_exact(plain(E, calls), x, d)
+        assert len(calls) == 1 + 18 + 52
+        assert res.c == float.fromhex("0x1.d4bf02bb7b124p+16")
+        assert not res.clamped
+        assert line_search_exact(E, x, d) == res
+
+
+class TestLineSearchReplay:
+    """The section model decides signs it can certify; the result must equal
+    a search that evaluates every derivative, bit for bit."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(case=sections(),
+           tol=st.sampled_from((1e-12, 1e-12, 0.25, 1e3, 1e-300, 0.0)))
+    def test_replay_matches_plain_bisection_bitwise(self, case, tol):
+        E, x, d, bound, _ = case
+        ref = line_search_exact(plain(E), x, d, tol=tol, bound=bound)
+        # a declared majorant, even a wrong one, does not enter the model
+        halved = with_majorant(E, Majorant.power(E.majorant.gamma / 2.0, 2.0))
+        for objective in (E, halved):
+            res = line_search_exact(objective, x, d, tol=tol, bound=bound)
+            assert res.c.hex() == ref.c.hex()  # the sign of a zero too
+            assert res.clamped == ref.clamped
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=sections(), data=st.data())
+    def test_slack_covers_both_roundings(self, case, data):
+        """|deriv(c) - phi'(c)| + |m(c) - phi'(c)| <= slack on |c| <= bound,
+        against phi' in exact rationals (quadratic) or 80-bit extended
+        precision (logistic)."""
+        E, x, d, bound, design = case
+        bound = 2.0 * E.region_radius if bound is None else bound
+        section = E.section(x, d, bound)
+        if section is None:
+            return
+        model, slack = section
+        cs = [0.0, bound, -bound] + [
+            data.draw(st.floats(-bound, bound)) for _ in range(6)]
+        if E.curvature is not None:
+            s, t = Fraction(E.curvature), [Fraction(v) for v in E.minimizer]
+            alpha = sum((Fraction(xi) - ti) * Fraction(di)
+                        for xi, ti, di in zip(x, t, d))
+            beta = sum(Fraction(di) ** 2 for di in d)
+            root = -alpha / beta if beta else Fraction(0)
+            cs += [float(root)] if abs(root) <= bound else []
+            exact = [s * (alpha + Fraction(c) * beta) for c in cs]
+        else:
+            if np.finfo(np.longdouble).eps > 1e-18:
+                pytest.skip("no extended precision here")
+            A, y = (v.astype(np.longdouble) for v in design)
+            a = y * (A @ d.astype(np.longdouble))
+            exact = [Fraction(float(-np.dot(a, 1.0 / (1.0 + np.exp(
+                y * (A @ (x + np.longdouble(c) * d.astype(np.longdouble))))))))
+                for c in cs]
+        for c, phi1 in zip(cs, exact):
+            deriv = Fraction(pairing(E.gradient(x + c * d), d))
+            m = Fraction(model(c)[0])
+            assert abs(deriv - phi1) + abs(m - phi1) <= Fraction(slack)
+
+    def test_a_flat_tail_certifies_nothing(self):
+        """phi'(c) = -sigma(-(30 + c)) is negative everywhere and tends to 0:
+        from c = 2 on, the model lies within the slack of zero, so no probe
+        there is certified, and the search clamps at the bound as plain
+        bisection does, with gradients at 2, 4, 8, 16 and 20 (c <= 1 is
+        certified negative)."""
+        E = logistic_objective([[1.0]], [1.0])
+        x, d = np.array([30.0]), np.array([1.0])
+        calls = []
+        counted = plain(E, calls)
+        counted.section = E.section
+        res = line_search_exact(counted, x, d)
+        assert res == line_search_exact(plain(E), x, d)
+        assert res.c == 20.0 and res.clamped
+        assert len(calls) == 5
+
+    def test_gega_takes_a_handful_of_gradients_per_search(self):
+        """A logistic GEGA run: the same trace as without the model, from
+        fewer than 8 gradients per line search instead of about 40."""
+        rng = np.random.default_rng(4)
+        A = rng.standard_normal((120, 16)) / 4.0
+        y = np.where(A @ rng.standard_normal(16) + rng.standard_normal(120)
+                     >= 0.0, 1.0, -1.0)
+        E = logistic_objective(A, y)
+        d = FiniteDictionary.coordinate(16)
+        stop = StopRule(max_iter=100, grad_tol=0.0)
+        bisected, replayed = [], []
+        theirs = run_gega(plain(E, bisected), d, 1.0, stop)
+        counted = plain(E, replayed)
+        counted.section = E.section
+        ours = run_gega(counted, d, 1.0, stop)
+        assert trace_csv_text(ours) == trace_csv_text(theirs)
+        assert len(bisected) > 101 + 30 * 100
+        assert len(replayed) < 101 + 8 * 100
 
 
 class TestRunGbe:
