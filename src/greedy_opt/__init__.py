@@ -13,7 +13,6 @@ from .core import (
     NumericFailure,
     SmoothnessWitness,
     dual_norm,
-    empirical_modulus,
     finite_difference_gradient_check,
     lp_norm,
     majorant_domination_witness,
@@ -44,7 +43,6 @@ from .diagnostics import (
     RateFit,
     claim_verdict,
     fit_rate,
-    summability_report,
 )
 from .greedy import (
     CoefficientSequence,

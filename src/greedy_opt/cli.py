@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -54,13 +55,23 @@ def _require(cond, message):
         raise ConfigError(message)
 
 
+def _finite_number(text):
+    """A JSON number as a float; NaN, Infinity, -Infinity and numbers that
+    overflow to one of them are not JSON and raise ValueError."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite number {text}")
+    return value
+
+
 def _load_json(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            return json.load(fh, parse_float=_finite_number,
+                             parse_constant=_finite_number)
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}")
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, a non-finite number, bad UTF-8
         raise ConfigError(f"config is not valid JSON: {exc}")
 
 
@@ -139,9 +150,8 @@ def build_coefficients(spec, objective):
         return CoefficientSequence.explicit(spec["values"])
     if kind == "power-rule":
         mu = objective.majorant
-        return make_power_coefficients(
-            spec.get("t", 1.0), spec.get("q", mu.q if mu.is_power else 2.0),
-            spec.get("gamma", mu.gamma if mu.is_power else 1.0))
+        return make_power_coefficients(spec.get("t", 1.0), spec.get("q", mu.q),
+                                       spec.get("gamma", mu.gamma))
     raise ConfigError(f"unknown coefficient kind {kind!r}")
 
 

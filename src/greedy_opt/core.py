@@ -8,8 +8,7 @@ l-infinity are rejected on purpose.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,7 +23,6 @@ __all__ = [
     "Majorant",
     "sample_ball",
     "unit_direction",
-    "empirical_modulus",
     "smoothness_gap_check",
     "finite_difference_gradient_check",
     "SmoothnessWitness",
@@ -131,45 +129,24 @@ def norm2(v):
 
 @dataclass(frozen=True)
 class Majorant:
-    """Continuous upper bound mu(u) on the smoothness modulus, mu(u)/u nondecreasing.
-
-    Power majorants mu(u) = gamma * u**q with q in (1, 2] admit a closed-form
-    step-size solve; arbitrary monotone tables go through bisection instead.
-    ``domain_bound`` is the largest u for which mu is trusted.
+    """Power majorant mu(u) = gamma * u**q, gamma > 0 and q in (1, 2], on the
+    smoothness modulus; mu(u)/u = gamma u^(q-1) is nondecreasing, so the
+    adaptive step equation mu(c)/c = slope has the closed-form solution
+    c = (slope/gamma)^(1/(q-1)).
     """
 
-    gamma: float | None = None
-    q: float | None = None
-    table: Callable[[float], float] | None = field(default=None, compare=False)
-    domain_bound: float = math.inf
+    gamma: float
+    q: float
 
     def __post_init__(self):
-        power = self.gamma is not None or self.q is not None
-        if power and self.table is not None:
-            raise ValueError("majorant is either a power law or a table, not both")
-        if power:
-            if self.gamma is None or self.q is None:
-                raise ValueError("power majorant needs both gamma and q")
-            if self.gamma <= 0:
-                raise ValueError("gamma must be positive")
-            if not (1.0 < self.q <= 2.0):
-                raise ValueError("q must lie in (1, 2]")
-        elif self.table is None:
-            raise ValueError("majorant needs either (gamma, q) or a table")
-        if not self.domain_bound > 0:
-            raise ValueError("domain_bound must be positive")
+        if self.gamma <= 0:
+            raise ValueError("gamma must be positive")
+        if not (1.0 < self.q <= 2.0):
+            raise ValueError("q must lie in (1, 2]")
 
     @classmethod
-    def power(cls, gamma, q, domain_bound=math.inf):
-        return cls(gamma=float(gamma), q=float(q), domain_bound=domain_bound)
-
-    @classmethod
-    def tabulated(cls, func, domain_bound):
-        return cls(table=func, domain_bound=float(domain_bound))
-
-    @property
-    def is_power(self):
-        return self.table is None
+    def power(cls, gamma, q):
+        return cls(gamma=float(gamma), q=float(q))
 
     def __call__(self, u):
         u = float(u)
@@ -177,22 +154,10 @@ class Majorant:
             raise ValueError("majorant argument must be nonnegative")
         if u == 0.0:
             return 0.0
-        if self.is_power:
-            return self.gamma * u**self.q
-        return float(self.table(u))
-
-    def slope(self, u):
-        """mu(u)/u, the quantity the step-size equation inverts."""
-        u = float(u)
-        if u <= 0:
-            raise ValueError("slope needs u > 0")
-        return self(u) / u
+        return self.gamma * u**self.q
 
     def describe(self):
-        if self.is_power:
-            return {"kind": "power", "gamma": self.gamma, "q": self.q,
-                    "domain_bound": self.domain_bound}
-        return {"kind": "tabulated", "domain_bound": self.domain_bound}
+        return {"kind": "power", "gamma": self.gamma, "q": self.q}
 
 
 _SIGNS = np.array([-1.0, 1.0])
@@ -222,42 +187,13 @@ def unit_direction(rng, dim, norm=EUCLIDEAN):
             return z / nz
 
 
-def empirical_modulus(E, radius, u, samples=200, seed=0, norm=EUCLIDEAN):
-    """Sampled lower bound on the smoothness modulus of E at scale u.
-
-    Maximizes half the symmetrized second difference
-    |E(x + u y) + E(x - u y) - 2 E(x)| / 2 over ``samples`` random pairs with x
-    uniform in the lp ball of the given radius and y of unit norm.
-    Deterministic for a fixed seed.  Raises NumericFailure if any evaluation
-    stops being finite.
-    """
-    u = float(u)
-    if u < 0:
-        raise ValueError("u must be nonnegative")
-    if samples < 1:
-        raise ValueError("need at least one sample")
-    if u == 0.0:
-        return 0.0
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(samples):
-        x = sample_ball(rng, E.dim, radius=radius, norm=norm)
-        y = unit_direction(rng, E.dim, norm=norm)
-        second = E(x + u * y) + E(x - u * y) - 2.0 * E(x)
-        if not math.isfinite(second):
-            raise NumericFailure("objective overflowed while sampling the modulus")
-        worst = max(worst, 0.5 * abs(second))
-    return worst
-
-
 def smoothness_gap_check(E, x, y, u, majorant=None, tol=1e-9, norm=EUCLIDEAN):
     """Two-sided check of the convexity/smoothness sandwich along a ray.
 
     The increment E(x + u y) - E(x) - u <E'(x), y> must be nonnegative
     (convexity) and at most 2 mu(u ||y||) (smoothness), both within ``tol``.
     Returns True/False, or None when x lies outside the objective's declared
-    region or u ||y|| exceeds the majorant domain, where the bound is not
-    asserted.
+    region, where the bound is not asserted.
     """
     majorant = majorant if majorant is not None else E.majorant
     x = as_vector(x, E.dim)
@@ -267,11 +203,8 @@ def smoothness_gap_check(E, x, y, u, majorant=None, tol=1e-9, norm=EUCLIDEAN):
         raise ValueError("direction must be nonzero")
     if lp_norm(x, norm) > E.region_radius:
         return None
-    scaled = abs(float(u)) * ny
-    if scaled > majorant.domain_bound:
-        return None
     gap = E(x + u * y) - E(x) - u * pairing(E.gradient(x), y)
-    return bool(-tol <= gap <= 2.0 * majorant(scaled) + tol)
+    return bool(-tol <= gap <= 2.0 * majorant(abs(float(u)) * ny) + tol)
 
 
 def finite_difference_gradient_check(E, x, h=1e-5, tol=1e-6):
@@ -301,8 +234,8 @@ class SmoothnessWitness:
 
 def majorant_domination_witness(E, samples=200, seed=0, tol=1e-9,
                                 norm=EUCLIDEAN):
-    """Sweep 8 scales u from 1e-3 to min(2, domain bound) and record any
-    sampled point whose second difference exceeds the declared majorant.
+    """Sweep 8 scales u from 1e-3 to 2 and record any sampled point whose
+    second difference exceeds the declared majorant.
 
     The sweep is evidence, not proof: an empty violation list certifies the
     majorant only at the sampled points.
@@ -310,7 +243,7 @@ def majorant_domination_witness(E, samples=200, seed=0, tol=1e-9,
     majorant = E.majorant
     rng = np.random.default_rng(seed)
     violations = []
-    for u in np.geomspace(1e-3, min(2.0, majorant.domain_bound), 8):
+    for u in np.geomspace(1e-3, 2.0, 8):
         u = float(u)
         bound = majorant(u)
         for _ in range(samples):

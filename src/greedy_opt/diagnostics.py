@@ -30,8 +30,6 @@ __all__ = [
     "claim_verdict",
     "smallest_dominating_constant",
     "bound_holds",
-    "SummabilityReport",
-    "summability_report",
 ]
 
 
@@ -253,8 +251,10 @@ def _check_fixed_schedule(v, trace, algorithm):
     A fixed-coefficient scheme at constant t, a power majorant, a power
     schedule c_k = c k^-s, and the series budget gamma * sum_k mu(c_k) <= 1
     (s lies in (0, 1] by CoefficientSequence.power, so sum_k c_k diverges, the
-    required mass condition).  Returns (q, c, s, t), or None when a missing
-    piece leaves nothing further to check.
+    required mass condition).  The budget lands in the verdict's details as
+    ``mu_series_budget``, None when it is not finite (the series diverges for
+    s q <= 1).  Returns (q, c, s, t), or None when a missing piece leaves
+    nothing further to check.
     """
     if algorithm not in ("GGA_FIXED", "EGA", "GBE"):
         _fail(v, f"algorithm {algorithm} is not a fixed-coefficient scheme")
@@ -273,7 +273,7 @@ def _check_fixed_schedule(v, trace, algorithm):
     gamma, q = mu
     c, s = float(coeffs["c"]), float(coeffs["s"])
     budget = gamma * c**q * _power_series_sum(s * q)
-    v.details["mu_series_budget"] = budget
+    v.details["mu_series_budget"] = budget if math.isfinite(budget) else None
     if not budget <= 1.0 + 1e-12:
         _fail(v, f"sum of mu(c_k) bounded by {budget:.6g} > 1")
     t = float(ts[0]) if ts is not None and len(ts) else 1.0
@@ -395,55 +395,3 @@ def _check_hull(v, trace, hull_radius):
                  f"{hull_radius:.6g}")
     elif where == UNVERIFIABLE:
         v.notes.append("hull membership of the minimizer not verified")
-
-
-@dataclass
-class SummabilityReport:
-    """Partial-sum growth of step masses and mass-weighted scores.
-
-    Growth labels compare the whole sum against its value a decade of
-    iterations earlier; a heuristic, clearly not a proof of (non)summability.
-    ``min_weighted_score`` is min over n of (sum_{j<=n} c_j) * score(G_n), the
-    quantity a convergent run drives toward zero.
-    """
-
-    sum_c: np.ndarray
-    sum_cED: np.ndarray
-    sum_c_class: str
-    sum_cED_class: str
-    min_weighted_score: float | None
-    argmin_weighted: int | None
-
-    def describe(self):
-        return {"sum_c_class": self.sum_c_class,
-                "sum_cED_class": self.sum_cED_class,
-                "min_weighted_score": self.min_weighted_score,
-                "argmin_weighted": self.argmin_weighted}
-
-
-def _classify_growth(series):
-    n = len(series)
-    if n < 10:
-        return "too-short"
-    earlier = series[n // 10 - 1]
-    if earlier <= 0:
-        return "diverging-looking" if series[-1] > 0 else "bounded-looking"
-    return "diverging-looking" if series[-1] / earlier >= 1.05 else "bounded-looking"
-
-
-def summability_report(trace):
-    if len(trace) == 0:
-        return SummabilityReport(np.array([]), np.array([]), "empty", "empty",
-                                 None, None)
-    sum_c = np.asarray(trace.sum_c, dtype=float)
-    sum_ced = np.asarray(trace.sum_cED, dtype=float)
-    weighted = sum_c * np.asarray(trace.ED, dtype=float)
-    k = int(np.argmin(weighted))
-    return SummabilityReport(
-        sum_c=sum_c,
-        sum_cED=sum_ced,
-        sum_c_class=_classify_growth(sum_c),
-        sum_cED_class=_classify_growth(sum_ced),
-        min_weighted_score=float(weighted[k]),
-        argmin_weighted=k + 1,
-    )

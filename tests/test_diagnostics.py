@@ -1,4 +1,4 @@
-"""Rate fits, claim verdicts, and summability reports."""
+"""Rate fits, claim verdicts, and the partial sums of a trace."""
 
 import numpy as np
 import pytest
@@ -21,7 +21,6 @@ from greedy_opt import (
     run_gega,
     run_gga_adaptive,
     run_gga_fixed,
-    summability_report,
 )
 from greedy_opt.diagnostics import bound_holds, smallest_dominating_constant
 from greedy_opt.instances import quadratic_2d, quadratic_geometric
@@ -205,30 +204,30 @@ class TestClaimVerdicts:
 
 
 class TestSummability:
+    """The partial sums sum_c and sum_cED that the trace derives from c_m
+    and E_D."""
+
     def test_unit_coefficients_diverge(self):
         E = quadratic_objective([30.5, 40.25])
         trace = run_gga_fixed(E, FiniteDictionary.coordinate(2), 1.0,
                               CoefficientSequence.explicit([1.0] * 100),
                               StopRule(max_iter=100))
-        report = summability_report(trace)
-        np.testing.assert_allclose(report.sum_c,
+        np.testing.assert_allclose(trace.sum_c,
                                    np.arange(1, 101, dtype=float), rtol=1e-15)
-        assert report.sum_c_class == "diverging-looking"
 
     def test_min_weighted_score_shrinks_on_convergent_run(self):
+        """min over n of (sum_{j<=n} c_j) * score(G_n) is driven toward zero."""
         E = quadratic_2d()
         trace = run_gga_adaptive(E, FiniteDictionary.coordinate(2), 1.0, 0.5,
                                  StopRule(max_iter=200))
-        report = summability_report(trace)
-        first_weighted = trace.sum_c[0] * trace.ED[0]
-        assert report.min_weighted_score < first_weighted
-        assert report.argmin_weighted > len(trace) // 2
+        weighted = np.asarray(trace.sum_c) * np.asarray(trace.ED)
+        assert weighted.min() < weighted[0]
+        assert int(np.argmin(weighted)) + 1 > len(trace) // 2
 
     def test_empty_trace_empty_report(self):
         E = quadratic_objective([0.0, 0.0])
         trace = run_gga_fixed(E, FiniteDictionary.coordinate(2), 1.0,
                               CoefficientSequence.explicit([1.0]),
                               StopRule(max_iter=1))
-        report = summability_report(trace)
-        assert report.sum_c_class == "empty"
-        assert report.min_weighted_score is None
+        assert len(trace) == 0
+        assert trace.sum_c == [] and trace.sum_cED == [] and trace.A == []

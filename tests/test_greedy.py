@@ -162,23 +162,6 @@ class TestSolveStepsize:
         for slope in (1e-3, 1e-9, 1e-15):
             assert solve_stepsize(mu, slope) == slope / 0.5
 
-    def test_closed_form_versus_bisection(self):
-        """Power law solved both ways must agree to 1e-12 relative."""
-        for gamma in (0.25, 0.5, 2.0):
-            for q in (1.5, 1.8, 2.0):
-                tab = Majorant.tabulated(lambda u, g=gamma, qq=q: g * u**qq,
-                                         domain_bound=1e6)
-                pow_ = Majorant.power(gamma, q)
-                for slope in (1e-4, 0.1, 0.5, 3.0):
-                    closed = solve_stepsize(pow_, slope)
-                    bisected = solve_stepsize(tab, slope)
-                    assert abs(closed - bisected) <= 1e-12 * closed
-
-    def test_no_solution_returns_none(self):
-        # mu(u)/u = u/(1+u) < 1 everywhere, so slope 2 is unreachable
-        tab = Majorant.tabulated(lambda u: u * u / (1.0 + u), domain_bound=1e3)
-        assert solve_stepsize(tab, 2.0) is None
-
     def test_nonpositive_slope_is_a_caller_bug(self):
         with pytest.raises(ValueError):
             solve_stepsize(Majorant.power(0.5, 2.0), 0.0)
@@ -236,6 +219,21 @@ class TestLineSearch:
         assert res.c == float.fromhex("0x1.d4bf02bb7b124p+16")
         assert not res.clamped
         assert line_search_exact(E, x, d) == res
+
+    def test_bisection_runs_until_the_bracket_closes(self):
+        """With tol 0 and the root at 1e-300, every midpoint of [0, 1] towards
+        the root lies strictly inside the bracket, so only the bracket's
+        width may end the search.  After d0, the probe at 1 and 1049
+        halvings, down to the float spacing 2**-1049 there, the midpoint is
+        the float 1e-300, where the computed derivative is exactly zero.  A
+        cap of 200 halvings stopped at 3.1e-61."""
+        E = quadratic_objective([1e-300, 0.0])
+        x, d = np.zeros(2), np.array([1.0, 0.0])
+        calls = []
+        res = line_search_exact(plain(E, calls), x, d, tol=0.0)
+        assert res.c == 1e-300 and not res.clamped
+        assert len(calls) == 1 + 1 + 1049
+        assert line_search_exact(E, x, d, tol=0.0) == res
 
 
 class TestLineSearchReplay:
@@ -454,16 +452,6 @@ class TestRunGgaAdaptive:
                              majorant=Majorant.power(0.05, 2.0))
         assert err.value.iteration == 1
         np.testing.assert_allclose(err.value.observed, 32.5, rtol=1e-12)
-
-    def test_unit_step_fallback_flagged(self):
-        # mu(u)/u = min(u/2, 0.05) is capped below the slope, so c falls back to 1
-        E = quadratic_objective([5.0, 0.0])
-        mu = Majorant.tabulated(lambda u: u * min(0.5 * u, 0.05),
-                                domain_bound=100.0)
-        trace = run_gga_adaptive(E, FiniteDictionary.coordinate(2), 1.0, 0.5,
-                                 StopRule(max_iter=1), majorant=mu)
-        assert "unit-step-fallback" in trace.flags[0]
-        assert trace.c[0] == 1.0
 
     def test_first_above_scans_no_more_than_argmax(self, monkeypatch):
         """One screened pass per selection, and the run of a full-scan loop."""

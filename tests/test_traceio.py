@@ -15,7 +15,8 @@ from greedy_opt import (
 )
 from greedy_opt.dictionaries import Atom
 from greedy_opt.instances import logistic_20x5
-from greedy_opt.traceio import TRACE_COLUMNS, read_trace_csv, trace_csv_text
+from greedy_opt.traceio import (TRACE_COLUMNS, manifest_text, read_trace_csv,
+                                trace_csv_text)
 
 
 def oracle_csv(trace):
@@ -134,3 +135,9 @@ def test_ragged_trace_raises():
     trace.flags.pop()
     with pytest.raises(ValueError):
         trace_csv_text(trace)
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+def test_manifest_text_refuses_non_finite_numbers(value):
+    with pytest.raises(ValueError):
+        manifest_text({"results": {"final_gap": value}})
