@@ -71,6 +71,10 @@ def _load_json(path):
                              parse_constant=_finite_number)
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}")
+    except OSError as exc:  # a directory, no read permission
+        raise ConfigError(f"config file cannot be read: {exc}")
+    except RecursionError:
+        raise ConfigError(f"config is nested too deeply to read: {path}")
     except ValueError as exc:  # JSONDecodeError, a non-finite number, bad UTF-8
         raise ConfigError(f"config is not valid JSON: {exc}")
 

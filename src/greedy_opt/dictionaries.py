@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import (ETA, EUCLIDEAN, as_vector, dual_norm, higham_gamma,
+from .core import (ETA, EUCLIDEAN, U, as_vector, dual_norm, higham_gamma,
                    lp_norm, norm2)
 
 __all__ = [
@@ -200,7 +200,7 @@ class FiniteDictionary:
                 i = int(np.argmax(np.abs(pairs)))
                 return int(keep[i]), pairs[i]
         s = self.pairings(v)
-        j = int(np.argmax(np.abs(s)))  # the first NaN, if any
+        j = int(np.abs(s).argmax())  # the first NaN, if any
         return j, float(s[j])
 
     def _first_reaching(self, v, threshold):
@@ -225,8 +225,8 @@ class FiniteDictionary:
         return (int(hits[0]), float(s[hits[0]])) if hits.size else None
 
     def _lookahead_model(self, G, grad, c, curvature):
-        """``(q, e)``: models of E(G + c * (+-a_k)) - E(G) in the scan order
-        (q[2k] for (k, +), q[2k + 1] for (k, -)) and their certified slack;
+        """``(q, e)``: an array of models of E(G + c * (+-a_k)) - E(G) in the
+        scan order (q[2k] for (k, +), q[2k + 1] for (k, -)) and their slack;
         None when a bound is not finite (see argmin_atom_by_objective)."""
         n = self.dim
         n_eta = n * ETA
@@ -244,11 +244,12 @@ class FiniteDictionary:
              + 4.0 * n_eta * (1.0 + half) * f * f)
         if not math.isfinite(4.0 * ((half + 1.0) * B * B + A * gnorm + e)):
             return None
-        w = half * c * c
-        p = (grad if self.is_identity else self._atoms.T @ grad).tolist()
-        quad = [w * x for x in self._l2_sq.tolist()]
-        lin = [c * x for x in p]
-        return [v for a, b in zip(quad, lin) for v in (a + b, a - b)], e
+        quad = (half * c * c) * self._l2_sq
+        lin = c * (grad if self.is_identity else self._atoms.T @ grad)
+        q = np.empty(2 * self.size)
+        q[0::2] = quad + lin
+        q[1::2] = quad - lin
+        return q, e
 
     def resolve(self, atom):
         """Signed atom vector."""
@@ -332,6 +333,40 @@ def greedy_score(grad_neg, dictionary):
     return best, Atom(index=j, sign=sign)
 
 
+def gradient_stop_threshold(dictionary, gtol):
+    """A T such that a computed ``greedy_score`` value s > T proves
+    ``dual_norm(g, dictionary.norm) > gtol`` for the scored gradient g; inf
+    when no certificate is derived, so the caller computes the dual norm.
+
+    The sphere's score is that dual norm bit for bit (|-g| = |g|): T = gtol.
+    A finite dictionary with p = 2 and l = max_k fl(||a_k||_2) >= 1/2
+    (normalized atoms have l near 1) gets T = l (gtol (1 + kappa u) + tau),
+    kappa = 4n + 12, tau = 2 r, r = sqrt(n eta), with n = dim < 2^52 and u,
+    eta and gamma_n as in ``core.higham_gamma``.  Suppose
+    d = fl(sqrt(fl(<g, g>))) <= gtol.  Then fl(<g, g>) <= gtol^2 / (1 - u)^2
+    and ||g||_2^2 <= (gtol^2 / (1 - u)^2 + n eta) / (1 - gamma_n); the squares
+    behind l bound every exact ||a_k||_2^2 by (l^2 / (1 - u)^2 + n eta) /
+    (1 - gamma_n) alike.  Cauchy-Schwarz and the dot's rounding give
+    s <= (1 + gamma_n) ||a_j||_2 ||g||_2 + n eta, hence, with
+    K = (1 + gamma_n) / (1 - gamma_n),
+        s <= n eta + K (l / (1 - u) + r) (gtol / (1 - u) + r).
+    As l >= 1/2 and r <= u / 4, r gtol <= u l gtol / 2, so this is at most
+    l (K (1 + u) / (1 - u)^2 gtol + K r / (1 - u)) + (K + 1) r^2.  Forming T
+    rounds three times and may drop eta / 2 in a product; as
+    (1 + kappa u)(1 - u)^3 >= K (1 + u) / (1 - u)^2 and 2 r (1 - u)^3 covers
+    the rest, the computed T is at least that bound, so s > T contradicts
+    d <= gtol.  An inf or overflowing T only sends the caller to the dual
+    norm.  Other p would need bounds on the powers in ``lp_norm``: inf.
+    """
+    if isinstance(dictionary, SphereDictionary):
+        return gtol
+    n, top = dictionary.dim, dictionary._l2_max
+    if not (dictionary.norm.is_euclidean and top >= 0.5):
+        return math.inf
+    kappa = 4.0 * n + 12.0
+    return top * (gtol * (1.0 + kappa * U) + 2.0 * math.sqrt(n * ETA))
+
+
 def select_atom(grad_neg, dictionary, t=1.0, mode=ARGMAX, score=None):
     """Weak greedy selection: an atom whose pairing reaches t times the best score.
 
@@ -391,9 +426,11 @@ def argmin_atom_by_objective(E, G, c, dictionary, grad=None):
     values v, q(k*, s*) <= v(k*, s*) - F(G) + e <= v(j, t) - F(G) + e <=
     q(j, t) + 2e for every (j, t).  So every signed atom with q <= min q + 2e
     is kept, (k*, s*) and its ties among them, and only those are evaluated,
-    in the same order: atom and value are the full scan's, bit for bit.  The
-    cut uses 2e twice over, for the O(n u) relative error of the norms
-    (``core.norm2``, no overflow or underflow), of e and of the cut.  The full
+    in the same order: atom and value are the full scan's, bit for bit.  q is
+    formed elementwise by numpy, each operation rounding once as its scalar
+    form would; a minimum that is either signed zero gives the same cut, as
+    e > 0.  The cut uses 2e twice over, for the O(n u) relative error of the
+    norms (``core.norm2``, no overflow or underflow), of e and of the cut.  The full
     scan runs without a curvature, at c = 0 (every value is E(G)), and when e
     or the largest intermediate, (w + 1)(D + dx)^2 + A ||g||, is not finite,
     so an overflowing value still raises.  The curvature comes from E's
@@ -412,9 +449,8 @@ def argmin_atom_by_objective(E, G, c, dictionary, grad=None):
         order = itertools.product(range(dictionary.size), (1, -1))
     else:
         q, e = model
-        cut = min(q) + 4.0 * e
         order = [(k >> 1, -1 if k & 1 else 1)
-                 for k, v in enumerate(q) if v <= cut]
+                 for k in np.flatnonzero(q <= q.min() + 4.0 * e).tolist()]
     best_val = math.inf
     best_atom = None
     for j, sign in order:

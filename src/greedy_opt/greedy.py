@@ -23,6 +23,7 @@ from .dictionaries import (
     ARGMAX,
     SphereDictionary,
     argmin_atom_by_objective,
+    gradient_stop_threshold,
     greedy_score,
     select_atom,
 )
@@ -444,12 +445,14 @@ def _run(E, dictionary, stop, algorithm, step, tau=None, mode=ARGMAX,
     e0 = e_cur
     grad = E.gradient(G)
     gtol = stop.grad_tol if stop.grad_tol is not None else 1e-12 * (1.0 + abs(e0))
+    stop_above = gradient_stop_threshold(dictionary, gtol)
     score_val, score_atom = greedy_score(-grad, dictionary)
     trace = RunTrace(algorithm=algorithm, status="max-iter", E0=e0,
                      ED0=score_val, infimum=E.infimum, config=config,
                      t_used=None if tau is None else [])
     for m in range(1, stop.max_iter + 1):
-        if dual_norm(grad, dictionary.norm) <= gtol:
+        if (score_val <= stop_above
+                and dual_norm(grad, dictionary.norm) <= gtol):
             trace.status = "gradient"
             break
         if score_val <= 0.0:
@@ -458,7 +461,8 @@ def _run(E, dictionary, stop, algorithm, step, tau=None, mode=ARGMAX,
         if tau is None:
             t_m = None
             c_m, iter_flags = step(m, t_m, G, None, score_val)
-            atom, _ = argmin_atom_by_objective(E, G, c_m, dictionary, grad)
+            atom, e_new = argmin_atom_by_objective(E, G, c_m, dictionary,
+                                                   grad)
         else:
             t_m = tau(m)
             atom, _ = select_atom(-grad, dictionary, t=t_m, mode=mode,
@@ -466,7 +470,8 @@ def _run(E, dictionary, stop, algorithm, step, tau=None, mode=ARGMAX,
             c_m, iter_flags = step(m, t_m, G, atom, score_val)
         prev_e, prev_score = e_cur, score_val
         G = G + c_m * dictionary.resolve(atom)
-        e_cur = E(G)
+        # the scan evaluated E(G + (c sign) a), this E(G) bit for bit
+        e_cur = E(G) if tau is not None else e_new
         grad = E.gradient(G)
         score_val, score_atom = greedy_score(-grad, dictionary)
         if check is not None:

@@ -222,7 +222,8 @@ def p_power_objective(design, response, p):
 def logistic_objective(design, labels, region_radius=10.0):
     """E(x) = sum_i log(1 + exp(-y_i <row_i, x>)) with labels y_i in {-1, +1}.
 
-    q = 2 with the global curvature bound gamma = (1/8) sum ||row_i||_2^2, so
+    q = 2 with the global curvature bound gamma = (1/8) sum ||row_i||_2^2
+    + rows * dim * eta, which covers the squares that underflow, so
     ``region_radius`` only scopes where sampling sweeps look, not where the
     majorant holds.  No closed-form infimum; use ``reference_infimum``.
 
@@ -304,7 +305,10 @@ def logistic_objective(design, labels, region_radius=10.0):
             return -float(np.dot(a, s)), float(np.dot(a_sq, s - s * s))
         return model, slack
 
-    gamma = 0.125 * float(np.sum(A * A))
+    # Each square that underflows drops at most eta / 2, and so may 0.125
+    # times the sum; A.size * eta covers both, keeps gamma > 0 and leaves it
+    # unchanged whenever the sum is at least A.size * 2^-1017.
+    gamma = 0.125 * float(np.sum(A * A)) + A.size * ETA
     return Objective(
         dim, value, gradient,
         Majorant.power(gamma, 2.0),

@@ -290,6 +290,16 @@ class TestRunCommand:
         assert capsys.readouterr().err.startswith(
             "config error: config is not valid JSON: ")
 
+    def test_unreadable_config_exits_2(self, tmp_path, capsys):
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 100_000)
+        for cfg, message in ((tmp_path, "config file cannot be read: "),
+                             (deep, "config is nested too deeply to read: ")):
+            assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 2
+            assert capsys.readouterr().err.startswith(
+                "config error: " + message)
+        assert not (tmp_path / "o").exists()
+
     def test_manifest_is_strict_json(self, tmp_path):
         cfg = tmp_path / "config.json"
         write_config(cfg, diagnostics={"claims": list(ALL_CLAIMS)})
@@ -622,6 +632,26 @@ class TestSweepCommand:
                      str(out)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and literal in err
+        assert not out.exists()
+
+    def test_unreadable_config_or_grid_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "config.json"
+        write_config(cfg)
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps({"algorithm.b": [0.5]}))
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 100_000)
+        out = tmp_path / "s"
+        for args, message in (
+                ((tmp_path, grid), "config file cannot be read: "),
+                ((cfg, tmp_path), "config file cannot be read: "),
+                ((deep, grid), "config is nested too deeply to read: "),
+                ((cfg, deep), "config is nested too deeply to read: ")):
+            config, grid_path = args
+            assert main(["sweep", str(config), "--grid", str(grid_path),
+                         "--out", str(out)]) == 2
+            assert capsys.readouterr().err.startswith(
+                "config error: " + message)
         assert not out.exists()
 
     def test_empty_grid_exits_2(self, tmp_path):

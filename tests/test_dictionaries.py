@@ -24,6 +24,7 @@ from greedy_opt import (
     select_atom,
     with_majorant,
 )
+from greedy_opt.dictionaries import gradient_stop_threshold
 
 
 def naive_best_pairing(dictionary, v):
@@ -180,6 +181,66 @@ def naive_lookahead(E, G, c, dictionary):
             if value < best:
                 best, best_j, best_sign = value, j, sign
     return best, best_j, best_sign
+
+
+def scalar_lookahead_model(d, grad, c, curvature):
+    """The objective scan's model q in scalar Python arithmetic."""
+    w = 0.5 * curvature * c * c
+    p = (grad if d.is_identity else d._atoms.T @ grad).tolist()
+    quad = [w * x for x in d._l2_sq.tolist()]
+    lin = [c * x for x in p]
+    return [v for a, b in zip(quad, lin) for v in (a + b, a - b)]
+
+
+@st.composite
+def stop_cases(draw, csv_path):
+    """A dictionary, a gradient and a gradient tolerance for the stop test.
+
+    Gradients run from subnormal to near overflow; some are one-hot in the
+    range where their squares underflow (the score then exceeds the computed
+    dual norm), some are an atom itself.  Tolerances are 0, the default
+    1e-12 (1 + |E(0)|) for a drawn E(0), and the gradient's own dual norm,
+    one ulp either side of it, and a few ulps off.
+    """
+    kind = draw(st.sampled_from(("coordinate", "gaussian", "csv", "sphere")))
+    norm = NormTag(draw(st.sampled_from((1.5, 2.0, 3.0))))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "coordinate":
+        d = FiniteDictionary.coordinate(draw(st.integers(1, 8)), norm=norm)
+    elif kind == "gaussian":
+        d = FiniteDictionary.gaussian(draw(st.integers(1, 6)),
+                                      draw(st.integers(1, 8)),
+                                      seed=draw(st.integers(0, 99)), norm=norm)
+    elif kind == "csv":
+        d = FiniteDictionary.from_csv(csv_path, norm=norm)
+    else:
+        d = SphereDictionary(norm)
+    dim = d.dim or draw(st.integers(1, 8))
+    shape = draw(st.sampled_from(("scaled", "one-hot", "atom", "subnormal")))
+    if shape == "scaled":
+        exponent = draw(st.one_of(st.integers(-323, -150), st.integers(-20, 20),
+                                  st.integers(150, 308)))
+        g = rng.uniform(-1.0, 1.0, dim) * 10.0**exponent
+    elif shape == "one-hot":
+        g = np.zeros(dim)
+        g[rng.integers(dim)] = rng.uniform(1e-163, 1e-160)
+    elif shape == "atom" and kind != "sphere":
+        g = d.column(rng.integers(d.size)) * draw(st.sampled_from(
+            (1.0, -3.0, 1e-160, 1e150)))
+    else:
+        g = rng.integers(-2**20, 2**20, dim) * TINY
+    with np.errstate(over="ignore"):
+        dn = dual_norm(g, d.norm)
+    gtol = draw(st.sampled_from(("zero", "default", "near")))
+    if gtol == "zero":
+        gtol = 0.0
+    elif gtol == "default":
+        gtol = 1e-12 * (1.0 + abs(draw(st.floats(-1e6, 1e6))))
+    else:
+        gtol = draw(st.sampled_from((
+            dn, np.nextafter(dn, 0.0), np.nextafter(dn, np.inf),
+            dn * (1.0 - 1e-15), dn * (1.0 + 1e-15))))
+    return d, g, float(gtol)
 
 
 class TestConstruction:
@@ -560,6 +621,31 @@ class TestArgminAtom:
                 assert (abs(value - exact) + abs(Fraction(q[k]) - (exact - base))
                         <= Fraction(e))
 
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_array_model_matches_the_scalar_form_bitwise(self, tie_csv, data):
+        """q byte for byte, and the atoms the cut keeps, evaluated in order."""
+        E, d, G, c = data.draw(lookahead_cases(tie_csv))
+        grad = E.gradient(G)
+        model = d._lookahead_model(G, grad, c, E.curvature)
+        if model is None:
+            return
+        q, e = model
+        scalar = scalar_lookahead_model(d, grad, c, E.curvature)
+        assert_same_bits(q, np.array(scalar))
+        cut = min(scalar) + 4.0 * e
+        kept = [(k >> 1, -1 if k & 1 else 1)
+                for k, v in enumerate(scalar) if v <= cut]
+        if c == 0.0:
+            return  # the scan runs in full, without the model
+        calls = []
+        counted = Objective(E.dim, lambda x: calls.append(x.tobytes())
+                            or E._value(x), E._gradient, E.majorant,
+                            E.region_radius, curvature=E.curvature)
+        argmin_atom_by_objective(counted, G, c, d, grad)
+        assert calls == [(G + (c * sign) * d.column(j)).tobytes()
+                         for j, sign in kept]
+
     def test_screen_evaluates_one_atom_per_step_on_a_quadratic(self):
         from greedy_opt.greedy import StopRule, make_power_coefficients, run_ega
         from greedy_opt.instances import quadratic_geometric
@@ -571,6 +657,67 @@ class TestArgminAtom:
         d = FiniteDictionary.coordinate(64)
         coeffs = make_power_coefficients(1.0, 2.0, E.majorant.gamma)
         trace = run_ega(counted, d, coeffs, StopRule(max_iter=300))
-        # one value at G_0, one per step for the scan and one per new iterate
-        assert len(trace) == 300 and len(calls) == 1 + 2 * 300
+        # one value at G_0 and one per step, the scan's, reused as E(G_m)
+        assert len(trace) == 300 and len(calls) == 1 + 300
         assert trace.E == run_ega(E, d, coeffs, StopRule(max_iter=300)).E
+
+
+class TestGradientStopThreshold:
+    @settings(max_examples=600, deadline=None)
+    @given(data=st.data())
+    def test_a_score_above_the_threshold_proves_the_dual_norm_above_gtol(
+            self, tie_csv, data):
+        d, g, gtol = data.draw(stop_cases(tie_csv))
+        threshold = gradient_stop_threshold(d, gtol)
+        with np.errstate(over="ignore", invalid="ignore"):
+            try:
+                score, _ = greedy_score(-g, d)
+            except ValueError:  # an overflowing score raises before the test
+                return
+            dn = dual_norm(g, d.norm)
+        if isinstance(d, SphereDictionary):
+            assert threshold == gtol and score == dn
+        elif not d.norm.is_euclidean:
+            assert threshold == math.inf
+        # the loop's stop test and the dual norm's decide alike
+        assert (score <= threshold and dn <= gtol) == (dn <= gtol)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 64, 1000, 2**16])
+    def test_kappa_and_tau_bound_the_score_exactly(self, dim):
+        """T >= n eta + K sqrt((l^2/(1-u)^2 + n eta)(gtol^2/(1-u)^2 + n eta)),
+        checked in rationals, with the bound on the atoms' norms behind it."""
+        u, eta = Fraction(1, 2**53), Fraction(1, 2**1074)
+        gam = dim * u / (1 - dim * u)
+        K = (1 + gam) / (1 - gam)
+        rng = np.random.default_rng(dim)
+        dictionaries = [FiniteDictionary(np.ones((dim, 1)))]
+        if dim <= 64:
+            dictionaries += [FiniteDictionary.coordinate(dim),
+                             FiniteDictionary.gaussian(dim, 7, seed=dim),
+                             FiniteDictionary([[2.5e-162]] * dim)]
+        for d in dictionaries:
+            l = Fraction(d._l2_max)
+            for k in range(d.size):
+                exact = sum(Fraction(a) ** 2 for a in d.column(k))
+                assert exact * (1 - gam) <= l**2 / (1 - u) ** 2 + dim * eta
+            for gtol in (0.0, 5e-324, 1e-310, 2.2250738585072014e-308,
+                         1e-200, 2.2e-162, 1e-12, 1.0, 1e12, 1e300,
+                         float(rng.uniform(0.0, 1e-5)), 1.7e308):
+                threshold = gradient_stop_threshold(d, gtol)
+                if threshold == math.inf:
+                    continue
+                excess = Fraction(threshold) - dim * eta
+                g = Fraction(gtol)
+                assert excess >= 0 and excess**2 >= K**2 * (
+                    (l**2 / (1 - u) ** 2 + dim * eta)
+                    * (g**2 / (1 - u) ** 2 + dim * eta))
+
+    def test_no_certificate_off_the_euclidean_norm_or_for_short_atoms(self):
+        for p in (1.5, 3.0):
+            d = FiniteDictionary.coordinate(3, norm=NormTag(p))
+            assert gradient_stop_threshold(d, 1e-12) == math.inf
+        sphere = SphereDictionary(NormTag(3.0))
+        assert gradient_stop_threshold(sphere, 1e-12) == 1e-12
+        d = FiniteDictionary.coordinate(3)
+        d._l2_max = np.nextafter(0.5, 0.0)  # below the derivation's l >= 1/2
+        assert gradient_stop_threshold(d, 1e-12) == math.inf

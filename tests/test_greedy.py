@@ -16,6 +16,7 @@ from greedy_opt import (
     StopRule,
     WeaknessSequence,
     check_rate_bound,
+    dual_norm,
     iter_states,
     line_search_exact,
     logistic_objective,
@@ -406,6 +407,17 @@ class TestRunGgaFixed:
         full = run_gga_fixed(E, d, 1.0, cs, StopRule(max_iter=100))
         weak = run_gga_fixed(E, d, 0.3, cs, StopRule(max_iter=100))
         assert full.E == weak.E and full.c == weak.c
+
+    def test_certified_stop_tests_skip_the_dual_norm(self, monkeypatch):
+        """c05's instance: the score decides every gradient stop test."""
+        calls = []
+        monkeypatch.setattr(greedy_module, "dual_norm", lambda *args:
+                            calls.append(args) or dual_norm(*args))
+        E = quadratic_2d_unit_l1()
+        cs = make_power_coefficients(1.0, 2.0, E.majorant.gamma)
+        trace = run_gga_fixed(E, FiniteDictionary.coordinate(2), 1.0, cs,
+                              StopRule(max_iter=10_000))
+        assert trace.status == "max-iter" and calls == []
 
     def test_sublevel_confinement_under_summable_schedule(self):
         E = quadratic_2d_unit_l1()

@@ -123,6 +123,13 @@ class TestLogistic:
         np.testing.assert_allclose(E.gradient(np.zeros(3)), expected,
                                    rtol=1e-14)
 
+    def test_design_whose_squares_underflow_builds(self):
+        E = logistic_objective([[1e-170, 0.0], [0.0, 1e-170]], [1.0, -1.0])
+        assert E.majorant.gamma > 0.0
+        report = validate_objective(E)
+        assert all(report[key] for key in ("convexity", "supporting_hyperplane",
+                                           "gradient", "majorant_domination"))
+
     def test_labels_validated(self):
         with pytest.raises(ValueError):
             logistic_objective(np.eye(2), np.array([1.0, 0.5]))
