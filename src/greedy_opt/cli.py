@@ -187,8 +187,10 @@ def _mode(spec):
     return mode
 
 
-def execute_run(config, base_dir=".", max_iter_override=None, out_dir="."):
-    """Build everything from a config and run it.
+def execute_run(config, base_dir=".", max_iter_override=None, out_dir=".",
+                builds=None):
+    """Build everything from a config and run it.  ``builds``, a sweep's own
+    dict, keeps the objective and dictionary for its next point (``_build``).
 
     The one validation boundary: a ValueError, TypeError, KeyError,
     IndexError or OSError raised while building or running (a parameter out of
@@ -198,18 +200,40 @@ def execute_run(config, base_dir=".", max_iter_override=None, out_dir="."):
     Majorant violations and numeric failures pass through unchanged.
     """
     try:
-        return _execute_run(config, base_dir, max_iter_override, out_dir)
+        return _execute_run(config, base_dir, max_iter_override, out_dir,
+                            builds)
     except (ValueError, TypeError, KeyError, IndexError, OSError) as exc:
         message = f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)
         raise ConfigError(message) from exc
 
 
-def _execute_run(config, base_dir, max_iter_override, out_dir):
+def _build_key(spec, base_dir):
+    """Points whose specs and base directory agree build equal inputs."""
+    return str(base_dir), json.dumps(spec, sort_keys=True)
+
+
+def _build(builds, name, builder, spec, base_dir):
+    """``builder(spec, base_dir)``, kept in ``builds[name]`` while the key
+    holds.  The old build is dropped before the new one is made, so at most
+    one per name is alive; a build that raises is not kept."""
+    if builds is None:
+        return builder(spec, base_dir)
+    key = _build_key(spec, base_dir)
+    if name not in builds or builds[name][0] != key:
+        builds.pop(name, None)
+        builds[name] = (key, builder(spec, base_dir))
+    return builds[name][1]
+
+
+def _execute_run(config, base_dir, max_iter_override, out_dir, builds):
     _require(isinstance(config, dict)
              and config.get("schema") == SCHEMA_VERSION,
              f"config schema must be {SCHEMA_VERSION}")
-    objective = build_objective(config.get("objective"), base_dir)
-    dictionary = build_dictionary(config.get("dictionary"), base_dir)
+    # the builders are looked up here, at call time, so wrappers see them
+    objective = _build(builds, "objective", build_objective,
+                       config.get("objective"), base_dir)
+    dictionary = _build(builds, "dictionary", build_dictionary,
+                        config.get("dictionary"), base_dir)
     algo = config.get("algorithm")
     _require(isinstance(algo, dict) and "kind" in algo,
              "algorithm spec needs a 'kind'")
@@ -402,13 +426,13 @@ _SUMMARY_COLUMNS = ["status", "iterations", "final_E", "final_gap",
                    "fit_exponent"]
 
 
-def _sweep_one(index, config, base_dir, out_dir, max_iter):
+def _sweep_one(index, config, base_dir, out_dir, max_iter, builds):
     """The point's summary cells, read from its manifest's results."""
     run_dir = Path(out_dir) / f"run_{index:04d}"
     try:
         trace, manifest = execute_run(config, base_dir=base_dir,
                                       max_iter_override=max_iter,
-                                      out_dir=run_dir)
+                                      out_dir=run_dir, builds=builds)
         _write_outputs(trace, manifest, config, run_dir)
     except (ConfigError, MajorantViolationError, NumericFailure,
             FloatingPointError, OverflowError) as exc:
@@ -422,6 +446,7 @@ def _sweep_one(index, config, base_dir, out_dir, max_iter):
 
 def cmd_sweep(args):
     config = _unwrap_manifest(_load_json(args.config))
+    _require(isinstance(config, dict), "config must be a JSON object")
     grid = _load_json(args.grid)
     _require(isinstance(grid, dict) and grid, "grid must be a nonempty object")
     names = list(grid.keys())
@@ -432,16 +457,23 @@ def cmd_sweep(args):
     base_dir = Path(args.config).parent
     out = _out_dir(args.out)
 
-    lines = [",".join(["run"] + names + _SUMMARY_COLUMNS)]
-    succeeded = 0
-    for index, values in enumerate(points):
-        point = json.loads(json.dumps(config))  # deep copy
+    configs = [json.loads(json.dumps(config)) for _ in points]  # deep copies
+    for point, values in zip(configs, points):
         for name, value in zip(names, values):
             _set_by_path(point, name, value)
-        cells = _sweep_one(index, point, base_dir, out, args.max_iter)
-        succeeded += not cells[0].startswith("error")
+    # points that share their inputs run back to back, one build serving all
+    order = sorted(range(len(configs)), key=lambda i: tuple(
+        _build_key(configs[i].get(part), base_dir)
+        for part in ("objective", "dictionary")))
+    builds, cells = {}, [None] * len(configs)
+    for index in order:
+        cells[index] = _sweep_one(index, configs[index], base_dir, out,
+                                  args.max_iter, builds)
+    succeeded = sum(not row[0].startswith("error") for row in cells)
+    lines = [",".join(["run"] + names + _SUMMARY_COLUMNS)]
+    for index, values in enumerate(points):
         lines.append(",".join([str(index)] + [json.dumps(v) for v in values]
-                              + cells))
+                              + cells[index]))
     summary = out / "summary.csv"
     atomic_write_text(summary, "\n".join(lines) + "\n")
     print(f"sweep: {succeeded}/{len(points)} runs succeeded; summary {summary}")

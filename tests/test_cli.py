@@ -1,6 +1,8 @@
 """CLI surface: configs, exit codes, file outputs, sweeps."""
 
+import itertools
 import json
+import weakref
 
 import numpy as np
 import pytest
@@ -158,6 +160,44 @@ BAD_OUTPUTS = {
     "same-file": {"trace": "a/t.csv", "manifest": "a/./t.csv"},
     "manifest-inside-trace": {"trace": "x", "manifest": "x/m.json"},
 }
+
+
+def _shared_input_sweep(tmp_path):
+    """(config, grid) paths of a 2 x 2 sweep whose dictionary axis varies
+    fastest, as the benchmark's does: one objective, two dictionaries."""
+    cfg = tmp_path / "config.json"
+    write_config(cfg, dictionary={"kind": "gaussian", "dim": 2, "count": 6,
+                                  "seed": 3},
+                 stop={"max_iter": 40})
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps({"algorithm.kind": ["GGA_ADAPTIVE", "GEGA"],
+                                "dictionary.seed": [3, 4]}))
+    return cfg, grid
+
+
+def _assert_points_match_plain_runs(tmp_path, cfg, grid):
+    """Each sweep point's trace and manifest are the bytes a plain ``run``
+    of that point writes."""
+    out = tmp_path / "sweep"
+    assert main(["sweep", str(cfg), "--grid", str(grid), "--out",
+                 str(out)]) == 0
+    config, axes = json.loads(cfg.read_text()), json.loads(grid.read_text())
+    names = list(axes)
+    for index, values in enumerate(itertools.product(*axes.values())):
+        point = json.loads(json.dumps(config))
+        for name, value in zip(names, values):
+            node = point
+            *parents, last = name.split(".")
+            for key in parents:
+                node = node[key]
+            node[last] = value
+        point_cfg = tmp_path / f"point_{index}.json"
+        point_cfg.write_text(json.dumps(point))
+        plain = tmp_path / f"plain_{index}"
+        assert main(["run", str(point_cfg), "--out", str(plain)]) == 0
+        for name in ("trace.csv", "manifest.json"):
+            assert (plain / name).read_bytes() == \
+                (out / f"run_{index:04d}" / name).read_bytes()
 
 
 class TestRunCommand:
@@ -654,6 +694,25 @@ class TestSweepCommand:
                 "config error: " + message)
         assert not out.exists()
 
+    @pytest.mark.parametrize("text", ["[]", '"text"', "null", "3"])
+    def test_config_that_is_not_an_object_exits_2_before_any_run(
+            self, tmp_path, capsys, monkeypatch, text):
+        import greedy_opt.cli as cli
+
+        def no_solve(*args, **kwargs):
+            raise AssertionError("a run started")
+        monkeypatch.setattr(cli, "execute_run", no_solve)
+        cfg = tmp_path / "config.json"
+        cfg.write_text(text)
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps({"algorithm.b": [0.3, 0.6]}))
+        out = tmp_path / "s"
+        assert main(["sweep", str(cfg), "--grid", str(grid), "--out",
+                     str(out)]) == 2
+        assert capsys.readouterr().err.startswith(
+            "config error: config must be a JSON object")
+        assert not out.exists()
+
     def test_empty_grid_exits_2(self, tmp_path):
         cfg = tmp_path / "config.json"
         write_config(cfg)
@@ -667,13 +726,50 @@ class TestSweepCommand:
         write_config(cfg)
         grid = tmp_path / "grid.json"
         grid.write_text(json.dumps({"algorithm.b": [0.5]}))
-        out_run = tmp_path / "plain"
-        out_sweep = tmp_path / "sweep"
-        assert main(["run", str(cfg), "--out", str(out_run)]) == 0
+        _assert_points_match_plain_runs(tmp_path, cfg, grid)
+
+    def test_points_sharing_inputs_match_plain_runs(self, tmp_path):
+        _assert_points_match_plain_runs(tmp_path,
+                                        *_shared_input_sweep(tmp_path))
+
+    def test_each_distinct_input_is_built_once_per_sweep(self, tmp_path,
+                                                          monkeypatch):
+        import greedy_opt.cli as cli
+        calls = {"build_objective": 0, "build_dictionary": 0}
+
+        def counted(name):
+            build = getattr(cli, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return build(*args, **kwargs)
+            return wrapper
+        for name in calls:
+            monkeypatch.setattr(cli, name, counted(name))
+        cfg, grid = _shared_input_sweep(tmp_path)
+        for sweeps, out in ((1, "s1"), (2, "s2")):
+            assert main(["sweep", str(cfg), "--grid", str(grid), "--out",
+                         str(tmp_path / out)]) == 0
+            # a second sweep in the same process builds again: no build
+            # outlives the sweep that made it
+            assert calls == {"build_objective": sweeps,
+                             "build_dictionary": 2 * sweeps}
+
+    def test_one_dictionary_is_alive_at_a_time(self, tmp_path, monkeypatch):
+        import greedy_opt.cli as cli
+        build = cli.build_dictionary
+        refs, alive_at_build = [], []
+
+        def tracked(*args, **kwargs):
+            alive_at_build.append(sum(ref() is not None for ref in refs))
+            dictionary = build(*args, **kwargs)
+            refs.append(weakref.ref(dictionary))
+            return dictionary
+        monkeypatch.setattr(cli, "build_dictionary", tracked)
+        cfg, grid = _shared_input_sweep(tmp_path)
         assert main(["sweep", str(cfg), "--grid", str(grid), "--out",
-                     str(out_sweep)]) == 0
-        assert (out_run / "trace.csv").read_bytes() == \
-            (out_sweep / "run_0000" / "trace.csv").read_bytes()
+                     str(tmp_path / "s")]) == 0
+        assert alive_at_build == [0, 0]
 
     def test_failed_rows_are_recorded(self, tmp_path):
         cfg = tmp_path / "config.json"
@@ -708,16 +804,21 @@ class TestSweepCommand:
         cfg = tmp_path / "config.json"
         write_config(cfg, dictionary={"kind": "csv", "path": "atoms.csv"})
         grid = tmp_path / "grid.json"
+        # a build that raises is not kept: both points of its key fail
         grid.write_text(json.dumps({"dictionary.path": ["nope.csv",
-                                                        "atoms.csv"]}))
+                                                        "atoms.csv",
+                                                        "nope.csv"]}))
         out = tmp_path / "sweep"
         assert main(["sweep", str(cfg), "--grid", str(grid), "--out",
                      str(out)]) == 0
         lines = (out / "summary.csv").read_text().strip().split("\n")
-        assert len(lines) == 3
-        assert lines[1].split(",")[2] == "error: ConfigError"
+        assert len(lines) == 4
+        assert [line.split(",")[2] for line in lines[1:4:2]] == \
+            ["error: ConfigError"] * 2
         assert not lines[2].split(",")[2].startswith("error")
         assert (out / "run_0001" / "trace.csv").exists()
+        assert not (out / "run_0000").exists()
+        assert not (out / "run_0002").exists()
 
     @pytest.mark.parametrize("output", BAD_OUTPUTS.values(),
                              ids=BAD_OUTPUTS.keys())
