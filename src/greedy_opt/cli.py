@@ -115,12 +115,15 @@ def build_dictionary(spec, base_dir="."):
     norm = NormTag(spec.get("p", 2.0))
     if kind == "coordinate":
         _require("dim" in spec, "coordinate dictionary needs 'dim'")
-        return FiniteDictionary.coordinate(int(spec["dim"]), norm=norm)
+        _require(_is_integer(spec["dim"]), "dictionary.dim must be an integer")
+        return FiniteDictionary.coordinate(spec["dim"], norm=norm)
     if kind == "gaussian":
         for key in ("dim", "count", "seed"):
             _require(key in spec, f"gaussian dictionary needs {key!r}")
-        return FiniteDictionary.gaussian(int(spec["dim"]), int(spec["count"]),
-                                         int(spec["seed"]), norm=norm)
+            _require(_is_integer(spec[key]),
+                     f"dictionary.{key} must be an integer")
+        return FiniteDictionary.gaussian(spec["dim"], spec["count"],
+                                         spec["seed"], norm=norm)
     if kind == "csv":
         _require("path" in spec, "csv dictionary needs 'path'")
         return FiniteDictionary.from_csv(Path(base_dir) / spec["path"],
@@ -170,8 +173,9 @@ def build_majorant(spec):
 def build_stop(spec, max_iter_override=None):
     spec = {} if spec is None else spec
     _require(isinstance(spec, dict), "stop must be an object")
-    max_iter = int(max_iter_override if max_iter_override is not None
-                   else spec.get("max_iter", 1000))
+    max_iter = (max_iter_override if max_iter_override is not None
+                else spec.get("max_iter", 1000))
+    _require(_is_integer(max_iter), "stop.max_iter must be an integer")
     grad_tol = spec.get("grad_tol")
     target_gap = spec.get("target_gap")
     return StopRule(max_iter=max_iter,
@@ -453,6 +457,11 @@ def cmd_sweep(args):
     for name in names:
         _require(isinstance(grid[name], list) and grid[name],
                  f"grid entry {name!r} must be a nonempty list")
+    if args.max_iter is not None:  # the flag would fail every point
+        try:
+            StopRule(max_iter=args.max_iter)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
     points = list(itertools.product(*(grid[n] for n in names)))
     base_dir = Path(args.config).parent
     out = _out_dir(args.out)

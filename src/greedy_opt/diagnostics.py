@@ -8,6 +8,7 @@ falsifiable part.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -151,11 +152,13 @@ def bound_holds(gaps, bounds, C, start):
 _SERIES_TERMS = 1_000_000
 
 
+@functools.lru_cache(maxsize=64)
 def _power_series_sum(a):
     """Upper bound on sum_k k^-a: ``_SERIES_TERMS`` exact terms plus the
     integral tail.
 
-    Infinite for a <= 1, where the series diverges.
+    Infinite for a <= 1, where the series diverges.  Kept per exponent, so a
+    process sums the 10^6 terms once for each a it asks for.
     """
     if a <= 1.0:
         return math.inf

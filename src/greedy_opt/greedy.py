@@ -201,68 +201,75 @@ class LineSearchResult:
     clamped: bool = False
 
 
-def _derivative_signs(E, start, direction, bound):
-    """c -> the computed pairing(E'(start + c d), d), or a stand-in for it with
-    the same signs and zeros at every c in [0, bound].
+def _certified_signs(E, start, direction, bound):
+    """(neg, pos): every c in [0, bound] that ``line_search_exact`` queries
+    along ``direction`` has a computed derivative
+    deriv(c) = pairing(E'(start + c d), d) below zero if c <= neg and above
+    zero if c >= pos; (-inf, inf) without a section model.
 
-    The stand-in answers from E's section model (``Objective.section``)
-    wherever the model certifies the sign, and evaluates the gradient
-    elsewhere.  phi(c) = E(start + c d) is convex, so phi' never decreases;
-    if the computed model value at c_L is below -slack, phi'(c_L) is below
-    -(the derivative's own rounding bound), and then so is phi'(c) at every
-    c <= c_L: each computed derivative there is negative, and not zero.
-    Likewise above +slack at c_R.  Safeguarded Newton steps on the model,
-    inside [0, bound], tighten c_L and c_R from c = 0 until the model is
-    within the slack of zero; one more step gives the model's root c*.
-    Probes at c* -+ w, w = 1.1 slack / phi''(c*), growing fourfold at most
-    twice, then try to certify each side.  Only queries strictly between c_L
-    and c_R evaluate the gradient.
+    phi(c) = E(start + c d) is convex, so phi' never decreases.  If the
+    computed model value at c_L is below -s, with s a slack (see
+    ``Objective.section``) on an interval [0, C] that holds c_L, phi'(c_L)
+    is below -(the derivative's own rounding bound on it), and then so is
+    phi'(c) at every c in [0, c_L]: each computed derivative there is
+    negative, and not zero.  Likewise above +s at c_R for the queries in
+    [c_R, C].  Safeguarded Newton steps on the model, inside [0, bound],
+    tighten c_L and c_R from c = 0 under the slack of all of [-bound, bound]
+    until the model is within it of zero, or until the change in h over the
+    last step predicts that the next one lands within 1/128 of it.  One more
+    step gives the model's root c*.  Probes at c* -+ w, w = 1.1 s / h,
+    growing fourfold at most twice, then try to certify each side under the
+    slack s on [0, C], C the first doubling point (1, 2, 4, ..., capped at
+    ``bound``) at or above c*: the search stops doubling at C, or earlier,
+    as a query at or above c_R is positive, so it queries nothing above C.
     """
-    def deriv(c):
-        return pairing(E.gradient(start + c * direction), direction)
-
     section = None if E.section is None else E.section(start, direction,
                                                         bound)
-    if section is None:
-        return deriv
-    model, slack = section
     lo, hi = -math.inf, math.inf
-    c = 0.0
+    if section is None:
+        return lo, hi
+    model, slack, slack_on = section
+    c, last, near = 0.0, None, False
     for _ in range(16):
         m, h = model(c)
         if abs(m) <= slack:
+            near = h > 0.0
+            if near and lo < c - m / h < hi:
+                c -= m / h
             break
         if m < 0.0:
             lo = c
         else:
             hi = c
-        nxt = min(max(c - m / h, 0.0), bound) if h > 0.0 else math.nan
+        step = c - m / h if h > 0.0 else math.nan
+        nxt = min(max(step, 0.0), bound)
         if not lo < nxt < hi:
             nxt = 0.5 * (lo + hi)
             if not lo < nxt < hi:
                 break
+        elif (nxt == step and last is not None
+              and abs(h - last[1]) * (m / h) ** 2
+              <= abs(c - last[0]) * slack / 64.0):
+            c, near = nxt, True
+            break
+        last = c, h
         c = nxt
-    if abs(m) <= slack and h > 0.0:
-        nxt = c - m / h
-        if lo < nxt < hi:
-            c = nxt
-        w = 1.1 * slack / h
+    if near:
+        end = 1.0
+        while end < c and end < bound:
+            end *= 2.0
+        end = min(end, bound)
+        s = slack_on(end)
+        w = 1.1 * s / h
         for side in (-1.0, 1.0):
             for grow in (1.0, 4.0, 16.0):
                 p = c + side * grow * w
-                if not (lo < p < hi and 0.0 <= p <= bound):
+                if not (lo < p < hi and 0.0 <= p <= end):
                     break
-                if side * model(p)[0] > slack:
+                if side * model(p)[0] > s:
                     lo, hi = (p, hi) if side < 0.0 else (lo, p)
                     break
-
-    def sign(c):
-        if c <= lo:
-            return -1.0
-        if c >= hi:
-            return 1.0
-        return deriv(c)
-    return sign
+    return lo, hi
 
 
 def line_search_exact(E, start, direction, tol=1e-12, bound=None):
@@ -279,17 +286,25 @@ def line_search_exact(E, start, direction, tol=1e-12, bound=None):
 
     Every decision depends only on the sign of the computed derivative
     pairing(E'(start + c d), d) and on whether it is exactly zero.  An
-    objective with a section model gets those from ``_derivative_signs``,
-    which evaluates the gradient only where the model's certificate cannot
-    decide, so ``c`` and ``clamped`` equal a search that evaluates every
-    derivative, bit for bit, from a handful of gradients.
+    objective with a section model certifies those signs below and above
+    the points ``_certified_signs`` returns, so the gradient is evaluated
+    only between them, and ``c`` and ``clamped`` equal a search that
+    evaluates every derivative, bit for bit, from a handful of gradients.
     """
     if bound is None:
         bound = 2.0 * E.region_radius
     if bound <= 0:
         raise ValueError("bound must be positive")
 
-    deriv = _derivative_signs(E, start, direction, bound)
+    neg, pos = _certified_signs(E, start, direction, bound)
+
+    def deriv(c):
+        if c <= neg:
+            return -1.0
+        if c >= pos:
+            return 1.0
+        return pairing(E.gradient(start + c * direction), direction)
+
     d0 = deriv(0.0)
     if d0 == 0.0:
         return LineSearchResult(0.0)
@@ -314,13 +329,18 @@ def line_search_exact(E, start, direction, tol=1e-12, bound=None):
         mid = 0.5 * (lo + hi)
         if not lo < mid < hi:
             break
-        dm = deriv(mid)
-        if dm == 0.0:
-            return LineSearchResult(mid)
-        if dm < 0.0:
+        if mid <= neg:
             lo = mid
-        else:
+        elif mid >= pos:
             hi = mid
+        else:
+            dm = pairing(E.gradient(start + mid * direction), direction)
+            if dm == 0.0:
+                return LineSearchResult(mid)
+            if dm < 0.0:
+                lo = mid
+            else:
+                hi = mid
     return LineSearchResult(0.5 * (lo + hi))
 
 

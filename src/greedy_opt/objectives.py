@@ -48,13 +48,14 @@ class Objective:
     sets it, and the objective scan's screen relies on its value and gradient
     expressions.  ``section(x, d, bound)``, set by the quadratic and the
     logistic objective, models the section phi(c) = E(x + c d) for the line
-    search's replay.  It returns ``(model, slack)``, or None when a bound is
-    not finite: ``model(c)`` is ``(m, h)``, a computed phi'(c) and an estimate
-    of phi''(c), and for every |c| <= bound, with deriv(c) =
+    search's replay.  It returns ``(model, slack, slack_on)``, or None when a
+    bound is not finite: ``model(c)`` is ``(m, h)``, a computed phi'(c) and an
+    estimate of phi''(c), and with deriv(c) =
     ``pairing(E.gradient(x + c * d), d)`` as computed,
-    |deriv(c) - phi'(c)| + |m - phi'(c)| <= slack.  Both hooks come from the
-    definition, never from the majorant.  Evaluations that stop being finite
-    raise NumericFailure.
+    |deriv(c) - phi'(c)| + |m(c') - phi'(c')| <= slack for every c and c' in
+    [-bound, bound], and <= ``slack_on(C)`` for every c and c' in [0, C],
+    0 <= C <= bound.  Both hooks come from the definition, never from the
+    majorant.  Evaluations that stop being finite raise NumericFailure.
     """
 
     def __init__(self, dim, value, gradient, majorant, region_radius,
@@ -157,7 +158,8 @@ def quadratic_objective(target, scale=1.0):
             return None
         alpha, beta = float(np.dot(r, d)), float(np.dot(d, d))
         h = scale * beta
-        return (lambda c: (scale * (alpha + c * beta), h)), slack
+        return ((lambda c: (scale * (alpha + c * beta), h)), slack,
+                lambda c: slack)
 
     e0 = value(np.zeros_like(target))
     radius = lp_norm(target) + math.sqrt(2.0 * (e0 + 2.0) / scale)
@@ -229,35 +231,43 @@ def logistic_objective(design, labels, region_radius=10.0):
 
     Section.  Along x + c d, with a_i = y_i <row_i, d>, z_i = y_i <row_i, x>
     and sigma(t) = 1 / (1 + e^-t), phi'(c) = -sum_i a_i sigma(-(z_i + c a_i))
-    in the reals; two matvecs give a and z, and the model is
-    m = -fl(<a, 1 / (1 + exp(z + c a))>), with the estimate
-    h = <a^2, s (1 - s)> of phi''.  Let A have M rows and n columns,
-    C = bound,
-    b = |A| |d|, q = |A| |x| + C b (so |a_i| <= b_i and |z_i + c a_i| <= q_i
-    for |c| <= C), and gamma_k, u and eta as in ``core.higham_gamma``.
-    Assumed: numpy's exp and the exp and log1p inside its logaddexp are
-    within k = 4 ulp, a relative 2 k u; numpy's own validation sets
+    in the reals.  E, E' and the section at one x share the margins z, one
+    matvec kept in a one-entry memo keyed on x's bytes; a second matvec
+    gives a.  The model is m = -fl(<a, s>), s = 1 / (1 + exp(z + c a)), with
+    the estimate h = <a^2, s (1 - s)> of phi''.  Let A have M rows and n
+    columns, b = |A| |d| (so |a_i| <= b_i), and gamma_k, u and eta as in
+    ``core.higham_gamma``.  On [0, C], 0 <= C <= bound, let q = |A| |x| + C b
+    (so |z_i + c a_i| <= q_i), let S_i = sigma(-(z_i + C min(a_i, 0))) be
+    row i's largest sigmoid (sigma(-(z_i + c a_i)) is monotone in c, so it
+    peaks at c = 0 or c = C), and L_i = min(1/4, S_i).  Assumed: numpy's exp
+    and the exp and log1p inside its logaddexp are within k = 4 ulp, a
+    relative 2 k u; numpy's own validation sets
     (umath-validation-set-{exp,log1p}.csv) record at most 1 ulp, so k
-    carries a safety factor of 4.  To first order in u, for |c| <= C:
+    carries a safety factor of 4.  To first order in u, for c in [0, C]:
     - Arguments: x + c d, the matvec and the y_i factor put the gradient's
       z_i + c a_i within gamma_{n+2} q_i, and the model's within
-      gamma_{n+2} q_i too.  sigma(-t) is 1/4-Lipschitz.
+      gamma_{n+2} q_i too.  sigma(-t) has slope s (1 - s) <= min(1/4, s),
+      and between the two arguments s is within a factor 1 + O(u) of its
+      value at the exact one, at most S_i; so each sigmoid moves by at most
+      L_i gamma_{n+2} q_i.
     - Gradient sigmoid: the computed logaddexp(0, z) is L (1 +- (4k + 1) u),
       L the exact value, so exp(-L) comes within
       (4k + 1) u L e^-L + 2k u <= (4k + 1) u / e + 2k u of e^-L, as
       L e^-L <= 1/e.  Model sigmoid: within (2k + 2) u.  Both add up to
       below 25 u.
     - Sums: A^T (y s) and its dot with d, against the model's <a, s>, with
-      every s_i <= 1 (+ 2k u): 2 gamma_{M+n+1} sum_i b_i in all.
+      every s_i <= S_i (1 + O(u)): 2 gamma_{M+n+1} sum_i b_i S_i in all.
     - Underflow: |z| < 700 keeps every exp and log1p normal, so only the
       products of the matvecs, of c d and of c a underflow, each at most
       eta/2 off.  Summed through the factors each passes (at most 1/4 |a_i|
       times a row of |A|, |d_j| or 1), they stay below
-      (M + n + 1)(n + 1) eta (1 + r + C)(1 + sum b + ||d||_1), with r the
-      largest row l1 norm of A.
-    The slack is twice 2 gamma_{M+n+1} sum_i b_i +
-    sum_i |a_i| (25 u + gamma_{n+2} q_i / 2), plus the underflow term.  It is
-    None unless max q < 700 and every bound and intermediate is finite, so
+      (M + n + 1)(n + 1) eta (1 + r + bound)(1 + sum b + ||d||_1), with r
+      the largest row l1 norm of A.
+    ``slack_on(C)`` is twice 2 gamma_{M+n+1} sum_i b_i S_i +
+    sum_i |a_i| (25 u + 2 gamma_{n+2} L_i q_i), plus the underflow term.
+    The same with every S_i = 1 and C = bound covers every |c| <= bound and
+    needs no sigmoid: that is ``slack``.  The section is None unless
+    max q < 700 at C = bound and every bound and intermediate is finite, so
     no gradient the replay skips could overflow.
     """
     A = np.asarray(design, dtype=float)
@@ -271,30 +281,47 @@ def logistic_objective(design, labels, region_radius=10.0):
     row_l1 = float(absA.sum(axis=1).max())
     col_l1 = float(absA.sum(axis=0).max())
     gam_sums = 2.0 * higham_gamma(count + dim + 1)
-    gam_args = 0.5 * higham_gamma(dim + 2)
+    gam_lip = 2.0 * higham_gamma(dim + 2)
+    gam_args = 0.25 * gam_lip
     eta_terms = (count + dim + 1) * (dim + 1) * ETA
 
-    def value(x):
+    memo = [None]
+
+    def margins(x):
+        # z = y * (A @ x), read-only, from a one-entry memo keyed on x's
+        # bytes: E(x), E'(x) and the section at x share one matvec
+        x = np.asarray(x, dtype=float)
+        key = (x.shape, x.tobytes())
+        hit = memo[0]
+        if hit is not None and hit[0] == key:
+            return hit[1]
         z = yv * (A @ x)
-        return float(np.sum(np.logaddexp(0.0, -z)))
+        z.flags.writeable = False
+        memo[0] = (key, z)
+        return z
+
+    def value(x):
+        return float(np.sum(np.logaddexp(0.0, -margins(x))))
 
     def gradient(x):
-        z = yv * (A @ x)
         # sigmoid(-z) computed stably through logaddexp
-        s = np.exp(-np.logaddexp(0.0, z))
+        s = np.exp(-np.logaddexp(0.0, margins(x)))
         return -(A.T @ (yv * s))
 
     def section(x, d, bound):
-        abs_d = np.abs(d)
+        abs_d, abs_x = np.abs(d), np.abs(x)
         b = absA @ abs_d
-        q = absA @ np.abs(x) + bound * b
+        r = absA @ abs_x
         a = yv * (A @ d)
-        z = yv * (A @ x)
+        z = margins(x)
         b_sum, d_l1 = float(b.sum()), float(abs_d.sum())
+        abs_a = np.abs(a)
+        under = eta_terms * (1.0 + row_l1 + bound) * (1.0 + b_sum + d_l1)
+        q = r + bound * b
         slack = (2.0 * (gam_sums * b_sum
-                        + float(np.dot(np.abs(a), 25.0 * U + gam_args * q)))
-                 + eta_terms * (1.0 + row_l1 + bound) * (1.0 + b_sum + d_l1))
-        top = (float(np.max(np.abs(x))) + bound * float(abs_d.max())
+                        + float(np.dot(abs_a, 25.0 * U + gam_args * q)))
+                 + under)
+        top = (float(abs_x.max()) + bound * float(abs_d.max())
                + col_l1 * (1.0 + d_l1))
         if not (float(q.max()) < 700.0 and math.isfinite(4.0 * top + slack)):
             return None
@@ -303,7 +330,15 @@ def logistic_objective(design, labels, region_radius=10.0):
         def model(c):
             s = 1.0 / (1.0 + np.exp(z + c * a))
             return -float(np.dot(a, s)), float(np.dot(a_sq, s - s * s))
-        return model, slack
+
+        def slack_on(C):
+            S = 1.0 / (1.0 + np.exp(z + C * np.minimum(a, 0.0)))
+            L = np.minimum(S, 0.25)
+            return (2.0 * (gam_sums * float(np.dot(b, S))
+                           + float(np.dot(abs_a, 25.0 * U
+                                          + gam_lip * L * (r + C * b))))
+                    + under)
+        return model, slack, slack_on
 
     # Each square that underflows drops at most eta / 2, and so may 0.125
     # times the sum; A.size * eta covers both, keeps gamma > 0 and leaves it

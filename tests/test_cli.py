@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from greedy_opt.cli import main
-from greedy_opt.diagnostics import ALL_CLAIMS
+from greedy_opt.diagnostics import ALL_CLAIMS, _power_series_sum
 from greedy_opt.traceio import read_trace_csv
 
 
@@ -48,6 +48,7 @@ LOGISTIC = {"kind": "logistic", "design": [[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]],
             "labels": [1.0, -1.0, 1.0]}
 
 # each config is rejected by a library constructor or driver, never by the CLI
+# (but for max-iter-not-a-number, which the CLI's integer check now rejects)
 BAD_CONFIGS = {
     "schedule-shorter-than-run": {"algorithm": FIXED_SHORT_SCHEDULE},
     "nan-target": {"objective": {"kind": "quadratic",
@@ -70,6 +71,25 @@ BAD_CONFIGS = {
         "algorithm": {"kind": "GBE", "t": 1.0,
                       "coefficients": {"kind": "explicit",
                                        "values": [0.5, 0.0, 0.25]}}},
+}
+
+# an integer field given something else, and the field the message names;
+# int() truncated each of them, so each ran with exit 0
+NON_INTEGER_FIELDS = {
+    "max-iter-fraction": ({"stop": {"max_iter": 2.7}}, "stop.max_iter"),
+    "max-iter-true": ({"stop": {"max_iter": True}}, "stop.max_iter"),
+    "max-iter-whole-float": ({"stop": {"max_iter": 3.0}}, "stop.max_iter"),
+    "coordinate-dim-fraction": (
+        {"dictionary": {"kind": "coordinate", "dim": 2.5}}, "dictionary.dim"),
+    "gaussian-dim-string": (
+        {"dictionary": {"kind": "gaussian", "dim": "2", "count": 6,
+                        "seed": 3}}, "dictionary.dim"),
+    "gaussian-count-fraction": (
+        {"dictionary": {"kind": "gaussian", "dim": 2, "count": 6.5,
+                        "seed": 3}}, "dictionary.count"),
+    "gaussian-seed-true": (
+        {"dictionary": {"kind": "gaussian", "dim": 2, "count": 6,
+                        "seed": True}}, "dictionary.seed"),
 }
 
 
@@ -289,6 +309,18 @@ class TestRunCommand:
         assert err.startswith("config error: ")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("overrides,field", NON_INTEGER_FIELDS.values(),
+                             ids=NON_INTEGER_FIELDS.keys())
+    def test_non_integer_field_exits_2_before_the_solve(
+            self, tmp_path, capsys, overrides, field):
+        cfg = tmp_path / "config.json"
+        write_config(cfg, **overrides)
+        out = tmp_path / "o"
+        assert main(["run", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == \
+            f"config error: {field} must be an integer\n"
+        assert not (out / "trace.csv").exists()
+
     @pytest.mark.parametrize(
         "ref,path,bad", SHAPE_CASES,
         ids=[f"{r}-{'.'.join(map(str, p))}={json.dumps(b)}"
@@ -364,6 +396,27 @@ class TestRunCommand:
         assert verdict["details"]["mu_series_budget"] is None
         assert not verdict["preconditions_met"]
         assert verdict["reasons"] == ["sum of mu(c_k) bounded by inf > 1"]
+
+    def test_power_rule_runs_sum_their_series_once(self, tmp_path):
+        """The power-rule schedule and the fixed-summable-convergence budget
+        both ask for the series at s q = 4/3: two runs in one process sum its
+        10^6 terms once, and get the float a fresh sum gives."""
+        _power_series_sum.cache_clear()
+        cfg = tmp_path / "config.json"
+        write_config(cfg, algorithm={"kind": "GGA_FIXED", "tau": 1.0,
+                                     "coefficients": {"kind": "power-rule"}},
+                     stop={"max_iter": 20},
+                     diagnostics={"claims": [{"claim":
+                                              "fixed-summable-convergence",
+                                              "tolerance": 10.0}]})
+        for run in ("a", "b"):
+            assert main(["run", str(cfg), "--out", str(tmp_path / run)]) == 0
+        info = _power_series_sum.cache_info()
+        assert (info.misses, info.hits) == (1, 3)
+        manifest = json.loads((tmp_path / "b" / "manifest.json").read_text())
+        coefficients = manifest["run_config"]["coefficients"]
+        fresh = _power_series_sum.__wrapped__(coefficients["s"] * 2.0)
+        assert coefficients["series_bound"].hex() == fresh.hex()
 
     def test_gbe_records_its_schedule(self, tmp_path):
         cfg = tmp_path / "config.json"
@@ -785,6 +838,45 @@ class TestSweepCommand:
                      str(out)]) == 0
         lines = (out / "summary.csv").read_text().strip().split("\n")
         assert "error: MajorantViolationError" in lines[2]
+
+    def test_non_integer_max_iter_fails_its_row_only(self, tmp_path):
+        cfg = tmp_path / "config.json"
+        write_config(cfg)
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps({"stop.max_iter": [True, 3, 2.7]}))
+        out = tmp_path / "sweep"
+        assert main(["sweep", str(cfg), "--grid", str(grid), "--out",
+                     str(out)]) == 0
+        rows = [line.split(",")
+                for line in (out / "summary.csv").read_text().splitlines()]
+        assert [row[2:4] for row in rows[1:]] == [
+            ["error: ConfigError", ""], ["max-iter", "3"],
+            ["error: ConfigError", ""]]
+
+    def test_bad_max_iter_flag_exits_2_before_any_run(self, tmp_path, capsys,
+                                                     monkeypatch):
+        """``--max-iter`` applies to every point, so it is checked once, with
+        the message ``run`` gives, and no point runs."""
+        import greedy_opt.cli as cli
+
+        cfg = tmp_path / "config.json"
+        write_config(cfg)
+        assert main(["run", str(cfg), "--out", str(tmp_path / "r"),
+                     "--max-iter", "-5"]) == 2
+        message = capsys.readouterr().err
+        assert message == "config error: max_iter must be at least 1\n"
+
+        def no_solve(*args, **kwargs):
+            raise AssertionError("a run started")
+        monkeypatch.setattr(cli, "execute_run", no_solve)
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps({"algorithm.b": [0.3, 0.6]}))
+        out = tmp_path / "s"
+        for flag in ("-5", "0"):
+            assert main(["sweep", str(cfg), "--grid", str(grid), "--out",
+                         str(out), "--max-iter", flag]) == 2
+            assert capsys.readouterr().err == message
+        assert not out.exists()
 
     def test_short_schedule_fails_its_row_only(self, tmp_path):
         cfg = tmp_path / "config.json"

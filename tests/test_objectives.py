@@ -134,6 +134,39 @@ class TestLogistic:
         with pytest.raises(ValueError):
             logistic_objective(np.eye(2), np.array([1.0, 0.5]))
 
+    def test_shared_margins_follow_x_bytes(self):
+        """E, E' and the section share the margins y * (A x) through a memo
+        keyed on x's bytes: an x changed in place, an equal copy and a
+        -0.0 / +0.0 pair each get, bit for bit, what a fresh objective
+        computes."""
+        rng = np.random.default_rng(5)
+        design = rng.standard_normal((12, 4))
+        labels = np.where(rng.standard_normal(12) > 0, 1.0, -1.0)
+        d = np.array([0.0, 1.0, 0.0, -0.5])
+
+        def outputs(E, x):
+            model, slack, slack_on = E.section(x, d, 4.0)
+            grad = E.gradient(x)
+            out = (E(x).hex(), grad.tobytes(), model(0.25)[0].hex(),
+                   slack.hex(), slack_on(2.0).hex())
+            grad[:] = 7.0  # the caller's own array, not the memo's
+            return out
+
+        def fresh(x):
+            return outputs(logistic_objective(design, labels), x.copy())
+
+        E = logistic_objective(design, labels)
+        x = rng.standard_normal(4)
+        assert outputs(E, x) == fresh(x)
+        x[2] += 0.5
+        assert outputs(E, x) == fresh(x)
+        assert outputs(E, x.copy()) == fresh(x)
+        neg = np.array([-0.0, 1.0, 0.0, 2.0])
+        pos = np.array([0.0, 1.0, 0.0, 2.0])
+        E(neg)
+        assert outputs(E, pos) == fresh(pos)
+        assert outputs(E, neg) == fresh(neg)
+
 
 class TestContracts:
     @pytest.mark.parametrize("make", [
