@@ -47,7 +47,6 @@ from .diagnostics import (
 from .greedy import (
     CoefficientSequence,
     ExpansionState,
-    LineSearchResult,
     MajorantViolationError,
     RunTrace,
     StopRule,

@@ -3,7 +3,8 @@
 Configs are versioned JSON.  Exit codes: 0 success, 2 validation error,
 3 energy-inequality (majorant) violation, 4 numeric failure.  Parameter ranges
 are checked by the library constructors and drivers; ``execute_run`` turns any
-of their errors into a ConfigError, so the CLI itself checks only structure.
+of their errors into a ConfigError, so the CLI itself checks only structure
+and that integer and float fields hold finite JSON numbers of their kind.
 """
 
 from __future__ import annotations
@@ -94,17 +95,19 @@ def build_objective(spec, base_dir="."):
     kind = spec["kind"]
     if kind == "quadratic":
         _require("target" in spec, "quadratic objective needs a target")
-        return quadratic_objective(spec["target"],
-                                   scale=spec.get("scale", 1.0))
+        return quadratic_objective(
+            spec["target"], scale=_finite(spec.get("scale", 1.0),
+                                          "objective.scale"))
     if kind == "p_power":
         design = _array(spec, "design", base_dir)
         response = _array(spec, "response", base_dir, vector=True)
-        return p_power_objective(design, response, spec.get("p", 2.0))
+        return p_power_objective(design, response,
+                                 _finite(spec.get("p", 2.0), "objective.p"))
     if kind == "logistic":
         design = _array(spec, "design", base_dir)
         labels = _array(spec, "labels", base_dir, vector=True)
-        return logistic_objective(design, labels,
-                                  region_radius=spec.get("region_radius", 10.0))
+        return logistic_objective(design, labels, region_radius=_finite(
+            spec.get("region_radius", 10.0), "objective.region_radius"))
     raise ConfigError(f"unknown objective kind {kind!r}")
 
 
@@ -112,7 +115,7 @@ def build_dictionary(spec, base_dir="."):
     _require(isinstance(spec, dict) and "kind" in spec,
              "dictionary spec needs a 'kind'")
     kind = spec["kind"]
-    norm = NormTag(spec.get("p", 2.0))
+    norm = NormTag(_finite(spec.get("p", 2.0), "dictionary.p"))
     if kind == "coordinate":
         _require("dim" in spec, "coordinate dictionary needs 'dim'")
         _require(_is_integer(spec["dim"]), "dictionary.dim must be an integer")
@@ -133,15 +136,16 @@ def build_dictionary(spec, base_dir="."):
     raise ConfigError(f"unknown dictionary kind {kind!r}")
 
 
-def build_weakness(spec):
+def build_weakness(spec, field="tau"):
+    """A number or an object; ``field``, its config path, names it in
+    messages."""
     if spec is None:
         return WeaknessSequence.constant(1.0)
-    if isinstance(spec, (int, float)):
-        spec = {"kind": "constant", "t": spec}
-    _require(isinstance(spec, dict), "tau must be a number or an object")
+    if not isinstance(spec, dict):
+        return WeaknessSequence.constant(_finite(spec, field))
     kind = spec.get("kind", "constant")
     if kind == "constant":
-        return WeaknessSequence.constant(spec["t"])
+        return WeaknessSequence.constant(_finite(spec["t"], f"{field}.t"))
     if kind == "explicit":
         return WeaknessSequence.explicit(spec["values"])
     raise ConfigError(f"unknown weakness kind {kind!r}")
@@ -151,14 +155,19 @@ def build_coefficients(spec, objective):
     _require(isinstance(spec, dict) and "kind" in spec,
              "coefficient spec needs a 'kind'")
     kind = spec["kind"]
+
+    def number(key, default=None):
+        value = spec[key] if default is None else spec.get(key, default)
+        return _finite(value, f"algorithm.coefficients.{key}")
+
     if kind == "power":
-        return CoefficientSequence.power(spec["c"], spec["s"])
+        return CoefficientSequence.power(number("c"), number("s"))
     if kind == "explicit":
         return CoefficientSequence.explicit(spec["values"])
     if kind == "power-rule":
         mu = objective.majorant
-        return make_power_coefficients(spec.get("t", 1.0), spec.get("q", mu.q),
-                                       spec.get("gamma", mu.gamma))
+        return make_power_coefficients(number("t", 1.0), number("q", mu.q),
+                                       number("gamma", mu.gamma))
     raise ConfigError(f"unknown coefficient kind {kind!r}")
 
 
@@ -167,7 +176,8 @@ def build_majorant(spec):
         return None  # runner falls back to the objective's majorant
     _require(isinstance(spec, dict) and spec.get("kind") == "power",
              "majorant spec must be 'objective' or a power law")
-    return Majorant.power(spec["gamma"], spec["q"])
+    return Majorant.power(_finite(spec["gamma"], "algorithm.mu.gamma"),
+                          _finite(spec["q"], "algorithm.mu.q"))
 
 
 def build_stop(spec, max_iter_override=None):
@@ -176,12 +186,11 @@ def build_stop(spec, max_iter_override=None):
     max_iter = (max_iter_override if max_iter_override is not None
                 else spec.get("max_iter", 1000))
     _require(_is_integer(max_iter), "stop.max_iter must be an integer")
-    grad_tol = spec.get("grad_tol")
-    target_gap = spec.get("target_gap")
-    return StopRule(max_iter=max_iter,
-                    grad_tol=None if grad_tol is None else float(grad_tol),
-                    target_gap=None if target_gap is None
-                    else float(target_gap))
+    grad_tol, target_gap = (
+        None if spec.get(key) is None else _finite(spec[key], f"stop.{key}")
+        for key in ("grad_tol", "target_gap"))
+    return StopRule(max_iter=max_iter, grad_tol=grad_tol,
+                    target_gap=target_gap)
 
 
 def _mode(spec):
@@ -249,28 +258,31 @@ def _execute_run(config, base_dir, max_iter_override, out_dir, builds):
     _output_paths(config, out_dir)
     kind = algo["kind"]
 
+    weakness = "tau" if "tau" in algo else "t"
     if kind == "GBE":
         coeffs = build_coefficients(algo.get("coefficients"), objective)
-        trace = run_gbe(objective, dictionary, algo.get("t", 1.0), coeffs,
+        trace = run_gbe(objective, dictionary,
+                        _finite(algo.get("t", 1.0), "algorithm.t"), coeffs,
                         stop, mode=_mode(algo))
     elif kind == "EGA":
         coeffs = build_coefficients(algo.get("coefficients"), objective)
         trace = run_ega(objective, dictionary, coeffs, stop)
     elif kind == "GGA_FIXED":
-        tau = build_weakness(algo.get("tau", algo.get("t")))
+        tau = build_weakness(algo.get(weakness), f"algorithm.{weakness}")
         coeffs = build_coefficients(algo.get("coefficients"), objective)
         trace = run_gga_fixed(objective, dictionary, tau, coeffs, stop,
                               mode=_mode(algo))
     elif kind == "GGA_ADAPTIVE":
-        tau = build_weakness(algo.get("tau", algo.get("t")))
+        tau = build_weakness(algo.get(weakness), f"algorithm.{weakness}")
         mu = build_majorant(algo.get("mu", "objective"))
         trace = run_gga_adaptive(objective, dictionary, tau,
-                                 algo.get("b", 0.5), stop,
-                                 majorant=mu, mode=_mode(algo))
+                                 _finite(algo.get("b", 0.5), "algorithm.b"),
+                                 stop, majorant=mu, mode=_mode(algo))
     elif kind == "GEGA":
-        tau = build_weakness(algo.get("tau", algo.get("t")))
+        tau = build_weakness(algo.get(weakness), f"algorithm.{weakness}")
         trace = run_gega(objective, dictionary, tau, stop, mode=_mode(algo),
-                         line_tol=float(algo.get("line_tol", 1e-12)))
+                         line_tol=_finite(algo.get("line_tol", 1e-12),
+                                          "algorithm.line_tol"))
     else:
         raise ConfigError(f"unknown algorithm kind {kind!r}")
 
@@ -302,6 +314,16 @@ def _is_integer(value):
 
 def _is_number(value):
     return _is_integer(value) or isinstance(value, float)
+
+
+def _finite(value, field):
+    """A float field's value as a float.  Booleans, strings (even numeric
+    ones), NaN, infinities and integers beyond the floats are refused;
+    comparing with the largest float, unlike ``math.isfinite``, cannot
+    overflow on such an integer."""
+    _require(_is_number(value) and abs(value) <= sys.float_info.max,
+             f"{field} must be a finite number")
+    return float(value)
 
 
 def _fit_window(window):

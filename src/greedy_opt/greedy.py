@@ -34,7 +34,6 @@ __all__ = [
     "CoefficientSequence",
     "make_power_coefficients",
     "solve_stepsize",
-    "LineSearchResult",
     "line_search_exact",
     "MajorantViolationError",
     "ExpansionState",
@@ -195,12 +194,6 @@ def solve_stepsize(majorant, slope):
     return float((slope / majorant.gamma) ** (1.0 / (majorant.q - 1.0)))
 
 
-@dataclass(frozen=True)
-class LineSearchResult:
-    c: float
-    clamped: bool = False
-
-
 def _certified_signs(E, start, direction, bound):
     """(neg, pos): every c in [0, bound] that ``line_search_exact`` queries
     along ``direction`` has a computed derivative
@@ -273,7 +266,8 @@ def _certified_signs(E, start, direction, bound):
 
 
 def line_search_exact(E, start, direction, tol=1e-12, bound=None):
-    """Exact minimization of the convex section c -> E(start + c * direction).
+    """Exact minimization of the convex section c -> E(start + c * direction),
+    returned as the pair (c, clamped).
 
     Brackets by doubling from [0, 1] on the side the derivative points to
     (signed steps are allowed), then bisects on the directional derivative until
@@ -307,10 +301,11 @@ def line_search_exact(E, start, direction, tol=1e-12, bound=None):
 
     d0 = deriv(0.0)
     if d0 == 0.0:
-        return LineSearchResult(0.0)
+        return 0.0, False
     if d0 > 0.0:
-        res = line_search_exact(E, start, -direction, tol=tol, bound=bound)
-        return LineSearchResult(-res.c, res.clamped)
+        c, clamped = line_search_exact(E, start, -direction, tol=tol,
+                                       bound=bound)
+        return -c, clamped
 
     lo, hi = 0.0, 1.0
     while True:
@@ -318,30 +313,25 @@ def line_search_exact(E, start, direction, tol=1e-12, bound=None):
             hi = bound
         dh = deriv(hi)
         if dh == 0.0:
-            return LineSearchResult(hi)
+            return hi, False
         if dh > 0.0:
             break
         if hi >= bound:
-            return LineSearchResult(bound, True)
+            return bound, True
         lo, hi = hi, 2.0 * hi
 
     while hi - lo > 2.0 * tol:
         mid = 0.5 * (lo + hi)
         if not lo < mid < hi:
             break
-        if mid <= neg:
+        dm = deriv(mid)
+        if dm == 0.0:
+            return mid, False
+        if dm < 0.0:
             lo = mid
-        elif mid >= pos:
-            hi = mid
         else:
-            dm = pairing(E.gradient(start + mid * direction), direction)
-            if dm == 0.0:
-                return LineSearchResult(mid)
-            if dm < 0.0:
-                lo = mid
-            else:
-                hi = mid
-    return LineSearchResult(0.5 * (lo + hi))
+            hi = mid
+    return 0.5 * (lo + hi), False
 
 
 class MajorantViolationError(RuntimeError):
@@ -440,9 +430,11 @@ def _run(E, dictionary, stop, algorithm, step, tau=None, mode=ARGMAX,
 
     With a weakness ``tau`` (a WeaknessSequence, or a number for constant t),
     iteration m picks the atom by the weak-greedy rule against the negative
-    gradient at t_m = tau(m), then asks ``step(m, t_m, G, atom, score)`` for
-    (c_m, flags).  Without one it asks for c_m first and scans the objective
-    for the atom minimizing E(G + c_m * atom).
+    gradient at t_m = tau(m), resolves it once to its vector ``direction``
+    and asks ``step(m, t_m, G, direction, score)`` for (c_m, flags).  Without
+    one it asks ``step(m, None, G, None, score)`` for c_m first, scans the
+    objective for the atom minimizing E(G + c_m * atom), then resolves it.
+    Either way G_m = G + c_m * direction.
     ``check(m, t_m, E_prev, E_new, c_m, score_prev)`` may reject a finished
     step by raising.  The run config records the objective, dictionary, stop
     rule, algorithm, weakness and mode, plus ``params``.
@@ -483,13 +475,15 @@ def _run(E, dictionary, stop, algorithm, step, tau=None, mode=ARGMAX,
             c_m, iter_flags = step(m, t_m, G, None, score_val)
             atom, e_new = argmin_atom_by_objective(E, G, c_m, dictionary,
                                                    grad)
+            direction = dictionary.resolve(atom)
         else:
             t_m = tau(m)
             atom, _ = select_atom(-grad, dictionary, t=t_m, mode=mode,
                                   score=(score_val, score_atom))
-            c_m, iter_flags = step(m, t_m, G, atom, score_val)
+            direction = dictionary.resolve(atom)
+            c_m, iter_flags = step(m, t_m, G, direction, score_val)
         prev_e, prev_score = e_cur, score_val
-        G = G + c_m * dictionary.resolve(atom)
+        G = G + c_m * direction
         # the scan evaluated E(G + (c sign) a), this E(G) bit for bit
         e_cur = E(G) if tau is not None else e_new
         grad = E.gradient(G)
@@ -516,7 +510,7 @@ def _run(E, dictionary, stop, algorithm, step, tau=None, mode=ARGMAX,
 
 def _prescribed(rule, positive=False):
     """Step rule c_m = rule(m); ``positive`` rejects c_m <= 0."""
-    def step(m, t_m, G, atom, score):
+    def step(m, t_m, G, direction, score):
         c = float(rule(m))
         if positive and c <= 0:
             raise ValueError(f"coefficient rule must yield positive steps, "
@@ -572,7 +566,7 @@ def run_gga_adaptive(E, dictionary, tau, b, stop, majorant=None, mode=ARGMAX):
         raise ValueError("b must be in (0,1)")
     mu = majorant if majorant is not None else E.majorant
 
-    def step(m, t_m, G, atom, score):
+    def step(m, t_m, G, direction, score):
         return solve_stepsize(mu, 0.5 * t_m * b * score), []
 
     def check(m, t_m, prev_e, new_e, c_m, prev_score):
@@ -590,9 +584,9 @@ def run_gega(E, dictionary, tau, stop, mode=ARGMAX, line_tol=1e-12):
     The one-dimensional minimization runs over all real c (the dictionary is
     symmetric, so signed steps are legitimate); line-search clamping is flagged.
     """
-    def step(m, t_m, G, atom, score):
-        res = line_search_exact(E, G, dictionary.resolve(atom), tol=line_tol)
-        return float(res.c), ["clamped"] if res.clamped else []
+    def step(m, t_m, G, direction, score):
+        c, clamped = line_search_exact(E, G, direction, tol=line_tol)
+        return float(c), ["clamped"] if clamped else []
 
     return _run(E, dictionary, stop, "GEGA", step, tau, mode,
                 line_tol=line_tol)

@@ -93,15 +93,6 @@ class VerifyContext:
             write_trace_csv(trace, Path(self.out_dir) / name)
 
 
-_REFERENCE_CACHE = {}
-
-
-def _logistic_reference():
-    if "logistic-20x5" not in _REFERENCE_CACHE:
-        _REFERENCE_CACHE["logistic-20x5"] = reference_infimum(logistic_20x5())
-    return _REFERENCE_CACHE["logistic-20x5"]
-
-
 def _energy_inequality_ok(trace, b):
     """Recheck E(G_m) <= E(G_{m-1}) - t_m (1-b) c_m score(G_{m-1}) from the trace."""
     prev_e, prev_score = trace.E0, trace.ED0
@@ -365,7 +356,7 @@ def c09_exact_line_search_two_step(ctx):
 def c10_line_search_logistic_convergence(ctx):
     """Exact-line-search run closes the gap on the logistic instance."""
     E = logistic_20x5()
-    reference = _logistic_reference()
+    reference = reference_infimum(E)
     trace = run_gega(E, FiniteDictionary.coordinate(E.dim), 1.0,
                      StopRule(max_iter=10_000))
     ctx.write(trace, "c10_gega_logistic.csv")
@@ -451,10 +442,10 @@ def c11_oracle_equivalences(ctx):
             else:
                 x = rng.standard_normal(n) * (0.0, 0.1, 1.0, 3.0)[k % 4]
             tol = 0.0 if k % 4 == 3 else 1e-12
-            res = line_search_exact(objective, x, d, tol=tol)
-            ref = line_search_exact(bare, x, d, tol=tol)
-            if (res.c.hex(), res.clamped) != (ref.c.hex(), ref.clamped):
-                problems.append(f"line search mismatch: {res.c} vs {ref.c}")
+            c, clamped = line_search_exact(objective, x, d, tol=tol)
+            ref, ref_clamped = line_search_exact(bare, x, d, tol=tol)
+            if (c.hex(), clamped) != (ref.hex(), ref_clamped):
+                problems.append(f"line search mismatch: {c} vs {ref}")
                 break
 
     # rate fit on exact power laws

@@ -48,7 +48,8 @@ LOGISTIC = {"kind": "logistic", "design": [[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]],
             "labels": [1.0, -1.0, 1.0]}
 
 # each config is rejected by a library constructor or driver, never by the CLI
-# (but for max-iter-not-a-number, which the CLI's integer check now rejects)
+# (but for max-iter-not-a-number and scale-not-a-number, which the CLI's
+# integer and float checks now reject)
 BAD_CONFIGS = {
     "schedule-shorter-than-run": {"algorithm": FIXED_SHORT_SCHEDULE},
     "nan-target": {"objective": {"kind": "quadratic",
@@ -90,6 +91,79 @@ NON_INTEGER_FIELDS = {
     "gaussian-seed-true": (
         {"dictionary": {"kind": "gaussian", "dim": 2, "count": 6,
                         "seed": True}}, "dictionary.seed"),
+}
+
+POWER_RULE = {"kind": "power-rule", "t": 1.0, "q": 2.0, "gamma": 0.5}
+
+# a float field given something other than a finite number, and the field the
+# message names; "nan" and "inf" ran and then failed to write the manifest
+# (a traceback, exit 1), 10**400 ended in exit 4, the library's range checks
+# refused "t": "nan", "q": true and "p": true without naming the field, and
+# the others ran with exit 0
+NON_FINITE_FLOAT_FIELDS = {
+    "grad-tol-nan-string": ({"stop": {"max_iter": 5, "grad_tol": "nan"}},
+                            "stop.grad_tol"),
+    "target-gap-inf-string": ({"stop": {"max_iter": 5, "target_gap": "inf"}},
+                              "stop.target_gap"),
+    "line-tol-nan-string": (
+        {"algorithm": {"kind": "GEGA", "tau": 1.0, "line_tol": "nan"}},
+        "algorithm.line_tol"),
+    "line-tol-true": (
+        {"algorithm": {"kind": "GEGA", "tau": 1.0, "line_tol": True}},
+        "algorithm.line_tol"),
+    "b-numeric-string": ({"algorithm": {"kind": "GGA_ADAPTIVE", "b": "0.5"}},
+                         "algorithm.b"),
+    "gbe-t-true": (
+        {"algorithm": {"kind": "GBE", "t": True, "coefficients": {
+            "kind": "power", "c": 0.1, "s": 0.5}}}, "algorithm.t"),
+    "weakness-t-true": ({"algorithm": {"kind": "GEGA", "t": True}},
+                        "algorithm.t"),
+    "tau-true": ({"algorithm": {"kind": "GEGA", "tau": True}},
+                 "algorithm.tau"),
+    "tau-t-numeric-string": (
+        {"algorithm": {"kind": "GGA_ADAPTIVE", "b": 0.5,
+                       "tau": {"kind": "constant", "t": "1"}}},
+        "algorithm.tau.t"),
+    "power-c-numeric-string": (
+        {"algorithm": {"kind": "GGA_FIXED", "tau": 1.0, "coefficients": {
+            "kind": "power", "c": "0.1", "s": 0.5}}},
+        "algorithm.coefficients.c"),
+    "power-s-true": (
+        {"algorithm": {"kind": "GGA_FIXED", "tau": 1.0, "coefficients": {
+            "kind": "power", "c": 0.1, "s": True}}},
+        "algorithm.coefficients.s"),
+    "power-rule-t-nan-string": (
+        {"algorithm": {"kind": "EGA",
+                       "coefficients": dict(POWER_RULE, t="nan")}},
+        "algorithm.coefficients.t"),
+    "power-rule-q-numeric-string": (
+        {"algorithm": {"kind": "EGA",
+                       "coefficients": dict(POWER_RULE, q="2")}},
+        "algorithm.coefficients.q"),
+    "power-rule-gamma-true": (
+        {"algorithm": {"kind": "EGA",
+                       "coefficients": dict(POWER_RULE, gamma=True)}},
+        "algorithm.coefficients.gamma"),
+    "mu-gamma-numeric-string": (
+        {"algorithm": {"kind": "GGA_ADAPTIVE", "b": 0.5,
+                       "mu": {"kind": "power", "gamma": "0.5", "q": 2.0}}},
+        "algorithm.mu.gamma"),
+    "mu-q-true": (
+        {"algorithm": {"kind": "GGA_ADAPTIVE", "b": 0.5,
+                       "mu": {"kind": "power", "gamma": 0.5, "q": True}}},
+        "algorithm.mu.q"),
+    "scale-beyond-the-floats": (
+        {"objective": {"kind": "quadratic", "target": [0.5, 0.5],
+                       "scale": 10**400}}, "objective.scale"),
+    "objective-p-numeric-string": (
+        {"objective": {"kind": "p_power", "design": [[1.0, 0.0], [0.0, 1.0]],
+                       "response": [0.5, 0.5], "p": "1.5"}}, "objective.p"),
+    "region-radius-inf-string": (
+        {"objective": dict(LOGISTIC, region_radius="inf")},
+        "objective.region_radius"),
+    "dictionary-p-true": (
+        {"dictionary": {"kind": "coordinate", "dim": 2, "p": True}},
+        "dictionary.p"),
 }
 
 
@@ -319,6 +393,27 @@ class TestRunCommand:
         assert main(["run", str(cfg), "--out", str(out)]) == 2
         assert capsys.readouterr().err == \
             f"config error: {field} must be an integer\n"
+        assert not (out / "trace.csv").exists()
+
+    @pytest.mark.parametrize("overrides,field",
+                             NON_FINITE_FLOAT_FIELDS.values(),
+                             ids=NON_FINITE_FLOAT_FIELDS.keys())
+    def test_non_finite_float_field_exits_2_before_the_solve(
+            self, tmp_path, capsys, monkeypatch, overrides, field):
+        import greedy_opt.cli as cli
+
+        def no_solve(*args, **kwargs):
+            raise AssertionError("a run started")
+
+        for name in ("run_gbe", "run_ega", "run_gga_fixed",
+                     "run_gga_adaptive", "run_gega"):
+            monkeypatch.setattr(cli, name, no_solve)
+        cfg = tmp_path / "config.json"
+        write_config(cfg, **overrides)
+        out = tmp_path / "o"
+        assert main(["run", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == \
+            f"config error: {field} must be a finite number\n"
         assert not (out / "trace.csv").exists()
 
     @pytest.mark.parametrize(
@@ -852,6 +947,19 @@ class TestSweepCommand:
         assert [row[2:4] for row in rows[1:]] == [
             ["error: ConfigError", ""], ["max-iter", "3"],
             ["error: ConfigError", ""]]
+
+    def test_non_finite_grad_tol_fails_its_row_only(self, tmp_path):
+        cfg = tmp_path / "config.json"
+        write_config(cfg)
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps({"stop.grad_tol": ["nan", 0.0, True]}))
+        out = tmp_path / "sweep"
+        assert main(["sweep", str(cfg), "--grid", str(grid), "--out",
+                     str(out)]) == 0
+        rows = [line.split(",")
+                for line in (out / "summary.csv").read_text().splitlines()]
+        assert [row[2] for row in rows[1:]] == [
+            "error: ConfigError", "max-iter", "error: ConfigError"]
 
     def test_bad_max_iter_flag_exits_2_before_any_run(self, tmp_path, capsys,
                                                      monkeypatch):

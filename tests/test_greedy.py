@@ -1,5 +1,6 @@
 """Run drivers, scalar solvers, and expansion invariants."""
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -101,9 +102,9 @@ def sections(draw):
     x = rng.standard_normal(n) * draw(st.sampled_from((0.0, 0.1, 1.0, 5.0)))
     root = draw(st.sampled_from((None, None, 1.0, 2.0, 4.0)))
     if root is not None:
-        found = line_search_exact(plain(E), x, d, tol=0.0, bound=bound)
-        if not found.clamped:
-            x = x + (found.c - root * draw(st.sampled_from(
+        c, clamped = line_search_exact(plain(E), x, d, tol=0.0, bound=bound)
+        if not clamped:
+            x = x + (c - root * draw(st.sampled_from(
                 (1.0, 1.0 + 2.0**-40, 1.0 - 2.0**-40)))) * d
     return E, x, d, bound, (A, y)
 
@@ -182,18 +183,18 @@ class TestSolveStepsize:
 class TestLineSearch:
     def test_quadratic_vertex(self):
         E = quadratic_2d()
-        res = line_search_exact(E, np.zeros(2), np.array([0.0, 1.0]))
-        assert res.c == 2.0 and not res.clamped
+        c, clamped = line_search_exact(E, np.zeros(2), np.array([0.0, 1.0]))
+        assert c == 2.0 and not clamped
 
     def test_already_optimal_direction(self):
         E = quadratic_2d()
-        res = line_search_exact(E, np.array([0.0, 2.0]), np.array([0.0, 1.0]))
-        assert res.c == 0.0
+        c, _ = line_search_exact(E, np.array([0.0, 2.0]), np.array([0.0, 1.0]))
+        assert c == 0.0
 
     def test_negative_step(self):
         E = quadratic_2d()
-        res = line_search_exact(E, np.zeros(2), np.array([0.0, -1.0]))
-        assert res.c == -2.0
+        c, _ = line_search_exact(E, np.zeros(2), np.array([0.0, -1.0]))
+        assert c == -2.0
 
     def test_matches_analytic_vertex_on_random_quadratics(self):
         rng = np.random.default_rng(0)
@@ -203,16 +204,17 @@ class TestLineSearch:
             E = quadratic_objective(target, scale=scale)
             start = rng.standard_normal(4)
             direction = rng.standard_normal(4)
-            res = line_search_exact(E, start, direction, tol=1e-10)
+            c, _ = line_search_exact(E, start, direction, tol=1e-10)
             # vertex of g(c) = E(start + c d): c* = -g'(0)/g''
             g0 = scale * float(np.dot(start - target, direction))
             g2 = scale * float(np.dot(direction, direction))
-            assert abs(res.c - (-g0 / g2)) <= 1e-9
+            assert abs(c - (-g0 / g2)) <= 1e-9
 
     def test_clamped_when_derivative_never_turns(self):
         E = quadratic_objective([50.0, 0.0])
-        res = line_search_exact(E, np.zeros(2), np.array([1.0, 0.0]), bound=4.0)
-        assert res.clamped and res.c == 4.0
+        c, clamped = line_search_exact(E, np.zeros(2), np.array([1.0, 0.0]),
+                                       bound=4.0)
+        assert clamped and c == 4.0
 
     def test_bisection_stops_at_its_fixed_point(self):
         """Near 1.2e5 floats are 2**-36 apart, more than 2 tol, and no
@@ -226,11 +228,11 @@ class TestLineSearch:
         E = quadratic_objective(1.2e5 * d + rng.standard_normal(8))
         x = rng.standard_normal(8)
         calls = []
-        res = line_search_exact(plain(E, calls), x, d)
+        c, clamped = line_search_exact(plain(E, calls), x, d)
         assert len(calls) == 1 + 18 + 52
-        assert res.c == float.fromhex("0x1.d4bf02bb7b124p+16")
-        assert not res.clamped
-        assert line_search_exact(E, x, d) == res
+        assert c == float.fromhex("0x1.d4bf02bb7b124p+16")
+        assert not clamped
+        assert line_search_exact(E, x, d) == (c, clamped)
 
     def test_bisection_runs_until_the_bracket_closes(self):
         """With tol 0 and the root at 1e-300, every midpoint of [0, 1] towards
@@ -242,10 +244,10 @@ class TestLineSearch:
         E = quadratic_objective([1e-300, 0.0])
         x, d = np.zeros(2), np.array([1.0, 0.0])
         calls = []
-        res = line_search_exact(plain(E, calls), x, d, tol=0.0)
-        assert res.c == 1e-300 and not res.clamped
+        c, clamped = line_search_exact(plain(E, calls), x, d, tol=0.0)
+        assert c == 1e-300 and not clamped
         assert len(calls) == 1 + 1 + 1049
-        assert line_search_exact(E, x, d, tol=0.0) == res
+        assert line_search_exact(E, x, d, tol=0.0) == (c, clamped)
 
 
 class TestLineSearchReplay:
@@ -257,13 +259,15 @@ class TestLineSearchReplay:
            tol=st.sampled_from((1e-12, 1e-12, 0.25, 1e3, 1e-300, 0.0)))
     def test_replay_matches_plain_bisection_bitwise(self, case, tol):
         E, x, d, bound, _ = case
-        ref = line_search_exact(plain(E), x, d, tol=tol, bound=bound)
+        ref, ref_clamped = line_search_exact(plain(E), x, d, tol=tol,
+                                             bound=bound)
         # a declared majorant, even a wrong one, does not enter the model
         halved = with_majorant(E, Majorant.power(E.majorant.gamma / 2.0, 2.0))
         for objective in (E, halved):
-            res = line_search_exact(objective, x, d, tol=tol, bound=bound)
-            assert res.c.hex() == ref.c.hex()  # the sign of a zero too
-            assert res.clamped == ref.clamped
+            c, clamped = line_search_exact(objective, x, d, tol=tol,
+                                           bound=bound)
+            assert c.hex() == ref.hex()  # the sign of a zero too
+            assert clamped == ref_clamped
 
     @settings(max_examples=150, deadline=None)
     @given(case=sections(), data=st.data())
@@ -285,7 +289,10 @@ class TestLineSearchReplay:
             alpha = sum((Fraction(xi) - ti) * Fraction(di)
                         for xi, ti, di in zip(x, t, d))
             beta = sum(Fraction(di) ** 2 for di in d)
-            root = float(-alpha / beta) if beta else 0.0
+            try:
+                root = float(-alpha / beta) if beta else 0.0
+            except OverflowError:  # beyond the floats, so beyond any bound
+                root = math.copysign(math.inf, -alpha)
 
             def exact(cs):
                 return [s * (alpha + Fraction(c) * beta) for c in cs]
@@ -295,7 +302,7 @@ class TestLineSearchReplay:
             A, y = (v.astype(np.longdouble) for v in design)
             dl = d.astype(np.longdouble)
             a = y * (A @ dl)
-            root = line_search_exact(plain(E), x, d, tol=0.0, bound=bound).c
+            root, _ = line_search_exact(plain(E), x, d, tol=0.0, bound=bound)
 
             def exact(cs):
                 return [Fraction(float(-np.dot(a, 1.0 / (1.0 + np.exp(
@@ -398,9 +405,9 @@ class TestLineSearchReplay:
         calls = []
         counted = plain(E, calls)
         counted.section = E.section
-        res = line_search_exact(counted, x, d)
-        assert res == line_search_exact(plain(E), x, d)
-        assert res.c == 20.0 and res.clamped
+        c, clamped = line_search_exact(counted, x, d)
+        assert (c, clamped) == line_search_exact(plain(E), x, d)
+        assert c == 20.0 and clamped
         assert len(calls) == 4
 
     def test_gega_takes_a_handful_of_gradients_per_search(self):
@@ -660,6 +667,22 @@ class TestRunGega:
                          StopRule(max_iter=10))
         assert len(trace) == 2
         assert len(calls) == 1 + len(trace)
+
+    def test_each_atom_is_resolved_once(self, monkeypatch):
+        """The atom a step searches along is the atom it adds, so each
+        iteration resolves it once, for the line search and the update."""
+        calls = []
+        resolve = FiniteDictionary.resolve
+
+        def counted(dictionary, atom):
+            calls.append(atom)
+            return resolve(dictionary, atom)
+
+        monkeypatch.setattr(FiniteDictionary, "resolve", counted)
+        trace = run_gega(logistic_20x5(), FiniteDictionary.coordinate(5), 1.0,
+                         StopRule(max_iter=40))
+        assert len(calls) == len(trace) == 40
+        assert all(a is b for a, b in zip(calls, trace.atoms))
 
     def test_energy_never_increases(self):
         E = logistic_20x5()
