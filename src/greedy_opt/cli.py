@@ -81,23 +81,29 @@ def _load_json(path):
 
 
 def _array(spec, key, base_dir, vector=False):
-    """``spec[key]`` inline, or else read from the CSV file named by
-    ``spec[key + "_csv"]`` and flattened when ``vector``."""
+    """``spec[key]`` inline, its entries checked by ``_finite``, or else read
+    from the CSV file named by ``spec[key + "_csv"]`` and flattened when
+    ``vector``."""
     if key in spec:
-        return np.asarray(spec[key], dtype=float)
+        return np.asarray(_finite(spec[key], f"objective.{key}",
+                                  1 if vector else 2), dtype=float)
     data = read_csv_matrix(Path(base_dir) / spec[key + "_csv"])
     return data.reshape(-1) if vector else data
 
 
-def build_objective(spec, base_dir="."):
+def _kind(spec, what):
     _require(isinstance(spec, dict) and "kind" in spec,
-             "objective spec needs a 'kind'")
-    kind = spec["kind"]
+             f"{what} spec needs a 'kind'")
+    return spec["kind"]
+
+
+def build_objective(spec, base_dir="."):
+    kind = _kind(spec, "objective")
     if kind == "quadratic":
         _require("target" in spec, "quadratic objective needs a target")
         return quadratic_objective(
-            spec["target"], scale=_finite(spec.get("scale", 1.0),
-                                          "objective.scale"))
+            _finite(spec["target"], "objective.target", 1),
+            scale=_finite(spec.get("scale", 1.0), "objective.scale"))
     if kind == "p_power":
         design = _array(spec, "design", base_dir)
         response = _array(spec, "response", base_dir, vector=True)
@@ -112,9 +118,7 @@ def build_objective(spec, base_dir="."):
 
 
 def build_dictionary(spec, base_dir="."):
-    _require(isinstance(spec, dict) and "kind" in spec,
-             "dictionary spec needs a 'kind'")
-    kind = spec["kind"]
+    kind = _kind(spec, "dictionary")
     norm = NormTag(_finite(spec.get("p", 2.0), "dictionary.p"))
     if kind == "coordinate":
         _require("dim" in spec, "coordinate dictionary needs 'dim'")
@@ -137,24 +141,22 @@ def build_dictionary(spec, base_dir="."):
 
 
 def build_weakness(spec, field="tau"):
-    """A number or an object; ``field``, its config path, names it in
-    messages."""
-    if spec is None:
-        return WeaknessSequence.constant(1.0)
+    """A number, an object or None for t = 1; ``field``, its config path,
+    names it in messages."""
     if not isinstance(spec, dict):
-        return WeaknessSequence.constant(_finite(spec, field))
+        return WeaknessSequence.constant(_finite(1 if spec is None else spec,
+                                                 field))
     kind = spec.get("kind", "constant")
     if kind == "constant":
         return WeaknessSequence.constant(_finite(spec["t"], f"{field}.t"))
     if kind == "explicit":
-        return WeaknessSequence.explicit(spec["values"])
+        return WeaknessSequence.explicit(
+            _finite(spec["values"], f"{field}.values", 1))
     raise ConfigError(f"unknown weakness kind {kind!r}")
 
 
 def build_coefficients(spec, objective):
-    _require(isinstance(spec, dict) and "kind" in spec,
-             "coefficient spec needs a 'kind'")
-    kind = spec["kind"]
+    kind = _kind(spec, "coefficient")
 
     def number(key, default=None):
         value = spec[key] if default is None else spec.get(key, default)
@@ -163,7 +165,8 @@ def build_coefficients(spec, objective):
     if kind == "power":
         return CoefficientSequence.power(number("c"), number("s"))
     if kind == "explicit":
-        return CoefficientSequence.explicit(spec["values"])
+        return CoefficientSequence.explicit(
+            _finite(spec["values"], "algorithm.coefficients.values", 1))
     if kind == "power-rule":
         mu = objective.majorant
         return make_power_coefficients(number("t", 1.0), number("q", mu.q),
@@ -191,13 +194,6 @@ def build_stop(spec, max_iter_override=None):
         for key in ("grad_tol", "target_gap"))
     return StopRule(max_iter=max_iter, grad_tol=grad_tol,
                     target_gap=target_gap)
-
-
-def _mode(spec):
-    mode = spec.get("mode", ARGMAX)
-    _require(mode in (ARGMAX, FIRST_ABOVE),
-             f"mode must be {ARGMAX!r} or {FIRST_ABOVE!r}")
-    return mode
 
 
 def execute_run(config, base_dir=".", max_iter_override=None, out_dir=".",
@@ -239,8 +235,8 @@ def _build(builds, name, builder, spec, base_dir):
 
 
 def _execute_run(config, base_dir, max_iter_override, out_dir, builds):
-    _require(isinstance(config, dict)
-             and config.get("schema") == SCHEMA_VERSION,
+    _require(isinstance(config, dict) and _is_integer(config.get("schema"))
+             and config["schema"] == SCHEMA_VERSION,
              f"config schema must be {SCHEMA_VERSION}")
     # the builders are looked up here, at call time, so wrappers see them
     objective = _build(builds, "objective", build_objective,
@@ -248,39 +244,38 @@ def _execute_run(config, base_dir, max_iter_override, out_dir, builds):
     dictionary = _build(builds, "dictionary", build_dictionary,
                         config.get("dictionary"), base_dir)
     algo = config.get("algorithm")
-    _require(isinstance(algo, dict) and "kind" in algo,
-             "algorithm spec needs a 'kind'")
+    kind = _kind(algo, "algorithm")
     stop = build_stop(config.get("stop"), max_iter_override)
     diag = config.get("diagnostics") or {}
     _require(isinstance(diag, dict), "diagnostics must be an object")
     window = _fit_window(diag.get("fit_window"))
     claims = _claim_specs(diag.get("claims") or [])
     _output_paths(config, out_dir)
-    kind = algo["kind"]
 
-    weakness = "tau" if "tau" in algo else "t"
+    if kind != "EGA":  # a weak-greedy selection: its weakness and mode
+        key = "tau" if "tau" in algo else "t"
+        tau = build_weakness(algo.get(key), f"algorithm.{key}")
+        mode = algo.get("mode", ARGMAX)
+        _require(mode in (ARGMAX, FIRST_ABOVE),
+                 f"mode must be {ARGMAX!r} or {FIRST_ABOVE!r}")
+    if kind in ("GBE", "EGA", "GGA_FIXED"):  # a prescribed schedule
+        coeffs = build_coefficients(algo.get("coefficients"), objective)
     if kind == "GBE":
-        coeffs = build_coefficients(algo.get("coefficients"), objective)
-        trace = run_gbe(objective, dictionary,
-                        _finite(algo.get("t", 1.0), "algorithm.t"), coeffs,
-                        stop, mode=_mode(algo))
+        _require(tau.kind == "constant",
+                 f"algorithm.{key} must be a constant weakness for GBE")
+        trace = run_gbe(objective, dictionary, tau(1), coeffs, stop, mode=mode)
     elif kind == "EGA":
-        coeffs = build_coefficients(algo.get("coefficients"), objective)
         trace = run_ega(objective, dictionary, coeffs, stop)
     elif kind == "GGA_FIXED":
-        tau = build_weakness(algo.get(weakness), f"algorithm.{weakness}")
-        coeffs = build_coefficients(algo.get("coefficients"), objective)
         trace = run_gga_fixed(objective, dictionary, tau, coeffs, stop,
-                              mode=_mode(algo))
+                              mode=mode)
     elif kind == "GGA_ADAPTIVE":
-        tau = build_weakness(algo.get(weakness), f"algorithm.{weakness}")
-        mu = build_majorant(algo.get("mu", "objective"))
+        mu = build_majorant(algo.get("mu"))
         trace = run_gga_adaptive(objective, dictionary, tau,
                                  _finite(algo.get("b", 0.5), "algorithm.b"),
-                                 stop, majorant=mu, mode=_mode(algo))
+                                 stop, majorant=mu, mode=mode)
     elif kind == "GEGA":
-        tau = build_weakness(algo.get(weakness), f"algorithm.{weakness}")
-        trace = run_gega(objective, dictionary, tau, stop, mode=_mode(algo),
+        trace = run_gega(objective, dictionary, tau, stop, mode=mode,
                          line_tol=_finite(algo.get("line_tol", 1e-12),
                                           "algorithm.line_tol"))
     else:
@@ -290,19 +285,10 @@ def _execute_run(config, base_dir, max_iter_override, out_dir, builds):
                "final_E": trace.final_E, "final_gap": trace.final_gap}
     if trace.infimum is not None and len(trace) >= 10:
         results["fit"] = fit_rate(trace, window=window).describe()
-    verdicts = []
-    for claim_spec in claims:
-        verdict = claim_verdict(
-            claim_spec["claim"], trace,
-            r=claim_spec.get("r"),
-            hull_radius=claim_spec.get("hull_radius"),
-            tolerance=float(claim_spec.get("tolerance", 1e-2)),
-            calibration=claim_spec.get("calibration", 10))
-        verdicts.append(verdict.describe())
-    if verdicts:
-        results["verdicts"] = verdicts
-    resolved = dict(config)
-    resolved["stop"] = trace.config["stop"]
+    if claims:
+        results["verdicts"] = [claim_verdict(trace=trace, **spec).describe()
+                               for spec in claims]
+    resolved = dict(config, stop=trace.config["stop"])
     manifest = {"schema": SCHEMA_VERSION, "config": resolved,
                 "results": results, "run_config": trace.config}
     return trace, manifest
@@ -312,16 +298,17 @@ def _is_integer(value):
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _is_number(value):
-    return _is_integer(value) or isinstance(value, float)
-
-
-def _finite(value, field):
-    """A float field's value as a float.  Booleans, strings (even numeric
-    ones), NaN, infinities and integers beyond the floats are refused;
-    comparing with the largest float, unlike ``math.isfinite``, cannot
-    overflow on such an integer."""
-    _require(_is_number(value) and abs(value) <= sys.float_info.max,
+def _finite(value, field, depth=0):
+    """A float field's value as a float, or with ``depth``, lists that deep
+    of them, each entry named by its index (``objective.target[0]``).
+    Booleans, strings (even numeric ones), NaN, infinities and integers
+    beyond the floats are refused; comparing with the largest float, unlike
+    ``math.isfinite``, cannot overflow on such an integer."""
+    if isinstance(value, list) and depth:
+        return [_finite(entry, f"{field}[{index}]", depth - 1)
+                for index, entry in enumerate(value)]
+    _require((_is_integer(value) or isinstance(value, float))
+             and abs(value) <= sys.float_info.max,
              f"{field} must be a finite number")
     return float(value)
 
@@ -340,7 +327,9 @@ def _fit_window(window):
 
 
 def _claim_specs(claims):
-    """``diagnostics.claims`` as objects, names and parameter types checked."""
+    """``diagnostics.claims`` as ``claim_verdict``'s keyword arguments, each
+    checked; ``r`` and ``hull_radius`` keep their type, and a parameter left
+    out takes ``claim_verdict``'s default."""
     _require(isinstance(claims, list)
              and all(isinstance(c, (str, dict)) for c in claims),
              "diagnostics.claims must be a list of names or objects")
@@ -352,13 +341,16 @@ def _claim_specs(claims):
         _require(name in ALL_CLAIMS, f"{field}.claim: unknown claim {name!r}; "
                                      f"choose from {sorted(ALL_CLAIMS)}")
         for key in ("r", "hull_radius"):
-            _require(spec.get(key) is None or _is_number(spec[key]),
-                     f"{field}.{key} must be a number or null")
-        _require(_is_number(spec.get("tolerance", 1e-2)),
-                 f"{field}.tolerance must be a number")
-        _require(_is_integer(spec.get("calibration", 10)),
+            if spec.get(key) is not None:
+                _finite(spec[key], f"{field}.{key}")
+        _require("calibration" not in spec or _is_integer(spec["calibration"]),
                  f"{field}.calibration must be an integer")
-        specs.append(spec)
+        kwargs = {key: spec[key] for key in
+                  ("claim", "r", "hull_radius", "calibration") if key in spec}
+        if "tolerance" in spec:
+            kwargs["tolerance"] = _finite(spec["tolerance"],
+                                          f"{field}.tolerance")
+        specs.append(kwargs)
     return specs
 
 

@@ -287,14 +287,13 @@ def _rate_bounds(v, trace, claim, algorithm, r=None, hull_radius=None):
     """Bound shape per claim, with hypothesis checks recorded on the verdict."""
     cfg = trace.config
     M = len(trace)
-    dict_kind = cfg.get("dictionary", {}).get("kind")
 
     if claim in (POWER_SCHEDULE_RATE, SPHERE_POWER_SCHEDULE_RATE):
         fixed = _check_fixed_schedule(v, trace, algorithm)
         if fixed is None:
             return None
         q, c, s, t = fixed
-
+        m = np.arange(1, M + 1, dtype=float)
         if claim == POWER_SCHEDULE_RATE:
             s_wanted = (t + 1.0) / (t + q)
             if abs(s - s_wanted) > 1e-12:
@@ -307,20 +306,11 @@ def _rate_bounds(v, trace, claim, algorithm, r=None, hull_radius=None):
                 _fail(v, f"exponent r = {r} outside (0, {r_max})")
             _check_hull(v, trace, hull_radius)
             v.details.update({"r": r, "t": t, "s": s})
-            m = np.arange(1, M + 1, dtype=float)
             return m ** (-float(r))
 
-        # sphere variant
-        if dict_kind != "sphere":
-            _fail(v, "sphere rate claim needs the sphere dictionary")
-        if not (0.0 < s < 1.0):
-            _fail(v, f"s = {s} outside (0, 1)")
-        if not math.isfinite(cfg.get("objective", {}).get("region_radius",
-                                                          math.inf)):
-            _fail(v, "objective region is unbounded")
+        _check_sphere(v, cfg, s)
         expo = s * (q - 1.0)
         v.details.update({"exponent": expo, "s": s})
-        m = np.arange(1, M + 1, dtype=float)
         return m ** (-expo)
 
     # adaptive rate claims
@@ -350,14 +340,21 @@ def _rate_bounds(v, trace, claim, algorithm, r=None, hull_radius=None):
         v.details["exponent_final"] = float(expo[-1])
         return mass ** (-expo)
 
-    # ADAPTIVE_SPHERE_RATE
-    if dict_kind != "sphere":
+    _check_sphere(v, cfg)  # ADAPTIVE_SPHERE_RATE
+    v.details["exponent"] = 1.0 - q
+    return mass ** (1.0 - q)
+
+
+def _check_sphere(v, cfg, s=None):
+    """The sphere claims' hypotheses: the sphere dictionary, then s in (0, 1)
+    when the claim has one, then a bounded region."""
+    if cfg.get("dictionary", {}).get("kind") != "sphere":
         _fail(v, "sphere rate claim needs the sphere dictionary")
+    if s is not None and not (0.0 < s < 1.0):
+        _fail(v, f"s = {s} outside (0, 1)")
     if not math.isfinite(cfg.get("objective", {}).get("region_radius",
                                                       math.inf)):
         _fail(v, "objective region is unbounded")
-    v.details["exponent"] = 1.0 - q
-    return mass ** (1.0 - q)
 
 
 INSIDE, OUTSIDE, UNVERIFIABLE = "inside", "outside", "unverifiable"

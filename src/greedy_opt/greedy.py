@@ -75,13 +75,31 @@ class StopRule:
             raise ValueError("grad_tol must be nonnegative")
 
 
-class WeaknessSequence:
+class _Schedule:
+    """A schedule of ``kind``; an explicit one is a list of floats, read
+    1-based by ``_entry``; a subclass names it in ``_exhausted``."""
+
+    def __init__(self, kind, values=None):
+        self.kind = kind
+        self._values = None if values is None else [float(v) for v in values]
+
+    def _entry(self, k):
+        if k > len(self._values):
+            raise IndexError(f"{self._exhausted}={k}")
+        return self._values[k - 1]
+
+    def describe(self):
+        return {"kind": "explicit", "values": self._values}
+
+
+class WeaknessSequence(_Schedule):
     """Per-iteration weakness parameters t_m in (0, 1]."""
 
+    _exhausted = "weakness sequence exhausted at m"
+
     def __init__(self, kind, t=None, values=None):
-        self.kind = kind
+        super().__init__(kind, values)
         self._t = t
-        self._values = list(values) if values is not None else None
 
     @classmethod
     def constant(cls, t):
@@ -92,18 +110,13 @@ class WeaknessSequence:
 
     @classmethod
     def explicit(cls, values):
-        vals = [float(v) for v in values]
-        if not vals:
+        seq = cls("explicit", values=values)
+        if not seq._values:
             raise ValueError("empty weakness sequence")
-        return cls("explicit", values=vals)
+        return seq
 
     def __call__(self, m):
-        if self.kind == "constant":
-            t = self._t
-        else:
-            if m > len(self._values):
-                raise IndexError(f"weakness sequence exhausted at m={m}")
-            t = self._values[m - 1]
+        t = self._t if self.kind == "constant" else self._entry(m)
         if not (0.0 < t <= 1.0):
             raise ValueError(f"t_{m} = {t} outside (0, 1]")
         return t
@@ -111,21 +124,22 @@ class WeaknessSequence:
     def describe(self):
         if self.kind == "constant":
             return {"kind": "constant", "t": self._t}
-        return {"kind": "explicit", "values": self._values}
+        return super().describe()
 
 
-class CoefficientSequence:
+class CoefficientSequence(_Schedule):
     """Prescribed step coefficients c_k.
 
     POWER holds c_k = c * k^(-s); EXPLICIT holds a finite list (zeros are
     tolerated and show up as no-progress flags in traces).
     """
 
+    _exhausted = "coefficient sequence exhausted at k"
+
     def __init__(self, kind, c=None, s=None, values=None, meta=None):
-        self.kind = kind
+        super().__init__(kind, values)
         self.c = c
         self.s = s
-        self._values = list(values) if values is not None else None
         self.meta = dict(meta or {})
 
     @classmethod
@@ -139,24 +153,20 @@ class CoefficientSequence:
 
     @classmethod
     def explicit(cls, values):
-        vals = [float(v) for v in values]
-        if any(v < 0 for v in vals):
+        seq = cls("explicit", values=values)
+        if any(v < 0 for v in seq._values):
             raise ValueError("coefficients must be nonnegative")
-        return cls("explicit", values=vals)
+        return seq
 
     def value(self, k):
         if self.kind == "power":
             return self.c * float(k) ** (-self.s)
-        if k > len(self._values):
-            raise IndexError(f"coefficient sequence exhausted at k={k}")
-        return self._values[k - 1]
+        return self._entry(k)
 
     def describe(self):
         if self.kind == "power":
-            out = {"kind": "power", "c": self.c, "s": self.s}
-            out.update(self.meta)
-            return out
-        return {"kind": "explicit", "values": self._values}
+            return {"kind": "power", "c": self.c, "s": self.s, **self.meta}
+        return super().describe()
 
 
 def make_power_coefficients(t, q, gamma):
@@ -418,10 +428,7 @@ class RunTrace:
 
     @property
     def final_gap(self):
-        g = self.gaps()
-        if g is None:
-            return None
-        return float(g[-1]) if len(g) else self.E0 - self.infimum
+        return None if self.infimum is None else self.final_E - self.infimum
 
 
 def _run(E, dictionary, stop, algorithm, step, tau=None, mode=ARGMAX,

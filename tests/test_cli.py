@@ -6,6 +6,8 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from greedy_opt.cli import main
 from greedy_opt.diagnostics import ALL_CLAIMS, _power_series_sum
@@ -164,8 +166,190 @@ NON_FINITE_FLOAT_FIELDS = {
     "dictionary-p-true": (
         {"dictionary": {"kind": "coordinate", "dim": 2, "p": True}},
         "dictionary.p"),
+    # a numeric list entry is a float field named by its index; each of
+    # these ran with exit 0 before entries were checked
+    "coefficient-values-true": (
+        {"algorithm": {"kind": "GGA_FIXED", "tau": 1.0, "coefficients": {
+            "kind": "explicit", "values": [True, "0.25"]}}},
+        "algorithm.coefficients.values[0]"),
+    "weakness-values-numeric-string": (
+        {"algorithm": {"kind": "GGA_ADAPTIVE", "b": 0.5, "tau": {
+            "kind": "explicit", "values": [1.0, "0.5"]}}},
+        "algorithm.tau.values[1]"),
+    "target-numeric-string": (
+        {"objective": {"kind": "quadratic", "target": ["0.5", True]}},
+        "objective.target[0]"),
+    "target-true": ({"objective": {"kind": "quadratic",
+                                   "target": [0.5, True]}},
+                    "objective.target[1]"),
+    "design-numeric-string": (
+        {"objective": dict(LOGISTIC, design=[[1.0, 0.0], [0.0, "1"],
+                                             [1.0, 1.0]])},
+        "objective.design[1][1]"),
+    "labels-true": ({"objective": dict(LOGISTIC, labels=[1.0, True, -1.0])},
+                    "objective.labels[1]"),
+    "response-numeric-string": (
+        {"objective": {"kind": "p_power", "design": [[1.0, 0.0], [0.0, 1.0]],
+                       "response": [0.5, "-1"], "p": 1.5}},
+        "objective.response[1]"),
+    "target-entry-a-list": (
+        {"objective": {"kind": "quadratic", "target": [[0.5], 0.5]}},
+        "objective.target[0]"),
+    # a claim number beyond the floats passed the old check, ran the solve
+    # and then ended in exit 4 (int too large to convert to float)
+    "claim-hull-radius-beyond-the-floats": (
+        {"algorithm": {"kind": "GGA_FIXED", "tau": 1.0,
+                       "coefficients": {"kind": "power-rule"}},
+         "diagnostics": {"claims": [{"claim": "power-schedule-rate",
+                                     "hull_radius": 10**400}]}},
+        "diagnostics.claims[0].hull_radius"),
+    "claim-tolerance-beyond-the-floats": (
+        {"algorithm": {"kind": "GGA_FIXED", "tau": 1.0,
+                       "coefficients": {"kind": "power-rule"}},
+         "diagnostics": {"claims": ["adaptive-rate",
+                                    {"claim": "fixed-summable-convergence",
+                                     "tolerance": 10**400}]}},
+        "diagnostics.claims[1].tolerance"),
+    "claim-r-beyond-the-floats": (
+        {"diagnostics": {"claims": [{"claim": "adaptive-rate",
+                                     "r": -10**400}]}},
+        "diagnostics.claims[0].r"),
 }
 
+DRIVERS = ("run_gbe", "run_ega", "run_gga_fixed", "run_gga_adaptive",
+           "run_gega")
+
+
+def _no_drivers(monkeypatch):
+    """Make every solve driver raise, so a case must stop before any run."""
+    import greedy_opt.cli as cli
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a run started")
+    for name in DRIVERS:
+        monkeypatch.setattr(cli, name, no_solve)
+
+
+# GBE on the quadratic with target (0.2, 0.5, 0.3), the coordinate-3
+# dictionary and c_k = 0.5 k^-0.75; its weakness is set by ``tau`` or ``t``
+GBE_FIRST_ABOVE = {
+    "objective": {"kind": "quadratic", "target": [0.2, 0.5, 0.3]},
+    "dictionary": {"kind": "coordinate", "dim": 3},
+    "stop": {"max_iter": 5},
+}
+
+
+def _gbe(**weakness):
+    return dict(GBE_FIRST_ABOVE, algorithm={
+        "kind": "GBE", "mode": "first-above", **weakness,
+        "coefficients": {"kind": "power", "c": 0.5, "s": 0.75}})
+
+
+# one valid config per algorithm kind, dimension at most 3, three steps,
+# holding only keys its kind reads; ``test_config_boundary`` spoils one
+# numeric leaf at a time.  Integer fields are written as integers and float
+# fields as floats, which is how the test tells them apart.
+BOUNDARY_CONFIGS = {
+    "GBE": {
+        "schema": 1,
+        "objective": {"kind": "quadratic", "target": [0.2, 0.5, 0.3],
+                      "scale": 1.0},
+        "dictionary": {"kind": "coordinate", "dim": 3, "p": 2.0},
+        "algorithm": {"kind": "GBE", "tau": {"kind": "constant", "t": 0.5},
+                      "mode": "first-above",
+                      "coefficients": {"kind": "power", "c": 0.5,
+                                       "s": 0.75}},
+        "stop": {"max_iter": 3, "grad_tol": 1e-12, "target_gap": 1e-9},
+        "diagnostics": {"claims": [{"claim": "fixed-summable-convergence",
+                                    "tolerance": 0.5}]}},
+    "EGA": {
+        "schema": 1,
+        "objective": {"kind": "p_power", "design": [[1.0, 0.5], [0.0, 1.0]],
+                      "response": [0.5, -0.25], "p": 2.0},
+        "dictionary": {"kind": "gaussian", "dim": 2, "count": 4, "seed": 3},
+        "algorithm": {"kind": "EGA", "coefficients": {
+            "kind": "power-rule", "t": 1.0, "q": 2.0, "gamma": 0.5}},
+        "stop": {"max_iter": 3},
+        "diagnostics": {"fit_window": [1, 3],
+                        "claims": [{"claim": "power-schedule-rate",
+                                    "r": 0.3, "hull_radius": 1.0,
+                                    "calibration": 2}]}},
+    "GGA_FIXED": {
+        "schema": 1,
+        "objective": {"kind": "quadratic", "target": [0.25, -0.5]},
+        "dictionary": {"kind": "coordinate", "dim": 2},
+        "algorithm": {"kind": "GGA_FIXED",
+                      "tau": {"kind": "explicit", "values": [1.0, 0.5, 0.5]},
+                      "coefficients": {"kind": "explicit",
+                                       "values": [0.5, 0.25, 0.125]}},
+        "stop": {"max_iter": 3}},
+    "GGA_ADAPTIVE": {
+        "schema": 1,
+        "objective": {"kind": "quadratic", "target": [0.3, 0.4]},
+        "dictionary": {"kind": "sphere", "p": 2.0},
+        "algorithm": {"kind": "GGA_ADAPTIVE", "t": 0.75, "b": 0.5,
+                      "mu": {"kind": "power", "gamma": 0.5, "q": 2.0}},
+        "stop": {"max_iter": 3},
+        "diagnostics": {"claims": [{"claim": "adaptive-rate", "r": None,
+                                    "hull_radius": 1.0, "calibration": 1},
+                                   {"claim": "adaptive-convergence",
+                                    "tolerance": 0.1}]}},
+    "GEGA": {
+        "schema": 1,
+        "objective": {"kind": "logistic",
+                      "design": [[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]],
+                      "labels": [1.0, -1.0, -1.0], "region_radius": 10.0},
+        "dictionary": {"kind": "coordinate", "dim": 2},
+        "algorithm": {"kind": "GEGA", "tau": 1.0, "line_tol": 1e-12},
+        "stop": {"max_iter": 3, "grad_tol": 0.0},
+        "diagnostics": {"claims": [{"claim": "line-search-convergence",
+                                    "tolerance": 1e-2}]}},
+}
+
+
+def _numeric_leaves(node, path=()):
+    """Paths to every number in a config, objects and lists alike."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, value in items:
+        if isinstance(value, (dict, list)):
+            yield from _numeric_leaves(value, path + (key,))
+        elif isinstance(value, (int, float)) and not isinstance(value, bool):
+            yield path + (key,)
+
+
+def _field_name(path):
+    """A leaf's name as messages give it: ``objective.target[0]``; a
+    ``fit_window`` entry is named by its list."""
+    name = path[0]
+    for key in path[1:]:
+        name += f"[{key}]" if isinstance(key, int) else f".{key}"
+    return name.split("[")[0] if "fit_window" in name else name
+
+
+BOUNDARY_LEAVES = [(kind, path) for kind, config in BOUNDARY_CONFIGS.items()
+                   for path in _numeric_leaves(config)]
+
+
+# every algorithm kind on every dictionary kind, as ``run`` configs; GBE sets
+# its weakness through ``tau``, as the other weak-greedy kinds may
+KIND_ALGORITHMS = {
+    "GBE": {"kind": "GBE", "tau": {"kind": "constant", "t": 0.5},
+            "coefficients": {"kind": "power", "c": 0.5, "s": 0.75}},
+    "EGA": {"kind": "EGA", "coefficients": {"kind": "power-rule"}},
+    "GGA_FIXED": {"kind": "GGA_FIXED", "t": 0.75,
+                  "coefficients": {"kind": "explicit",
+                                   "values": [0.5, 0.25, 0.25, 0.125]}},
+    "GGA_ADAPTIVE": {"kind": "GGA_ADAPTIVE", "b": 0.5, "mode": "first-above",
+                     "tau": {"kind": "explicit",
+                             "values": [1.0, 0.75, 0.5, 0.5]}},
+    "GEGA": {"kind": "GEGA", "tau": 1.0},
+}
+KIND_DICTIONARIES = {
+    "coordinate": {"kind": "coordinate", "dim": 3},
+    "gaussian": {"kind": "gaussian", "dim": 3, "count": 5, "seed": 2},
+    "csv": {"kind": "csv", "path": "atoms.csv"},
+    "sphere": {"kind": "sphere", "p": 2.0},
+}
 
 SHAPE_REFERENCES = {
     "adaptive": {
@@ -228,6 +412,11 @@ BAD_DIAGNOSTICS = {
     "tolerance-null": ({"claims": [{"claim": "adaptive-convergence",
                                     "tolerance": None}]},
                        "diagnostics.claims[0].tolerance"),
+    # only r and hull_radius may be null
+    "calibration-null": ({"claims": [{"claim": "adaptive-rate", "r": None,
+                                      "hull_radius": None,
+                                      "calibration": None}]},
+                         "diagnostics.claims[0].calibration"),
     "calibration-fraction": ({"claims": [{"claim": "adaptive-rate",
                                           "calibration": 2.5}]},
                              "diagnostics.claims[0].calibration"),
@@ -415,6 +604,126 @@ class TestRunCommand:
         assert capsys.readouterr().err == \
             f"config error: {field} must be a finite number\n"
         assert not (out / "trace.csv").exists()
+
+    @pytest.mark.parametrize("schema", [True, 1.0, "1", 2])
+    def test_schema_other_than_the_integer_1_exits_2(self, tmp_path, capsys,
+                                                     monkeypatch, schema):
+        _no_drivers(monkeypatch)
+        cfg = tmp_path / "config.json"
+        write_config(cfg, schema=schema)
+        assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == \
+            "config error: config schema must be 1\n"
+
+    def test_claim_numbers_keep_their_type_in_the_manifest(self, tmp_path):
+        """``r`` and ``hull_radius`` are echoed as written, an integer as an
+        integer, and ``tolerance`` as a float."""
+        cfg = tmp_path / "config.json"
+        write_config(cfg, algorithm={"kind": "GGA_FIXED", "tau": 1.0,
+                                     "coefficients": {"kind": "power-rule"}},
+                     stop={"max_iter": 20},
+                     diagnostics={"claims": [
+                         {"claim": "power-schedule-rate", "hull_radius": 1,
+                          "calibration": 5},
+                         {"claim": "fixed-summable-convergence",
+                          "tolerance": 1}]})
+        out = tmp_path / "o"
+        assert main(["run", str(cfg), "--out", str(out)]) == 0
+        text = (out / "manifest.json").read_text()
+        rate, convergence = json.loads(text)["results"]["verdicts"]
+        assert '"hull_radius": 1,' in text
+        assert rate["details"]["calibration"] == 5
+        assert convergence["details"]["tolerance"] == 1.0
+        assert '"tolerance": 1.0' in text
+
+    def test_gbe_reads_tau_like_the_other_weak_greedy_kinds(self, tmp_path):
+        """``tau`` sets GBE's weakness, and wins over ``t``: all three
+        configs run at t = 0.5 (``tau`` alone used to run at t = 1, ending
+        at E = 3.48e-05)."""
+        traces = []
+        for name, weakness in (
+                ("t", {"t": 0.5}),
+                ("tau", {"tau": {"kind": "constant", "t": 0.5}}),
+                ("both", {"tau": 0.5, "t": 1.0})):
+            cfg = tmp_path / f"{name}.json"
+            write_config(cfg, **_gbe(**weakness))
+            out = tmp_path / name
+            assert main(["run", str(cfg), "--out", str(out)]) == 0
+            traces.append((out / "trace.csv").read_bytes())
+            manifest = json.loads((out / "manifest.json").read_text())
+            assert manifest["run_config"]["tau"] == {"kind": "constant",
+                                                     "t": 0.5}
+        assert traces[0] == traces[1] == traces[2]
+        assert f"{manifest['results']['final_E']:.3g}" == "0.00571"
+
+    @pytest.mark.parametrize("key", ["tau", "t"])
+    def test_gbe_with_an_explicit_weakness_exits_2(self, tmp_path, capsys,
+                                                   monkeypatch, key):
+        _no_drivers(monkeypatch)
+        cfg = tmp_path / "config.json"
+        write_config(cfg, **_gbe(**{key: {"kind": "explicit",
+                                          "values": [0.5] * 5}}))
+        assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == (
+            f"config error: algorithm.{key} must be a constant weakness "
+            "for GBE\n")
+
+    @settings(max_examples=300, derandomize=True, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(leaf=st.sampled_from(BOUNDARY_LEAVES), which=st.integers(0, 2))
+    def test_config_boundary(self, tmp_path, capsys, monkeypatch, leaf,
+                             which):
+        """One numeric leaf of a valid config spoilt: a float field given a
+        boolean, a numeric string or 10**400, an integer field a boolean, a
+        numeric string or 2.5.  Every case exits 2 before any run, naming
+        the field, and prints no traceback."""
+        _no_drivers(monkeypatch)
+        capsys.readouterr()  # what an earlier example left unread
+        kind, path = leaf
+        config = json.loads(json.dumps(BOUNDARY_CONFIGS[kind]))
+        node = config
+        for key in path[:-1]:
+            node = node[key]
+        value = node[path[-1]]
+        bad = [True, str(value), 2.5 if isinstance(value, int) else 10**400]
+        node[path[-1]] = bad[which]
+        cfg = tmp_path / "boundary.json"
+        cfg.write_text(json.dumps(config), encoding="utf-8")
+        assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ")
+        assert f" {_field_name(path)} " in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("dictionary", KIND_DICTIONARIES)
+    @pytest.mark.parametrize("kind", KIND_ALGORITHMS)
+    def test_every_kind_runs_on_every_dictionary(self, tmp_path, capsys,
+                                                 kind, dictionary):
+        """Each pair runs, and its manifest reruns to the same trace bytes;
+        only EGA, which scans a finite dictionary, refuses the sphere."""
+        atoms = np.random.default_rng(5).standard_normal((3, 4))
+        np.savetxt(tmp_path / "atoms.csv", atoms, delimiter=",")
+        cfg = tmp_path / "config.json"
+        write_config(cfg, objective={"kind": "quadratic",
+                                     "target": [0.2, -0.5, 0.3]},
+                     dictionary=KIND_DICTIONARIES[dictionary],
+                     algorithm=KIND_ALGORITHMS[kind], stop={"max_iter": 4})
+        out, again = tmp_path / "out", tmp_path / "again"
+        if kind == "EGA" and dictionary == "sphere":
+            assert main(["run", str(cfg), "--out", str(out)]) == 2
+            assert capsys.readouterr().err == ("config error: objective-"
+                                               "greedy runs need a finite "
+                                               "dictionary\n")
+            return
+        assert main(["run", str(cfg), "--out", str(out)]) == 0
+        # the manifest sits in ``out``, where the CSV path resolves too
+        (out / "atoms.csv").write_bytes((tmp_path / "atoms.csv").read_bytes())
+        assert main(["run", str(out / "manifest.json"), "--out",
+                     str(again)]) == 0
+        assert (out / "trace.csv").read_bytes() == \
+            (again / "trace.csv").read_bytes()
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["run_config"]["algorithm"] == kind
+        assert manifest["results"]["iterations"] >= 1
 
     @pytest.mark.parametrize(
         "ref,path,bad", SHAPE_CASES,
@@ -960,6 +1269,21 @@ class TestSweepCommand:
                 for line in (out / "summary.csv").read_text().splitlines()]
         assert [row[2] for row in rows[1:]] == [
             "error: ConfigError", "max-iter", "error: ConfigError"]
+
+    def test_non_finite_list_entry_fails_its_row_only(self, tmp_path):
+        cfg = tmp_path / "config.json"
+        write_config(cfg, stop={"max_iter": 5})
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps({"objective.target": [
+            ["0.5", True], [0.5, 0.25], [0.5, 10**400]]}))
+        out = tmp_path / "sweep"
+        assert main(["sweep", str(cfg), "--grid", str(grid), "--out",
+                     str(out)]) == 0
+        rows = (out / "summary.csv").read_text().splitlines()[1:]
+        assert ["error: ConfigError" in row for row in rows] == \
+            [True, False, True]
+        assert not (out / "run_0000" / "trace.csv").exists()
+        assert (out / "run_0001" / "trace.csv").exists()
 
     def test_bad_max_iter_flag_exits_2_before_any_run(self, tmp_path, capsys,
                                                      monkeypatch):

@@ -9,6 +9,7 @@ from greedy_opt import (
     FIXED_SUMMABLE_CONVERGENCE,
     LINE_SEARCH_CONVERGENCE,
     POWER_SCHEDULE_RATE,
+    SPHERE_POWER_SCHEDULE_RATE,
     CoefficientSequence,
     FiniteDictionary,
     RunTrace,
@@ -174,6 +175,42 @@ class TestClaimVerdicts:
         verdict = claim_verdict(ADAPTIVE_SPHERE_RATE, trace)
         assert verdict.preconditions_met
         assert verdict.bound_satisfied
+
+    def test_sphere_power_schedule_rate_on_real_run(self):
+        """s q = 4/3 > 1 on the sphere: every hypothesis holds, and so does
+        the bound."""
+        E = quadratic_objective(
+            0.3 * np.random.default_rng(1).standard_normal(4))
+        trace = run_gga_fixed(E, SphereDictionary(), 1.0,
+                              make_power_coefficients(1.0, 2.0, 0.5),
+                              StopRule(max_iter=300, grad_tol=0.0))
+        verdict = claim_verdict(SPHERE_POWER_SCHEDULE_RATE, trace)
+        assert verdict.preconditions_met, verdict.reasons
+        assert verdict.bound_satisfied
+        assert verdict.details["exponent"] == verdict.details["s"] == 2.0 / 3.0
+
+    def test_sphere_rate_claims_give_their_reasons_in_order(self):
+        """Off the sphere, with s = 1 and an unbounded region: the reasons
+        name the dictionary, then s, then the region."""
+        E = quadratic_objective([0.25, -0.5])
+        coordinate = FiniteDictionary.coordinate(2)
+        fixed = run_gga_fixed(E, coordinate, 1.0,
+                              CoefficientSequence.power(0.5, 1.0),
+                              StopRule(max_iter=30, grad_tol=0.0))
+        adaptive = run_gga_adaptive(E, coordinate, 1.0, 0.5,
+                                    StopRule(max_iter=30, grad_tol=0.0))
+        dictionary = "sphere rate claim needs the sphere dictionary"
+        region = "objective region is unbounded"
+        for trace in (fixed, adaptive):
+            trace.config["objective"]["region_radius"] = float("inf")
+        for claim, trace, reasons in (
+                (SPHERE_POWER_SCHEDULE_RATE, fixed,
+                 [dictionary, "s = 1.0 outside (0, 1)", region]),
+                (ADAPTIVE_SPHERE_RATE, adaptive, [dictionary, region])):
+            verdict = claim_verdict(claim, trace)
+            assert not verdict.preconditions_met
+            assert verdict.reasons == reasons
+            assert verdict.bound_satisfied is None
 
     def test_wrong_algorithm_rejected(self):
         trace = run_gega(quadratic_2d(), FiniteDictionary.coordinate(2), 1.0,

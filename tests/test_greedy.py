@@ -735,6 +735,35 @@ class TestTraceMechanics:
         assert trace.status == "target-gap"
         assert trace.final_gap <= 1e-3
 
+    @pytest.mark.parametrize("run", ["GBE", "EGA", "GGA_FIXED",
+                                     "GGA_ADAPTIVE", "GEGA"])
+    def test_zero_score_stops_before_the_first_step(self, run):
+        """The one atom e_1 is orthogonal to the gradient towards (0, 1):
+        every scheme stops at m = 1 with an empty trace."""
+        E = quadratic_objective([0.0, 1.0])
+        d = FiniteDictionary(np.array([[1.0], [0.0]]))
+        stop = StopRule(max_iter=3)
+        coeffs = CoefficientSequence.explicit([0.5] * 3)
+        trace = {
+            "GBE": lambda: run_gbe(E, d, 1.0, coeffs, stop),
+            "EGA": lambda: run_ega(E, d, coeffs, stop),
+            "GGA_FIXED": lambda: run_gga_fixed(E, d, 1.0, coeffs, stop),
+            "GGA_ADAPTIVE": lambda: run_gga_adaptive(E, d, 1.0, 0.5, stop),
+            "GEGA": lambda: run_gega(E, d, 1.0, stop),
+        }[run]()
+        assert trace.status == "zero-score"
+        assert len(trace) == 0 and trace.ED0 == 0.0
+        assert trace.final_gap == trace.E0 == 0.5
+
+    def test_a_step_past_the_sublevel_set_is_flagged(self):
+        """c_1 = 10 takes E from 0.15625 to 45.15625, beyond E(0) + 2."""
+        E = quadratic_objective([0.5, 0.25])
+        trace = run_gga_fixed(E, FiniteDictionary.coordinate(2), 1.0,
+                              CoefficientSequence.explicit([10.0, 0.5]),
+                              StopRule(max_iter=2))
+        assert trace.E == [45.15625, 40.53125]
+        assert trace.flags == ["left-sublevel-2", "left-sublevel-2"]
+
     def test_identical_runs_serialize_identically(self):
         def make():
             return run_gga_adaptive(logistic_20x5(),
