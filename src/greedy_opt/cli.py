@@ -4,7 +4,9 @@ Configs are versioned JSON.  Exit codes: 0 success, 2 validation error,
 3 energy-inequality (majorant) violation, 4 numeric failure.  Parameter ranges
 are checked by the library constructors and drivers; ``execute_run`` turns any
 of their errors into a ConfigError, so the CLI itself checks only structure
-and that integer and float fields hold finite JSON numbers of their kind.
+and that integer and float fields hold finite JSON numbers of their kind.  A
+field a config leaves out takes the library's default, which lives only in
+the library's signatures.
 """
 
 from __future__ import annotations
@@ -103,7 +105,7 @@ def build_objective(spec, base_dir="."):
         _require("target" in spec, "quadratic objective needs a target")
         return quadratic_objective(
             _finite(spec["target"], "objective.target", 1),
-            scale=_finite(spec.get("scale", 1.0), "objective.scale"))
+            **_given(spec, "objective", "scale"))
     if kind == "p_power":
         design = _array(spec, "design", base_dir)
         response = _array(spec, "response", base_dir, vector=True)
@@ -112,14 +114,14 @@ def build_objective(spec, base_dir="."):
     if kind == "logistic":
         design = _array(spec, "design", base_dir)
         labels = _array(spec, "labels", base_dir, vector=True)
-        return logistic_objective(design, labels, region_radius=_finite(
-            spec.get("region_radius", 10.0), "objective.region_radius"))
+        return logistic_objective(design, labels,
+                                  **_given(spec, "objective", "region_radius"))
     raise ConfigError(f"unknown objective kind {kind!r}")
 
 
 def build_dictionary(spec, base_dir="."):
     kind = _kind(spec, "dictionary")
-    norm = NormTag(_finite(spec.get("p", 2.0), "dictionary.p"))
+    norm = NormTag(**_given(spec, "dictionary", "p"))
     if kind == "coordinate":
         _require("dim" in spec, "coordinate dictionary needs 'dim'")
         _require(_is_integer(spec["dim"]), "dictionary.dim must be an integer")
@@ -189,24 +191,25 @@ def build_stop(spec, max_iter_override=None):
     max_iter = (max_iter_override if max_iter_override is not None
                 else spec.get("max_iter", 1000))
     _require(_is_integer(max_iter), "stop.max_iter must be an integer")
-    grad_tol, target_gap = (
-        None if spec.get(key) is None else _finite(spec[key], f"stop.{key}")
-        for key in ("grad_tol", "target_gap"))
-    return StopRule(max_iter=max_iter, grad_tol=grad_tol,
-                    target_gap=target_gap)
+    return StopRule(max_iter=max_iter, **{  # null, as absent: the default
+        key: _finite(spec[key], f"stop.{key}")
+        for key in ("grad_tol", "target_gap") if spec.get(key) is not None})
 
 
 def execute_run(config, base_dir=".", max_iter_override=None, out_dir=".",
                 builds=None):
-    """Build everything from a config and run it.  ``builds``, a sweep's own
-    dict, keeps the objective and dictionary for its next point (``_build``).
+    """Build everything from a config, run it and write its trace and
+    manifest under ``out_dir``; return ``(trace, manifest, paths)``, with
+    the (trace, manifest) paths written.  ``builds``, a sweep's own dict,
+    keeps the objective and dictionary for its next point (``_build``).
 
     The one validation boundary: a ValueError, TypeError, KeyError,
-    IndexError or OSError raised while building or running (a parameter out of
-    range, a schedule shorter than the run, a malformed value, an input file
-    that cannot be read) becomes a ConfigError, and so do output paths under
-    ``out_dir`` that could not be written, checked before the solve.
-    Majorant violations and numeric failures pass through unchanged.
+    IndexError or OSError raised while building, running or writing (a
+    parameter out of range, a schedule shorter than the run, a malformed
+    value, an input file that cannot be read, an output that cannot be
+    written) becomes a ConfigError.  The output paths are checked once,
+    before the solve.  Majorant violations and numeric failures pass through
+    unchanged.
     """
     try:
         return _execute_run(config, base_dir, max_iter_override, out_dir,
@@ -250,34 +253,32 @@ def _execute_run(config, base_dir, max_iter_override, out_dir, builds):
     _require(isinstance(diag, dict), "diagnostics must be an object")
     window = _fit_window(diag.get("fit_window"))
     claims = _claim_specs(diag.get("claims") or [])
-    _output_paths(config, out_dir)
+    paths = _output_paths(config, out_dir)
 
     if kind != "EGA":  # a weak-greedy selection: its weakness and mode
         key = "tau" if "tau" in algo else "t"
         tau = build_weakness(algo.get(key), f"algorithm.{key}")
-        mode = algo.get("mode", ARGMAX)
-        _require(mode in (ARGMAX, FIRST_ABOVE),
+        mode = {"mode": algo["mode"]} if "mode" in algo else {}
+        _require(all(m in (ARGMAX, FIRST_ABOVE) for m in mode.values()),
                  f"mode must be {ARGMAX!r} or {FIRST_ABOVE!r}")
     if kind in ("GBE", "EGA", "GGA_FIXED"):  # a prescribed schedule
         coeffs = build_coefficients(algo.get("coefficients"), objective)
     if kind == "GBE":
         _require(tau.kind == "constant",
                  f"algorithm.{key} must be a constant weakness for GBE")
-        trace = run_gbe(objective, dictionary, tau(1), coeffs, stop, mode=mode)
+        trace = run_gbe(objective, dictionary, tau(1), coeffs, stop, **mode)
     elif kind == "EGA":
         trace = run_ega(objective, dictionary, coeffs, stop)
     elif kind == "GGA_FIXED":
-        trace = run_gga_fixed(objective, dictionary, tau, coeffs, stop,
-                              mode=mode)
+        trace = run_gga_fixed(objective, dictionary, tau, coeffs, stop, **mode)
     elif kind == "GGA_ADAPTIVE":
         mu = build_majorant(algo.get("mu"))
         trace = run_gga_adaptive(objective, dictionary, tau,
                                  _finite(algo.get("b", 0.5), "algorithm.b"),
-                                 stop, majorant=mu, mode=mode)
+                                 stop, majorant=mu, **mode)
     elif kind == "GEGA":
-        trace = run_gega(objective, dictionary, tau, stop, mode=mode,
-                         line_tol=_finite(algo.get("line_tol", 1e-12),
-                                          "algorithm.line_tol"))
+        trace = run_gega(objective, dictionary, tau, stop, **mode,
+                         **_given(algo, "algorithm", "line_tol"))
     else:
         raise ConfigError(f"unknown algorithm kind {kind!r}")
 
@@ -291,7 +292,9 @@ def _execute_run(config, base_dir, max_iter_override, out_dir, builds):
     resolved = dict(config, stop=trace.config["stop"])
     manifest = {"schema": SCHEMA_VERSION, "config": resolved,
                 "results": results, "run_config": trace.config}
-    return trace, manifest
+    write_trace_csv(trace, paths[0])
+    write_manifest(manifest, paths[1])
+    return trace, manifest, paths
 
 
 def _is_integer(value):
@@ -300,17 +303,31 @@ def _is_integer(value):
 
 def _finite(value, field, depth=0):
     """A float field's value as a float, or with ``depth``, lists that deep
-    of them, each entry named by its index (``objective.target[0]``).
-    Booleans, strings (even numeric ones), NaN, infinities and integers
-    beyond the floats are refused; comparing with the largest float, unlike
+    of them, each entry named by its index (``objective.target[0]``); at
+    depth 2 each entry is a row, a list as long as the first.  Booleans,
+    strings (even numeric ones), NaN, infinities and integers beyond the
+    floats are refused; comparing with the largest float, unlike
     ``math.isfinite``, cannot overflow on such an integer."""
     if isinstance(value, list) and depth:
-        return [_finite(entry, f"{field}[{index}]", depth - 1)
+        rows = [_finite(entry, f"{field}[{index}]", depth - 1)
                 for index, entry in enumerate(value)]
+        for index, row in enumerate(rows if depth == 2 else ()):
+            _require(isinstance(row, list), f"{field}[{index}] must be a list")
+            _require(len(row) == len(rows[0]), f"{field}[{index}] must have "
+                     f"{len(rows[0])} entries, as {field}[0] has")
+        return rows
     _require((_is_integer(value) or isinstance(value, float))
              and abs(value) <= sys.float_info.max,
              f"{field} must be a finite number")
     return float(value)
+
+
+def _given(spec, field, *keys):
+    """The float fields among ``keys`` that ``spec`` sets, each checked by
+    ``_finite``, as keyword arguments; one left out is not passed, so it
+    takes the library's default."""
+    return {key: _finite(spec[key], f"{field}.{key}")
+            for key in keys if key in spec}
 
 
 def _fit_window(window):
@@ -347,16 +364,14 @@ def _claim_specs(claims):
                  f"{field}.calibration must be an integer")
         kwargs = {key: spec[key] for key in
                   ("claim", "r", "hull_radius", "calibration") if key in spec}
-        if "tolerance" in spec:
-            kwargs["tolerance"] = _finite(spec["tolerance"],
-                                          f"{field}.tolerance")
-        specs.append(kwargs)
+        specs.append(dict(kwargs, **_given(spec, field, "tolerance")))
     return specs
 
 
-def _output_names(config):
-    """(trace, manifest) file names, two distinct files neither of which lies
-    inside the other's path; checked before the solve starts."""
+def _output_paths(config, out_dir):
+    """(trace, manifest) paths under ``out_dir``, checked before the solve:
+    two distinct files, neither inside the other's path, neither a directory
+    nor under a file."""
     output = config.get("output") or {}
     _require(isinstance(output, dict), "output must be an object")
     names = (output.get("trace", "trace.csv"),
@@ -369,7 +384,11 @@ def _output_names(config):
     trace, manifest = (os.path.normpath(name) + os.sep for name in names)
     _require(not (trace.startswith(manifest) or manifest.startswith(trace)),
              "output trace and manifest must be distinct files")
-    return names
+    paths = [Path(out_dir) / name for name in names]
+    for path in paths:
+        _require(not path.is_dir(), f"output {path} is a directory")
+        _no_file_on(path.parent, f"output {path}")
+    return paths
 
 
 def _no_file_on(path, label):
@@ -386,26 +405,6 @@ def _out_dir(out):
     return path
 
 
-def _output_paths(config, out_dir):
-    """(trace, manifest) paths under ``out_dir``, checked before the solve:
-    neither may be a directory or lie under a file."""
-    paths = [Path(out_dir) / name for name in _output_names(config)]
-    for path in paths:
-        _require(not path.is_dir(), f"output {path} is a directory")
-        _no_file_on(path.parent, f"output {path}")
-    return paths
-
-
-def _write_outputs(trace, manifest, config, out_dir):
-    trace_path, manifest_path = _output_paths(config, out_dir)
-    try:
-        write_trace_csv(trace, trace_path)
-        write_manifest(manifest, manifest_path)
-    except OSError as exc:
-        raise ConfigError(f"cannot write the outputs: {exc}") from exc
-    return trace_path, manifest_path
-
-
 def _unwrap_manifest(payload):
     # a manifest is itself a runnable config (round-trip property)
     if isinstance(payload, dict) and isinstance(payload.get("config"), dict) \
@@ -416,11 +415,9 @@ def _unwrap_manifest(payload):
 
 def cmd_run(args):
     config = _unwrap_manifest(_load_json(args.config))
-    base_dir = Path(args.config).parent
-    out = _out_dir(args.out)
-    trace, manifest = execute_run(config, base_dir=base_dir,
-                                  max_iter_override=args.max_iter, out_dir=out)
-    trace_path, manifest_path = _write_outputs(trace, manifest, config, out)
+    trace, _, (trace_path, manifest_path) = execute_run(
+        config, base_dir=Path(args.config).parent,
+        max_iter_override=args.max_iter, out_dir=args.out)
     print(f"{trace.config['algorithm']}: {len(trace)} iterations, "
           f"status {trace.status}, final E {trace.final_E:.6g}"
           + (f", gap {trace.final_gap:.3e}" if trace.final_gap is not None
@@ -448,10 +445,9 @@ def _sweep_one(index, config, base_dir, out_dir, max_iter, builds):
     """The point's summary cells, read from its manifest's results."""
     run_dir = Path(out_dir) / f"run_{index:04d}"
     try:
-        trace, manifest = execute_run(config, base_dir=base_dir,
-                                      max_iter_override=max_iter,
-                                      out_dir=run_dir, builds=builds)
-        _write_outputs(trace, manifest, config, run_dir)
+        _, manifest, _ = execute_run(config, base_dir=base_dir,
+                                     max_iter_override=max_iter,
+                                     out_dir=run_dir, builds=builds)
     except (ConfigError, MajorantViolationError, NumericFailure,
             FloatingPointError, OverflowError) as exc:
         return [f"error: {type(exc).__name__}"] + [""] * 4

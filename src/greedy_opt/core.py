@@ -85,9 +85,7 @@ def dual_norm(v, norm=EUCLIDEAN):
     v = np.asarray(v, dtype=float)
     if not np.isfinite(v).all():
         raise ValueError("dual_norm rejects non-finite input")
-    if norm.is_euclidean:
-        return math.sqrt(float(np.dot(v, v)))
-    return lp_norm(v, NormTag(norm.dual_p))
+    return lp_norm(v, norm if norm.is_euclidean else NormTag(norm.dual_p))
 
 
 def pairing(f, x):
@@ -152,8 +150,6 @@ class Majorant:
         u = float(u)
         if u < 0:
             raise ValueError("majorant argument must be nonnegative")
-        if u == 0.0:
-            return 0.0
         return self.gamma * u**self.q
 
     def describe(self):

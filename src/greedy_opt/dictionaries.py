@@ -140,12 +140,15 @@ class FiniteDictionary:
         not call this scan: ``best_pairing`` screens the atoms with one matvec
         and a rounding certificate and re-scores only the survivors with the
         same ``ddot``, and it falls back to this scan when the certificate
-        cannot be formed.  Non-finite v is outside the contract.
+        cannot be formed.  Non-finite v is outside the contract; a dot that
+        overflows is an infinity, with no warning, which ``greedy_score``
+        refuses.
         """
         v = self._vector(v)
         if self.is_identity:
             return v + 0.0 if v.size > 1 else v * 1.0
-        return np.array([np.dot(col, v) for col in self._columns])
+        with np.errstate(over="ignore"):
+            return np.array([np.dot(col, v) for col in self._columns])
 
     def _screen(self, v):
         """|A^T v| from one matvec and each atom's certified slack, or None.

@@ -11,12 +11,12 @@ Traces capture everything the rate diagnostics need downstream.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from itertools import accumulate
 
 import numpy as np
 
-from .core import dual_norm, pairing
+from .core import Majorant, dual_norm, pairing
 from .diagnostics import (OUTSIDE, UNVERIFIABLE, _first_violation,
                           _hull_membership, _power_series_sum)
 from .dictionaries import (
@@ -177,13 +177,11 @@ def make_power_coefficients(t, q, gamma):
     which the fixed-schedule claims' budget check also uses).  The summability
     budget gamma * sum_k mu(c_k) <= 1 then holds by construction.
     """
-    t, q, gamma = float(t), float(q), float(gamma)
+    t = float(t)
     if not (0.0 < t <= 1.0):
         raise ValueError("t must lie in (0, 1]")
-    if not (1.0 < q <= 2.0):
-        raise ValueError("q must lie in (1, 2]")
-    if gamma <= 0:
-        raise ValueError("gamma must be positive")
+    mu = Majorant.power(gamma, q)  # checks gamma > 0, then q in (1, 2]
+    q, gamma = mu.q, mu.gamma
     s = (t + 1.0) / (t + q)
     a = s * q
     if a <= 1.0 + 1e-12:
@@ -449,8 +447,7 @@ def _run(E, dictionary, stop, algorithm, step, tau=None, mode=ARGMAX,
     config = {
         "objective": E.describe(),
         "dictionary": dictionary.describe(),
-        "stop": {"max_iter": stop.max_iter, "grad_tol": stop.grad_tol,
-                 "target_gap": stop.target_gap},
+        "stop": asdict(stop),
         "algorithm": algorithm,
     }
     if tau is not None:

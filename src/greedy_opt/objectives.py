@@ -40,9 +40,10 @@ __all__ = [
 class Objective:
     """Convex function with gradient, declared majorant, and smoothness region.
 
-    ``region_radius`` is the radius of a ball (around the origin) enclosing the
-    sublevel set {x : E(x) <= E(0) + 2}; smoothness claims are only asserted
-    inside it.  ``known_inf`` is an optional ``(value, minimizer)`` pair.
+    ``region_radius``, positive, is the radius of a ball (around the origin)
+    enclosing the sublevel set {x : E(x) <= E(0) + 2}; smoothness claims are
+    only asserted inside it.  ``known_inf`` is an optional
+    ``(value, minimizer)`` pair.
     ``curvature`` is a scale s for which E(x + h) = E(x) + <E'(x), h> +
     (s/2) ||h||_2^2 holds exactly in the reals; only ``quadratic_objective``
     sets it, and the objective scan's screen relies on its value and gradient
@@ -66,6 +67,8 @@ class Objective:
         self._gradient = gradient
         self.majorant = majorant
         self.region_radius = float(region_radius)
+        if not self.region_radius > 0:  # NaN too
+            raise ValueError("region_radius must be positive")
         self.known_inf = known_inf
         self.description = dict(description or {})
         self.curvature = curvature

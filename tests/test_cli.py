@@ -445,6 +445,76 @@ BAD_OUTPUTS = {
 }
 
 
+# configs refused before the solve, each with its whole message: first a
+# kind or mode that the CLI does not know
+REFUSED_CONFIGS = {
+    "objective": ({"objective": {"kind": "cubic", "target": [0.5, 0.5]}},
+                  "unknown objective kind 'cubic'"),
+    "dictionary": ({"dictionary": {"kind": "haar", "dim": 2}},
+                   "unknown dictionary kind 'haar'"),
+    "weakness": ({"algorithm": {"kind": "GGA_ADAPTIVE", "b": 0.5,
+                                "tau": {"kind": "geometric", "t": 0.5}}},
+                 "unknown weakness kind 'geometric'"),
+    "coefficients": ({"algorithm": {"kind": "GGA_FIXED", "tau": 1.0,
+                                    "coefficients": {"kind": "harmonic"}}},
+                     "unknown coefficient kind 'harmonic'"),
+    "algorithm": ({"algorithm": {"kind": "OMP"}},
+                  "unknown algorithm kind 'OMP'"),
+    "mode": ({"algorithm": {"kind": "GGA_ADAPTIVE", "b": 0.5,
+                            "mode": "best"}},
+             "mode must be 'argmax' or 'first-above'"),
+    # a radius that is not positive: GGA_ADAPTIVE ran with it (exit 0) and
+    # GEGA exited 2 inside the run with "bound must be positive"
+    **{f"region-radius-{radius}-{kind}": (
+        {"objective": dict(LOGISTIC, region_radius=radius),
+         "algorithm": {"kind": kind, "tau": 1.0, "b": 0.5}},
+        "region_radius must be positive")
+       for radius in (0.0, -1.0) for kind in ("GGA_ADAPTIVE", "GEGA")},
+    # a ragged inline design, which gave numpy's "inhomogeneous shape" text
+    "design-row-a-number": (
+        {"objective": dict(LOGISTIC, design=[[1.0, 0.0], 1.0],
+                           labels=[1.0, -1.0])},
+        "objective.design[1] must be a list"),
+    "design-row-short": (
+        {"objective": dict(LOGISTIC, design=[[1.0, 0.0], [1.0]],
+                           labels=[1.0, -1.0])},
+        "objective.design[1] must have 2 entries, as objective.design[0] has"),
+}
+
+# the two run shapes of the benchmark's run-objective workload, small: EGA on
+# a quadratic, whose trace records no weakness, and GEGA on a logistic loss,
+# whose trace has no infimum; each with the convergence claim it checks
+BENCHMARK_SHAPED = {
+    "ega-quadratic": (
+        {"objective": {"kind": "quadratic", "target": [0.5, -0.3, 0.2],
+                       "scale": 1.0},
+         "dictionary": {"kind": "coordinate", "dim": 3},
+         "algorithm": {"kind": "EGA", "coefficients": {"kind": "power-rule",
+                                                       "t": 1.0}},
+         "stop": {"max_iter": 200, "grad_tol": 0.0, "target_gap": None},
+         "diagnostics": {"claims": [{"claim": "fixed-summable-convergence",
+                                     "tolerance": 1e-2}]}},
+        {"claim": "fixed-summable-convergence", "preconditions_met": True,
+         "reasons": [], "notes": [], "bound_satisfied": True,
+         "details": {"final_gap": 0.00017804574514471415,
+                     "mu_series_budget": 1.0000000000000002,
+                     "tolerance": 0.01}}),
+    "gega-logistic": (
+        {"objective": dict(LOGISTIC, design=[[1.0, 0.0], [0.0, 1.0],
+                                             [1.0, 1.0], [1.0, 0.0]],
+                           labels=[1.0, -1.0, 1.0, -1.0], region_radius=10.0),
+         "dictionary": {"kind": "coordinate", "dim": 2},
+         "algorithm": {"kind": "GEGA", "tau": {"kind": "constant", "t": 1.0},
+                       "line_tol": 1e-12},
+         "stop": {"max_iter": 20, "grad_tol": 0.0, "target_gap": None},
+         "diagnostics": {"claims": [{"claim": "line-search-convergence",
+                                     "tolerance": 1e-2}]}},
+        {"claim": "line-search-convergence", "preconditions_met": False,
+         "reasons": ["no known or reference infimum on the trace"],
+         "notes": [], "bound_satisfied": None, "details": {}}),
+}
+
+
 def _shared_input_sweep(tmp_path):
     """(config, grid) paths of a 2 x 2 sweep whose dictionary axis varies
     fastest, as the benchmark's does: one objective, two dictionaries."""
@@ -561,6 +631,27 @@ class TestRunCommand:
         assert err.startswith("config error: ")
         assert str(out / "manifest.json") in err
         assert not (out / "trace.csv").exists()
+
+    def test_output_that_fails_to_write_after_the_solve_exits_2(
+            self, tmp_path, capsys, monkeypatch):
+        """A file put where ``--out`` should be while the solve runs makes
+        the write fail; its OSError names the path."""
+        import greedy_opt.cli as cli
+
+        out = tmp_path / "o"
+        solve = cli.run_gga_adaptive
+
+        def solve_then_block(*args, **kwargs):
+            trace = solve(*args, **kwargs)
+            out.write_text("keep me")
+            return trace
+        monkeypatch.setattr(cli, "run_gga_adaptive", solve_then_block)
+        cfg = tmp_path / "config.json"
+        write_config(cfg)
+        assert main(["run", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and str(out) in err
+        assert "Traceback" not in err and out.read_text() == "keep me"
 
     @pytest.mark.parametrize("overrides", BAD_CONFIGS.values(),
                              ids=BAD_CONFIGS.keys())
@@ -1025,6 +1116,34 @@ class TestRunCommand:
             assert main(["run", str(cfg), "--out", str(run_dir / "out")]) == 0
             traces.append((run_dir / "out" / "trace.csv").read_bytes())
         assert traces[0] == traces[1]
+
+    @pytest.mark.parametrize("overrides,message", REFUSED_CONFIGS.values(),
+                             ids=REFUSED_CONFIGS.keys())
+    def test_refused_config_exits_2_before_the_solve(
+            self, tmp_path, capsys, monkeypatch, overrides, message):
+        _no_drivers(monkeypatch)
+        cfg = tmp_path / "config.json"
+        write_config(cfg, **overrides)
+        assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not (tmp_path / "o").exists()
+
+    def test_missing_config_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "absent.json"
+        assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == \
+            f"config error: config file not found: {cfg}\n"
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("overrides,verdict", BENCHMARK_SHAPED.values(),
+                             ids=BENCHMARK_SHAPED.keys())
+    def test_benchmark_shaped_runs_keep_their_verdicts(self, tmp_path,
+                                                       overrides, verdict):
+        cfg = tmp_path / "config.json"
+        write_config(cfg, **overrides)
+        assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 0
+        manifest = strict_json((tmp_path / "o" / "manifest.json").read_text())
+        assert manifest["results"]["verdicts"] == [verdict]
 
     def test_missing_dictionary_file_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "config.json"

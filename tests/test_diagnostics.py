@@ -230,6 +230,18 @@ class TestClaimVerdicts:
                                 hull_radius=1.0)
         assert "hull membership of the minimizer not verified" in verdict.notes
 
+    def test_claim_on_an_empty_trace_holds_with_a_note(self):
+        trace = run_gga_fixed(quadratic_objective([0.0, 0.0]),
+                              FiniteDictionary.coordinate(2), 1.0,
+                              CoefficientSequence.explicit([1.0]),
+                              StopRule(max_iter=1))
+        assert len(trace) == 0
+        verdict = claim_verdict(FIXED_SUMMABLE_CONVERGENCE, trace)
+        assert verdict.describe() == {
+            "claim": FIXED_SUMMABLE_CONVERGENCE, "preconditions_met": True,
+            "reasons": [], "bound_satisfied": True, "details": {},
+            "notes": ["empty trace: stopped before the first iteration"]}
+
     def test_verdict_is_reproducible(self):
         E = quadratic_geometric(8)
         cs = make_power_coefficients(1.0, 2.0, 0.5)

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from greedy_opt import (
@@ -39,9 +39,11 @@ def naive_best_pairing(dictionary, v):
 
 
 def naive_pairings(dictionary, v):
-    """One np.dot per column, the reference the scan must match bit for bit."""
-    return np.array([np.dot(dictionary.column(j), v)
-                     for j in range(dictionary.size)])
+    """One np.dot per column, the reference the scan must match bit for bit;
+    a dot that overflows is an infinity, as in the scan."""
+    with np.errstate(over="ignore"):
+        return np.array([np.dot(dictionary.column(j), v)
+                         for j in range(dictionary.size)])
 
 
 def naive_first_above(dictionary, v, threshold):
@@ -354,9 +356,20 @@ class TestPairings:
                 d.pairings(bad)
 
 
+# a vector near overflow against two opposite constant atoms at p = 3: the
+# screen cannot form its certificate, and the fallback scan's dots overflow
+OVERFLOWING_SCAN = (
+    FiniteDictionary(np.ones((10, 2)) * [1.0, -1.0], norm=NormTag(3.0)),
+    np.array([7.43270548e307, 8.78828015e306, 8.04430159e307,
+              -4.56929523e306, -1.39007445e307, 5.77893435e307,
+              9.68306000e307, -2.60548415e307, 9.37865739e307,
+              8.58052776e307]))
+
+
 class TestScreenedScoring:
     @settings(max_examples=300, deadline=None)
     @given(screened_cases())
+    @example(OVERFLOWING_SCAN)
     def test_screened_selection_matches_column_loop_bitwise(self, case):
         d, v = case
         s = naive_pairings(d, v)
@@ -400,6 +413,13 @@ class TestScreenedScoring:
 
 
 class TestGreedyScore:
+    def test_overflowing_scan_raises_value_error(self):
+        """The fallback scan's overflow is no warning: greedy_score sees an
+        infinite score and raises, as documented."""
+        d, v = OVERFLOWING_SCAN
+        with pytest.raises(ValueError, match="greedy score is not finite"):
+            greedy_score(v, d)
+
     def test_worked_example(self):
         value, atom = greedy_score(np.array([1.0, 2.0]),
                                    FiniteDictionary.coordinate(2))

@@ -134,6 +134,12 @@ class TestLogistic:
         with pytest.raises(ValueError):
             logistic_objective(np.eye(2), np.array([1.0, 0.5]))
 
+    @pytest.mark.parametrize("radius", [0.0, -1.0, math.nan])
+    def test_region_radius_must_be_positive(self, radius):
+        with pytest.raises(ValueError, match="region_radius must be positive"):
+            logistic_objective(np.eye(2), np.array([1.0, -1.0]),
+                               region_radius=radius)
+
     def test_shared_margins_follow_x_bytes(self):
         """E, E' and the section share the margins y * (A x) through a memo
         keyed on x's bytes: an x changed in place, an equal copy and a
