@@ -26,7 +26,6 @@ from .dictionaries import (
     FiniteDictionary,
     SphereDictionary,
     argmin_atom_by_objective,
-    duality_map,
     greedy_score,
     select_atom,
 )

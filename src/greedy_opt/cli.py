@@ -449,7 +449,7 @@ def _sweep_one(index, config, base_dir, out_dir, max_iter, builds):
                                      max_iter_override=max_iter,
                                      out_dir=run_dir, builds=builds)
     except (ConfigError, MajorantViolationError, NumericFailure,
-            FloatingPointError, OverflowError) as exc:
+            OverflowError) as exc:
         return [f"error: {type(exc).__name__}"] + [""] * 4
     results = manifest["results"]
     values = [results[key] for key in _SUMMARY_COLUMNS[:4]]
@@ -563,7 +563,7 @@ def main(argv=None):
     except MajorantViolationError as exc:
         print(f"MAJORANT_VIOLATION: {exc}", file=sys.stderr)
         return 3
-    except (NumericFailure, FloatingPointError, OverflowError) as exc:
+    except (NumericFailure, OverflowError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 4
 

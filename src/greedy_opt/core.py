@@ -77,7 +77,8 @@ def lp_norm(v, norm=EUCLIDEAN):
     v = np.asarray(v, dtype=float)
     if norm.is_euclidean:
         return math.sqrt(float(np.dot(v, v)))
-    return float(np.sum(np.abs(v) ** norm.p) ** (1.0 / norm.p))
+    with np.errstate(over="ignore"):  # an overflowing sum is inf
+        return float(np.sum(np.abs(v) ** norm.p) ** (1.0 / norm.p))
 
 
 def dual_norm(v, norm=EUCLIDEAN):
@@ -137,8 +138,8 @@ class Majorant:
     q: float
 
     def __post_init__(self):
-        if self.gamma <= 0:
-            raise ValueError("gamma must be positive")
+        if not 0 < self.gamma < math.inf:  # NaN too
+            raise ValueError("gamma must be positive and finite")
         if not (1.0 < self.q <= 2.0):
             raise ValueError("q must lie in (1, 2]")
 
@@ -183,34 +184,34 @@ def unit_direction(rng, dim, norm=EUCLIDEAN):
             return z / nz
 
 
-def smoothness_gap_check(E, x, y, u, majorant=None, tol=1e-9, norm=EUCLIDEAN):
+def smoothness_gap_check(E, x, y, u):
     """Two-sided check of the convexity/smoothness sandwich along a ray.
 
     The increment E(x + u y) - E(x) - u <E'(x), y> must be nonnegative
-    (convexity) and at most 2 mu(u ||y||) (smoothness), both within ``tol``.
-    Returns True/False, or None when x lies outside the objective's declared
-    region, where the bound is not asserted.
+    (convexity) and at most 2 mu(u ||y||_2) (smoothness, mu the declared
+    majorant), both within 1e-9.  Returns True/False, or None when x lies
+    outside the objective's declared region, where the bound is not asserted.
     """
-    majorant = majorant if majorant is not None else E.majorant
     x = as_vector(x, E.dim)
     y = as_vector(y, E.dim)
-    ny = lp_norm(y, norm)
+    ny = lp_norm(y)
     if ny == 0.0:
         raise ValueError("direction must be nonzero")
-    if lp_norm(x, norm) > E.region_radius:
+    if lp_norm(x) > E.region_radius:
         return None
     gap = E(x + u * y) - E(x) - u * pairing(E.gradient(x), y)
-    return bool(-tol <= gap <= 2.0 * majorant(abs(float(u)) * ny) + tol)
+    return bool(-1e-9 <= gap <= 2.0 * E.majorant(abs(float(u)) * ny) + 1e-9)
 
 
-def finite_difference_gradient_check(E, x, h=1e-5, tol=1e-6):
-    """Coordinate-wise central-difference validation of the analytic gradient."""
+def finite_difference_gradient_check(E, x, tol=1e-6):
+    """Coordinate-wise central-difference validation of the analytic
+    gradient, with step 1e-5."""
     x = as_vector(x, E.dim)
     g = E.gradient(x)
     step = np.zeros_like(x)
     for i in range(x.size):
-        step[i] = h
-        approx = (E(x + step) - E(x - step)) / (2.0 * h)
+        step[i] = 1e-5
+        approx = (E(x + step) - E(x - step)) / 2e-5
         step[i] = 0.0
         if abs(approx - g[i]) > tol:
             return False
@@ -228,10 +229,10 @@ class SmoothnessWitness:
         return not self.violations
 
 
-def majorant_domination_witness(E, samples=200, seed=0, tol=1e-9,
-                                norm=EUCLIDEAN):
-    """Sweep 8 scales u from 1e-3 to 2 and record any sampled point whose
-    second difference exceeds the declared majorant.
+def majorant_domination_witness(E, samples=200, seed=0, tol=1e-9):
+    """Sweep 8 scales u from 1e-3 to 2 and record any sampled point, x in the
+    objective's Euclidean region and y a unit direction, whose second
+    difference exceeds the declared majorant.
 
     The sweep is evidence, not proof: an empty violation list certifies the
     majorant only at the sampled points.
@@ -243,8 +244,8 @@ def majorant_domination_witness(E, samples=200, seed=0, tol=1e-9,
         u = float(u)
         bound = majorant(u)
         for _ in range(samples):
-            x = sample_ball(rng, E.dim, radius=E.region_radius, norm=norm)
-            y = unit_direction(rng, E.dim, norm=norm)
+            x = sample_ball(rng, E.dim, radius=E.region_radius)
+            y = unit_direction(rng, E.dim)
             rho_hat = 0.5 * abs(E(x + u * y) + E(x - u * y) - 2.0 * E(x))
             if rho_hat > bound + tol:
                 violations.append((x, y, u))

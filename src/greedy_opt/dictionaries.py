@@ -2,7 +2,7 @@
 
 A dictionary is a set of unit-norm atoms searched together with their
 negatives.  Finite dictionaries store atoms as matrix columns; the unit
-sphere is handled analytically through the duality map.
+sphere is handled analytically through the duality map (``greedy_score``).
 """
 
 from __future__ import annotations
@@ -13,8 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import (ETA, EUCLIDEAN, U, as_vector, dual_norm, higham_gamma,
-                   lp_norm, norm2)
+from .core import (ETA, EUCLIDEAN, U, NumericFailure, as_vector, dual_norm,
+                   higham_gamma, lp_norm, norm2)
 
 __all__ = [
     "ARGMAX",
@@ -22,7 +22,6 @@ __all__ = [
     "Atom",
     "FiniteDictionary",
     "SphereDictionary",
-    "duality_map",
     "greedy_score",
     "select_atom",
     "argmin_atom_by_objective",
@@ -69,6 +68,8 @@ class FiniteDictionary:
         norms = np.array([lp_norm(A[:, j], norm) for j in range(A.shape[1])])
         if np.any(norms == 0.0):
             raise ValueError("zero atom in dictionary")
+        if not np.all(np.isfinite(norms)):  # its atom would scale to zero
+            raise ValueError("atom norm overflows in dictionary")
         self._atoms = A / norms
         # Views with the strides of A[:, j], built once for the scan.
         self._columns = list(self._atoms.T)
@@ -268,7 +269,6 @@ class SphereDictionary:
 
     def __init__(self, norm=EUCLIDEAN):
         self.norm = norm
-        self.kind = "sphere"
 
     @property
     def dim(self):
@@ -296,18 +296,6 @@ def read_csv_matrix(path):
     return np.loadtxt(path, delimiter=",", skiprows=skip, ndmin=2)
 
 
-def duality_map(v, norm=EUCLIDEAN):
-    """The unique unit-lp vector achieving Hoelder equality against v."""
-    v = np.asarray(v, dtype=float)
-    dn = dual_norm(v, norm)
-    if dn == 0.0:
-        raise ValueError("duality map undefined at zero")
-    if norm.is_euclidean:
-        return v / dn
-    pd = norm.dual_p
-    return np.sign(v) * np.abs(v) ** (pd - 1.0) / dn ** (pd - 1.0)
-
-
 def greedy_score(grad_neg, dictionary):
     """Best pairing <grad_neg, g> over the symmetric dictionary.
 
@@ -316,24 +304,31 @@ def greedy_score(grad_neg, dictionary):
     stopping signal.
 
     Finite dictionaries use ``best_pairing``, which is bit-identical to a full
-    scan, with ties broken by lowest unsigned index, then positive sign; a
-    non-finite score raises ValueError, as the sphere's dual norm does.  The
-    sphere returns the dual norm of grad_neg and the duality-map direction.
+    scan, with ties broken by lowest unsigned index, then positive sign.  The
+    sphere returns the dual norm d of grad_neg = v and the duality map, the
+    unit-lp vector attaining Hoelder equality against v: v / d at p = 2, and
+    sign(v) |v|^(p'-1) / d^(p'-1) otherwise.  A non-finite grad_neg raises
+    ValueError; a score that overflows on a finite one raises NumericFailure.
     """
-    if isinstance(dictionary, SphereDictionary):
-        value = dual_norm(grad_neg, dictionary.norm)
-        if value == 0.0:
-            return 0.0, None
-        return value, Atom(index=-1, sign=1,
-                           vec=duality_map(grad_neg, dictionary.norm))
-    j, pair = dictionary.best_pairing(grad_neg)
-    best = abs(pair)
+    sphere = isinstance(dictionary, SphereDictionary)
+    if sphere:
+        best = dual_norm(grad_neg, dictionary.norm)  # ValueError if not finite
+    else:
+        j, pair = dictionary.best_pairing(grad_neg)
+        best = abs(pair)
     if not math.isfinite(best):
+        if np.isfinite(grad_neg).all():
+            raise NumericFailure("greedy score is not finite")
         raise ValueError("greedy score is not finite")
     if best == 0.0:
         return 0.0, None
-    sign = 1 if pair >= 0.0 else -1
-    return best, Atom(index=j, sign=sign)
+    if not sphere:
+        return best, Atom(index=j, sign=1 if pair >= 0.0 else -1)
+    norm, v = dictionary.norm, np.asarray(grad_neg, dtype=float)
+    pd = norm.dual_p
+    vec = (v / best if norm.is_euclidean
+           else np.sign(v) * np.abs(v) ** (pd - 1.0) / best ** (pd - 1.0))
+    return best, Atom(index=-1, sign=1, vec=vec)
 
 
 def gradient_stop_threshold(dictionary, gtol):

@@ -16,9 +16,9 @@ __all__ = [
 ]
 
 
-def quadratic_2d(scale=1.0):
+def quadratic_2d():
     """The worked 2-D example: target (1, 2)."""
-    return quadratic_objective([1.0, 2.0], scale=scale)
+    return quadratic_objective([1.0, 2.0])
 
 
 def quadratic_2d_unit_l1():
@@ -32,24 +32,24 @@ def quadratic_nd(n=10, seed=3):
     return quadratic_objective(rng.standard_normal(n))
 
 
-def quadratic_geometric(n=64, ratio=0.9):
-    """n-dimensional quadratic, geometrically decaying target with ||target||_1 = 1.
+def quadratic_geometric(n=64):
+    """n-dimensional quadratic, target 0.9^k scaled to ||target||_1 = 1.
 
     The spread of coordinate scales keeps the greedy run busy at every stage,
     which makes it a good rate-measurement instance.
     """
-    t = ratio ** np.arange(n)
+    t = 0.9 ** np.arange(n)
     return quadratic_objective(t / np.sum(t))
 
 
-def logistic_20x5(seed=7):
+def logistic_20x5():
     """20 x 5 logistic instance, non-separable by construction.
 
     Fifteen rows get labels from a noisy linear model; the first five rows are
     then repeated with flipped labels.  Any weight vector misclassifies one row
     of each repeated pair, so the loss is coercive and the infimum is attained.
     """
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(7)
     base = rng.standard_normal((15, 5))
     w = rng.standard_normal(5)
     margins = base @ w + 0.4 * rng.standard_normal(15)
@@ -59,9 +59,10 @@ def logistic_20x5(seed=7):
     return logistic_objective(design, labels, region_radius=10.0)
 
 
-def p_power_instance(p=1.5, rows=10, cols=4, seed=9):
-    """Random full-rank p-power regression instance (smoothness exponent q = p)."""
-    rng = np.random.default_rng(seed)
-    design = rng.standard_normal((rows, cols))
-    response = rng.standard_normal(rows)
-    return p_power_objective(design, response, p)
+def p_power_instance():
+    """Random full-rank 10 x 4 p-power regression instance at p = 1.5
+    (smoothness exponent q = p)."""
+    rng = np.random.default_rng(9)
+    design = rng.standard_normal((10, 4))
+    response = rng.standard_normal(10)
+    return p_power_objective(design, response, 1.5)

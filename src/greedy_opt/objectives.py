@@ -12,7 +12,6 @@ import numpy as np
 
 from .core import (
     ETA,
-    EUCLIDEAN,
     U,
     Majorant,
     NumericFailure,
@@ -211,7 +210,8 @@ def p_power_objective(design, response, p):
         r = A @ x - y
         return A.T @ (np.sign(r) * np.abs(r) ** (p - 1.0))
 
-    row_norms = np.sqrt(np.sum(A * A, axis=1))
+    with np.errstate(over="ignore"):  # an overflow gives gamma = inf
+        row_norms = np.sqrt(np.sum(A * A, axis=1))
     gamma = 2.0 ** (2.0 - p) * float(np.max(row_norms)) ** p * count
     e0 = value(np.zeros(dim))
     radius = (lp_norm(y) + (p * (e0 + 2.0)) ** (1.0 / p)) / float(singular[-1])
@@ -345,8 +345,10 @@ def logistic_objective(design, labels, region_radius=10.0):
 
     # Each square that underflows drops at most eta / 2, and so may 0.125
     # times the sum; A.size * eta covers both, keeps gamma > 0 and leaves it
-    # unchanged whenever the sum is at least A.size * 2^-1017.
-    gamma = 0.125 * float(np.sum(A * A)) + A.size * ETA
+    # unchanged whenever the sum is at least A.size * 2^-1017.  A sum that
+    # overflows gives gamma = inf, which Majorant refuses.
+    with np.errstate(over="ignore"):
+        gamma = 0.125 * float(np.sum(A * A)) + A.size * ETA
     return Objective(
         dim, value, gradient,
         Majorant.power(gamma, 2.0),
@@ -357,19 +359,19 @@ def logistic_objective(design, labels, region_radius=10.0):
     )
 
 
-def reference_infimum(E, norm=EUCLIDEAN):
+def reference_infimum(E):
     """High-accuracy infimum for objectives without a closed form.
 
-    Runs exact-line-search steepest descent (the sphere-dictionary expansion)
-    until the dual gradient norm drops below 1e-10, within 200 000 steps, and
-    returns the final value.  A derived oracle: treat it as a reference, never
-    as exact.
+    Runs exact-line-search steepest descent (the expansion over the Euclidean
+    unit sphere) until the gradient norm drops below 1e-10, within 200 000
+    steps, and returns the final value.  A derived oracle: treat it as a
+    reference, never as exact.
     """
     from .dictionaries import SphereDictionary
     from .greedy import StopRule, WeaknessSequence, run_gega
 
     trace = run_gega(
-        E, SphereDictionary(norm), WeaknessSequence.constant(1.0),
+        E, SphereDictionary(), WeaknessSequence.constant(1.0),
         StopRule(max_iter=200_000, grad_tol=1e-10),
     )
     if trace.status != "gradient":
@@ -378,14 +380,14 @@ def reference_infimum(E, norm=EUCLIDEAN):
     return trace.final_E
 
 
-def validate_objective(E, samples=300, seed=0, norm=EUCLIDEAN):
-    """Sampling audit of an objective's contracts.
+def validate_objective(E, samples=300, seed=0):
+    """Sampling audit of an objective's contracts, on points of its Euclidean
+    region.
 
     Checks midpoint convexity (within 1e-10), the gradient against central
     differences, the supporting-hyperplane inequality
     E(y) >= E(x) + <E'(x), y - x> (within 1e-9), and domination of the
-    empirical modulus by the declared majorant.  Returns a dict of booleans
-    plus details.
+    empirical modulus by the declared majorant.  Returns a dict of booleans.
     """
     rng = np.random.default_rng(seed)
     radius = E.region_radius
@@ -393,8 +395,8 @@ def validate_objective(E, samples=300, seed=0, norm=EUCLIDEAN):
     convex_ok = True
     support_ok = True
     for _ in range(samples):
-        x = sample_ball(rng, E.dim, radius=radius, norm=norm)
-        y = sample_ball(rng, E.dim, radius=radius, norm=norm)
+        x = sample_ball(rng, E.dim, radius=radius)
+        y = sample_ball(rng, E.dim, radius=radius)
         if E(0.5 * (x + y)) > 0.5 * E(x) + 0.5 * E(y) + 1e-10:
             convex_ok = False
         if E(y) < E(x) + pairing(E.gradient(x), y - x) - 1e-9:
@@ -402,15 +404,14 @@ def validate_objective(E, samples=300, seed=0, norm=EUCLIDEAN):
 
     gradient_ok = all(
         finite_difference_gradient_check(
-            E, sample_ball(rng, E.dim, radius=min(radius, 5.0), norm=norm))
+            E, sample_ball(rng, E.dim, radius=min(radius, 5.0)))
         for _ in range(5)
     )
     witness = majorant_domination_witness(E, samples=max(25, samples // 8),
-                                          seed=seed, norm=norm)
+                                          seed=seed)
     return {
         "convexity": convex_ok,
         "supporting_hyperplane": support_ok,
         "gradient": gradient_ok,
         "majorant_domination": witness.ok,
-        "witness": witness,
     }

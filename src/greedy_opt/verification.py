@@ -219,7 +219,7 @@ def c03_smoothness_gap_sweep(ctx):
             x = sample_ball(rng, E.dim, radius=E.region_radius)
             y = unit_direction(rng, E.dim)
             u = float(rng.uniform(0.0, 2.0))
-            if smoothness_gap_check(E, x, y, u, tol=1e-9) is False:
+            if smoothness_gap_check(E, x, y, u) is False:
                 bad += 1
         if bad:
             failures.append((name, bad))
@@ -521,7 +521,7 @@ def inv_majorant_domination(ctx):
 
 @_criterion
 def inv_hoelder_duality(ctx):
-    """Pairings never exceed dual norm times primal norm; the map attains it."""
+    """Pairings never exceed dual norm times primal norm (Hoelder), at five p."""
     rng = np.random.default_rng(23)
     worst = 0.0
     for p in (1.2, 1.5, 2.0, 3.0, 6.0):

@@ -479,6 +479,17 @@ REFUSED_CONFIGS = {
         {"objective": dict(LOGISTIC, design=[[1.0, 0.0], [1.0]],
                            labels=[1.0, -1.0])},
         "objective.design[1] must have 2 entries, as objective.design[0] has"),
+    # a finite design whose curvature bound overflows: the p-power objective
+    # warned, took c = 0 at every step and exited 2 after the solve on an
+    # infinite gamma in the manifest, leaving trace.csv behind
+    "p-power-gamma-overflow": (
+        {"objective": {"kind": "p_power", "design": [[1e200, 0.0], [0.0, 1e200]],
+                       "response": [1.0, 1.0], "p": 2.0}},
+        "gamma must be positive and finite"),
+    "logistic-gamma-overflow": (
+        {"objective": dict(LOGISTIC, design=[[1e200, 0.0], [0.0, 1e200]],
+                           labels=[1.0, -1.0])},
+        "gamma must be positive and finite"),
 }
 
 # the two run shapes of the benchmark's run-objective workload, small: EGA on
@@ -1012,6 +1023,29 @@ class TestRunCommand:
                                      "target": [1e160, 1e160],
                                      "scale": 1e60})
         assert main(["run", str(cfg), "--out", str(tmp_path / "n")]) == 4
+
+    # a greedy score that overflows on a finite gradient: the CSV dictionary
+    # exited 2 with "config error: greedy score is not finite"; the sphere
+    # warned three times, took a NaN atom and exited 4 with "objective
+    # evaluation is not finite"
+    @pytest.mark.parametrize("case", ["csv-p3", "sphere-p1.5"])
+    def test_overflowing_greedy_score_exits_4(self, tmp_path, capsys, case):
+        if case == "csv-p3":
+            (tmp_path / "atoms.csv").write_text("1,-1\n1,-1\n1,-1\n",
+                                                encoding="utf-8")
+            objective = {"kind": "quadratic", "target": [1.0, 1.0, 1.0],
+                         "scale": 1e308}
+            dictionary = {"kind": "csv", "path": "atoms.csv", "p": 3}
+        else:
+            objective = {"kind": "quadratic", "target": [1.0, 1.0],
+                         "scale": 1e200}
+            dictionary = {"kind": "sphere", "p": 1.5}
+        cfg = tmp_path / "config.json"
+        write_config(cfg, objective=objective, dictionary=dictionary)
+        assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 4
+        assert capsys.readouterr().err == \
+            "numeric failure: greedy score is not finite\n"
+        assert not (tmp_path / "o").exists()
 
     def test_max_iter_override(self, tmp_path):
         cfg = tmp_path / "config.json"

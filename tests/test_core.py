@@ -81,6 +81,13 @@ class TestMajorant:
         with pytest.raises(ValueError):
             Majorant.power(1.0, 1.0)
 
+    @pytest.mark.parametrize("gamma", [float("nan"), float("inf"),
+                                       -float("inf"), 0.0])
+    def test_gamma_must_be_positive_and_finite(self, gamma):
+        with pytest.raises(ValueError,
+                           match="gamma must be positive and finite"):
+            Majorant.power(gamma, 2.0)
+
     def test_power_evaluation(self):
         mu = Majorant.power(0.5, 2.0)
         assert mu(0.0) == 0.0
@@ -193,9 +200,9 @@ class TestSmoothnessGapCheck:
 
     def test_strict_convexity_fails_zero_majorant(self):
         E = quadratic_objective([1.0, 2.0])
-        zero = Majorant.power(1e-300, 2.0)
-        assert smoothness_gap_check(E, np.zeros(2), np.array([0.0, 1.0]), 1.0,
-                                    majorant=zero) is False
+        zero = with_majorant(E, Majorant.power(1e-300, 2.0))
+        assert smoothness_gap_check(zero, np.zeros(2), np.array([0.0, 1.0]),
+                                    1.0) is False
 
     def test_out_of_region_is_not_applicable(self):
         E = quadratic_objective([1.0, 2.0])
@@ -224,14 +231,13 @@ class TestGradientCheck:
     def test_quadratic_gradient_exact(self):
         E = quadratic_objective([1.0, 2.0])
         assert finite_difference_gradient_check(E, np.array([1.0, 2.0]),
-                                                h=1e-5, tol=1e-8)
+                                                tol=1e-8)
 
     def test_logistic_gradient(self):
         design = np.array([[1.0, 0.5], [-0.3, 1.2], [0.8, -0.7], [0.1, 0.9]])
         labels = np.array([1.0, -1.0, 1.0, -1.0])
         E = logistic_objective(design, labels)
-        assert finite_difference_gradient_check(E, np.zeros(2), h=1e-5,
-                                                tol=1e-6)
+        assert finite_difference_gradient_check(E, np.zeros(2), tol=1e-6)
 
     def test_corrupted_gradient_detected(self):
         E = quadratic_objective([1.0, 2.0])

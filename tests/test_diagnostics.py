@@ -110,6 +110,32 @@ class TestClaimVerdicts:
         assert not verdict.preconditions_met
         assert any("s mismatch" in reason for reason in verdict.reasons)
 
+    @pytest.mark.parametrize("r", [0.0, 0.5])
+    def test_rate_exponent_outside_its_range_is_a_reason(self, r):
+        """r must lie in (0, t (1 - s)); here t = 1 and s = 2/3."""
+        E = quadratic_geometric(16)
+        cs = make_power_coefficients(1.0, 2.0, 0.5)
+        trace = run_gga_fixed(E, FiniteDictionary.coordinate(16), 1.0, cs,
+                              StopRule(max_iter=50))
+        verdict = claim_verdict(POWER_SCHEDULE_RATE, trace, r=r,
+                                hull_radius=1.0)
+        assert not verdict.preconditions_met
+        r_max = 1.0 - cs.s
+        assert verdict.reasons == [f"exponent r = {r} outside (0, {r_max})"]
+
+    @pytest.mark.parametrize("claim", [FIXED_SUMMABLE_CONVERGENCE,
+                                       POWER_SCHEDULE_RATE])
+    def test_fixed_schedule_claims_need_a_constant_weakness(self, claim):
+        from greedy_opt import WeaknessSequence
+        E = quadratic_geometric(8)
+        varying = WeaknessSequence.explicit([1.0, 0.5] * 10)
+        trace = run_gga_fixed(E, FiniteDictionary.coordinate(8), varying,
+                              make_power_coefficients(1.0, 2.0, 0.5),
+                              StopRule(max_iter=20))
+        verdict = claim_verdict(claim, trace, hull_radius=1.0)
+        assert not verdict.preconditions_met
+        assert verdict.reasons[0] == "weakness sequence is not constant"
+
     def test_summable_budget_decides_preconditions(self):
         """c_k = k^-1 has divergent mass; mu budget gamma * zeta(2) decides."""
         harmonic = CoefficientSequence.power(1.0, 1.0)

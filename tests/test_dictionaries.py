@@ -14,6 +14,7 @@ from greedy_opt import (
     FiniteDictionary,
     Majorant,
     NormTag,
+    NumericFailure,
     Objective,
     SphereDictionary,
     argmin_atom_by_objective,
@@ -260,6 +261,13 @@ class TestConstruction:
         with pytest.raises(ValueError):
             FiniteDictionary(atoms)
 
+    @pytest.mark.parametrize("p", [1.5, 3.0])
+    def test_atom_whose_norm_overflows_rejected(self, p):
+        """A finite atom whose lp norm overflows would scale to zero; off
+        p = 2 the norm's sum overflows with no warning."""
+        with pytest.raises(ValueError, match="atom norm overflows"):
+            FiniteDictionary(np.full((3, 1), 1e300), norm=NormTag(p))
+
     def test_coordinate_and_gaussian(self):
         d = FiniteDictionary.coordinate(3)
         assert d.kind == "coordinate" and d.size == 3
@@ -373,8 +381,8 @@ class TestScreenedScoring:
     def test_screened_selection_matches_column_loop_bitwise(self, case):
         d, v = case
         s = naive_pairings(d, v)
-        if not np.all(np.isfinite(s)):
-            with pytest.raises(ValueError):
+        if not np.all(np.isfinite(s)):  # v is finite: a numeric failure
+            with pytest.raises(NumericFailure):
                 greedy_score(v, d)
             return
         j = int(np.argmax(np.abs(s)))
@@ -413,11 +421,11 @@ class TestScreenedScoring:
 
 
 class TestGreedyScore:
-    def test_overflowing_scan_raises_value_error(self):
+    def test_overflowing_scan_raises_numeric_failure(self):
         """The fallback scan's overflow is no warning: greedy_score sees an
-        infinite score and raises, as documented."""
+        infinite score on a finite vector and raises NumericFailure."""
         d, v = OVERFLOWING_SCAN
-        with pytest.raises(ValueError, match="greedy score is not finite"):
+        with pytest.raises(NumericFailure, match="greedy score is not finite"):
             greedy_score(v, d)
 
     def test_worked_example(self):
@@ -496,6 +504,31 @@ class TestGreedyScore:
                                            rtol=1e-12)
                 np.testing.assert_allclose(lp_norm(atom.vec, sphere.norm), 1.0,
                                            rtol=1e-12)
+
+    @pytest.mark.parametrize("p", [1.2, 1.5, 2.0, 3.0, 6.0])
+    def test_sphere_atom_is_the_duality_map_bitwise(self, p):
+        """The score is the dual norm, and the atom is v / ||v||_2 at p = 2
+        and sign(v) |v|^(p'-1) / ||v||_{p'}^(p'-1) otherwise, with
+        p' = p / (p - 1), bit for bit."""
+        rng = np.random.default_rng(29)
+        sphere = SphereDictionary(NormTag(p))
+        for scale in (1.0, 1e-3, 1e3):
+            for k in range(20):
+                v = rng.standard_normal(7) * scale
+                if k % 3 == 0:  # a zero of either sign
+                    v[k % 7] = (0.0, -0.0)[k % 2]
+                value, atom = greedy_score(v, sphere)
+                if p == 2.0:
+                    dn = math.sqrt(float(np.dot(v, v)))
+                    expected = v / dn
+                else:
+                    pd = p / (p - 1.0)
+                    dn = float(np.sum(np.abs(v) ** pd) ** (1.0 / pd))
+                    expected = (np.sign(v) * np.abs(v) ** (pd - 1.0)
+                                / dn ** (pd - 1.0))
+                assert value == dn
+                assert (atom.index, atom.sign) == (-1, 1)
+                assert atom.vec.tobytes() == expected.tobytes()
 
 
 class TestSelectAtom:
@@ -692,7 +725,7 @@ class TestGradientStopThreshold:
         with np.errstate(over="ignore", invalid="ignore"):
             try:
                 score, _ = greedy_score(-g, d)
-            except ValueError:  # an overflowing score raises before the test
+            except NumericFailure:  # an overflowing score raises first
                 return
             dn = dual_norm(g, d.norm)
         if isinstance(d, SphereDictionary):

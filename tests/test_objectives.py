@@ -1,5 +1,6 @@
 """Shipped objective families: worked values, contracts, reference solves."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -15,7 +16,9 @@ from greedy_opt.instances import (
     logistic_20x5,
     p_power_instance,
     quadratic_2d,
+    quadratic_2d_unit_l1,
     quadratic_geometric,
+    quadratic_nd,
 )
 from greedy_opt.core import sample_ball, unit_direction
 from greedy_opt.objectives import reference_infimum
@@ -97,9 +100,19 @@ class TestPPower:
             p_power_objective(design, np.zeros(3), 1.5)
 
     def test_majorant_exponent_matches_p(self):
-        E = p_power_instance(p=1.5)
+        E = p_power_instance()
         assert E.majorant.q == 1.5
         assert E.description["gamma_note"] == "conservative analytic bound"
+
+
+@pytest.mark.parametrize("build", [
+    lambda A: p_power_objective(A, [1.0, 1.0], 2.0),
+    lambda A: logistic_objective(A, [1.0, -1.0]),
+], ids=["p-power", "logistic"])
+def test_overflowing_curvature_bound_is_refused(build):
+    """A finite design whose gamma overflows is refused, with no warning."""
+    with pytest.raises(ValueError, match="gamma must be positive and finite"):
+        build([[1e200, 0.0], [0.0, 1e200]])
 
 
 class TestLogistic:
@@ -201,3 +214,65 @@ class TestReferenceInfimum:
                                  options={"ftol": 1e-15, "gtol": 1e-12})
         assert ref <= res.fun + 1e-9
         np.testing.assert_allclose(ref, res.fun, rtol=1e-8)
+
+
+def digest(*arrays):
+    """sha256 of the float64 bytes of the arrays, in order."""
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(np.ascontiguousarray(a, dtype=float).tobytes())
+    return h.hexdigest()
+
+
+def assert_same_objective(E, ref):
+    """Same description, majorant and region, and the same value and
+    gradient bits at seeded points."""
+    assert E.describe() == ref.describe()
+    rng = np.random.default_rng(0)
+    for _ in range(3):
+        x = rng.standard_normal(E.dim)
+        assert E(x) == ref(x)
+        assert E.gradient(x).tobytes() == ref.gradient(x).tobytes()
+
+
+class TestCannedInstances:
+    """The defining arrays of every canned instance, pinned by their bytes, so
+    that folding a builder's defaults into its body cannot change them."""
+
+    @pytest.mark.parametrize("make,expected", [
+        (quadratic_2d, "29bc3b597c56a8b29a067a060b7913ce"
+                       "6f79d36635cf98d3fa1ffe964c1f4e0d"),
+        (quadratic_2d_unit_l1, "5226bfbecbdcb07815789f4323f06b21"
+                               "ab4df910e7b93ac9d7fbd7d99b3e3946"),
+        (lambda: quadratic_nd(10, seed=3), "899d5db7c98a7b2b92998ef80f0602be"
+                                           "6110ddb552a8322e23f198658b7e1438"),
+        (lambda: quadratic_geometric(64), "3c411b81325eaac3a1c33d1d00f92b66"
+                                          "43ecd1980f1c6077d14296f50c6281bc"),
+    ])
+    def test_quadratic_target_and_scale(self, make, expected):
+        E = make()
+        assert digest(E.minimizer, [E.description["scale"]]) == expected
+        assert_same_objective(E, quadratic_objective(
+            E.minimizer, scale=E.description["scale"]))
+
+    def test_logistic_20x5(self):
+        rng = np.random.default_rng(7)
+        base = rng.standard_normal((15, 5))
+        w = rng.standard_normal(5)
+        margins = base @ w + 0.4 * rng.standard_normal(15)
+        labels = np.where(margins >= 0, 1.0, -1.0)
+        design = np.vstack([base, base[:5]])
+        labels = np.concatenate([labels, -labels[:5]])
+        assert digest(design, labels) == ("e318240e4bf75a0f7bf4ef2ed8e10a45"
+                                          "363deac3638ea27ca5a6ad45a75dc9a9")
+        assert_same_objective(logistic_20x5(), logistic_objective(
+            design, labels, region_radius=10.0))
+
+    def test_p_power_instance(self):
+        rng = np.random.default_rng(9)
+        design = rng.standard_normal((10, 4))
+        response = rng.standard_normal(10)
+        assert digest(design, response) == ("e30b2e881f66b6405426fb005325d0bb"
+                                            "5ff4f03749903a29cdfabc8455aa577f")
+        assert_same_objective(p_power_instance(),
+                              p_power_objective(design, response, 1.5))

@@ -1,5 +1,7 @@
 """Trace CSV: the writer against a per-cell oracle, and the reader's checks."""
 
+import os
+
 import pytest
 
 from greedy_opt import (
@@ -15,8 +17,8 @@ from greedy_opt import (
 )
 from greedy_opt.dictionaries import Atom
 from greedy_opt.instances import logistic_20x5
-from greedy_opt.traceio import (TRACE_COLUMNS, manifest_text, read_trace_csv,
-                                trace_csv_text)
+from greedy_opt.traceio import (TRACE_COLUMNS, atomic_write_text,
+                                manifest_text, read_trace_csv, trace_csv_text)
 
 
 def oracle_csv(trace):
@@ -124,6 +126,47 @@ def test_reader_rejects_sums_that_disagree_with_the_steps(tmp_path, column):
     path.write_text("\n".join(lines), encoding="utf-8")
     with pytest.raises(ValueError, match="running sums"):
         read_trace_csv(path)
+
+
+def test_reader_rejects_a_wrong_header(tmp_path):
+    path = tmp_path / "trace.csv"
+    path.write_text("m,E,gap\n1,0.5,\n", encoding="utf-8")
+    with pytest.raises(ValueError, match="unexpected trace header"):
+        read_trace_csv(path)
+
+
+def test_reader_rejects_a_short_row(tmp_path):
+    lines = trace_csv_text(signed_steps()).split("\n")
+    lines[2] = ",".join(lines[2].split(",")[:-1])
+    path = tmp_path / "trace.csv"
+    path.write_text("\n".join(lines), encoding="utf-8")
+    with pytest.raises(ValueError, match="malformed trace row"):
+        read_trace_csv(path)
+
+
+def test_failed_write_removes_its_temp_file(tmp_path):
+    """A write that fails re-raises its error, leaves the old file as it was
+    and leaves no temp file behind."""
+    path = tmp_path / "out.csv"
+    path.write_text("old\n", encoding="utf-8")
+    with pytest.raises(UnicodeEncodeError):
+        atomic_write_text(path, "a lone surrogate \ud800")
+    assert path.read_text(encoding="utf-8") == "old\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out.csv"]
+
+
+def test_failed_clean_up_keeps_the_first_error(tmp_path, monkeypatch):
+    def refuse(*args):
+        raise PermissionError("replace refused")
+
+    def unremovable(*args):
+        raise OSError("unlink refused")
+
+    monkeypatch.setattr(os, "replace", refuse)
+    monkeypatch.setattr(os, "unlink", unremovable)
+    with pytest.raises(PermissionError, match="replace refused"):
+        atomic_write_text(tmp_path / "out.csv", "text\n")
+    assert not (tmp_path / "out.csv").exists()
 
 
 def test_ragged_trace_raises():
