@@ -11,7 +11,6 @@ from .core import (
     Majorant,
     NormTag,
     NumericFailure,
-    SmoothnessWitness,
     dual_norm,
     finite_difference_gradient_check,
     lp_norm,

@@ -25,7 +25,6 @@ __all__ = [
     "unit_direction",
     "smoothness_gap_check",
     "finite_difference_gradient_check",
-    "SmoothnessWitness",
     "majorant_domination_witness",
 ]
 
@@ -160,26 +159,26 @@ class Majorant:
 _SIGNS = np.array([-1.0, 1.0])
 
 
-def sample_ball(rng, dim, radius=1.0, norm=EUCLIDEAN):
-    """Uniform draw from the lp ball of the given radius, rejection-free.
+def sample_ball(rng, dim, radius=1.0):
+    """Uniform draw from the Euclidean ball of the given radius,
+    rejection-free.
 
-    Coordinates with density proportional to exp(-|t|^p) plus an independent
-    exponential slack in the normalization give exactly the uniform law on the
-    ball, for every p.
+    Coordinates with density proportional to exp(-t^2), drawn as signed
+    gamma(1/2) variates to the power 1/2, plus an independent exponential
+    slack in the normalization give exactly the uniform law on the ball.
     """
-    p = norm.p
-    g = rng.gamma(1.0 / p, size=dim) ** (1.0 / p)
+    g = rng.gamma(0.5, size=dim) ** 0.5
     g *= _SIGNS[rng.integers(0, 2, size=dim)]
     w = rng.standard_exponential()
-    denom = (np.sum(np.abs(g) ** p) + w) ** (1.0 / p)
+    denom = (np.sum(np.abs(g) ** 2.0) + w) ** 0.5
     return radius * g / denom
 
 
-def unit_direction(rng, dim, norm=EUCLIDEAN):
-    """Random direction of unit lp norm (normalized standard normal)."""
+def unit_direction(rng, dim):
+    """Random direction of unit Euclidean norm (normalized standard normal)."""
     while True:
         z = rng.standard_normal(dim)
-        nz = lp_norm(z, norm)
+        nz = lp_norm(z)
         if nz > 0.0:
             return z / nz
 
@@ -203,9 +202,9 @@ def smoothness_gap_check(E, x, y, u):
     return bool(-1e-9 <= gap <= 2.0 * E.majorant(abs(float(u)) * ny) + 1e-9)
 
 
-def finite_difference_gradient_check(E, x, tol=1e-6):
+def finite_difference_gradient_check(E, x):
     """Coordinate-wise central-difference validation of the analytic
-    gradient, with step 1e-5."""
+    gradient, with step 1e-5 and tolerance 1e-6."""
     x = as_vector(x, E.dim)
     g = E.gradient(x)
     step = np.zeros_like(x)
@@ -213,29 +212,19 @@ def finite_difference_gradient_check(E, x, tol=1e-6):
         step[i] = 1e-5
         approx = (E(x + step) - E(x - step)) / 2e-5
         step[i] = 0.0
-        if abs(approx - g[i]) > tol:
+        if abs(approx - g[i]) > 1e-6:
             return False
     return True
 
 
-@dataclass
-class SmoothnessWitness:
-    """Record of an empirical majorant-domination sweep."""
+def majorant_domination_witness(E, samples=200, seed=0):
+    """Sweep 8 scales u from 1e-3 to 2 and return the list of sampled
+    (x, y, u) triples, x in the objective's Euclidean region and y a unit
+    direction, whose second difference exceeds the declared majorant by more
+    than 1e-9.
 
-    violations: list  # (x, y, u) triples where the majorant failed
-
-    @property
-    def ok(self):
-        return not self.violations
-
-
-def majorant_domination_witness(E, samples=200, seed=0, tol=1e-9):
-    """Sweep 8 scales u from 1e-3 to 2 and record any sampled point, x in the
-    objective's Euclidean region and y a unit direction, whose second
-    difference exceeds the declared majorant.
-
-    The sweep is evidence, not proof: an empty violation list certifies the
-    majorant only at the sampled points.
+    The sweep is evidence, not proof: an empty list certifies the majorant
+    only at the sampled points.
     """
     majorant = E.majorant
     rng = np.random.default_rng(seed)
@@ -247,6 +236,6 @@ def majorant_domination_witness(E, samples=200, seed=0, tol=1e-9):
             x = sample_ball(rng, E.dim, radius=E.region_radius)
             y = unit_direction(rng, E.dim)
             rho_hat = 0.5 * abs(E(x + u * y) + E(x - u * y) - 2.0 * E(x))
-            if rho_hat > bound + tol:
+            if rho_hat > bound + 1e-9:
                 violations.append((x, y, u))
-    return SmoothnessWitness(violations)
+    return violations

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -46,9 +46,7 @@ class RateFit:
     r_squared: float | None = None
 
     def describe(self):
-        return {"status": self.status, "window": list(self.window),
-                "n_points": self.n_points, "exponent": self.exponent,
-                "intercept": self.intercept, "r_squared": self.r_squared}
+        return asdict(self)
 
 
 def fit_rate(trace, window=None):
@@ -121,10 +119,7 @@ class ClaimVerdict:
     details: dict = field(default_factory=dict)
 
     def describe(self):
-        return {"claim": self.claim, "preconditions_met": self.preconditions_met,
-                "reasons": list(self.reasons), "notes": list(self.notes),
-                "bound_satisfied": self.bound_satisfied,
-                "details": dict(self.details)}
+        return asdict(self)
 
 
 def smallest_dominating_constant(gaps, bounds, upto):

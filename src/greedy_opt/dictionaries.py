@@ -65,7 +65,9 @@ class FiniteDictionary:
             raise ValueError("atoms must form a nonempty (dim x count) matrix")
         if not np.all(np.isfinite(A)):
             raise ValueError("atoms must be finite")
-        norms = np.array([lp_norm(A[:, j], norm) for j in range(A.shape[1])])
+        with np.errstate(over="ignore"):  # an overflowing norm is inf
+            norms = np.array([lp_norm(A[:, j], norm)
+                              for j in range(A.shape[1])])
         if np.any(norms == 0.0):
             raise ValueError("zero atom in dictionary")
         if not np.all(np.isfinite(norms)):  # its atom would scale to zero
@@ -270,10 +272,6 @@ class SphereDictionary:
     def __init__(self, norm=EUCLIDEAN):
         self.norm = norm
 
-    @property
-    def dim(self):
-        return None
-
     def resolve(self, atom):
         return atom.sign * atom.vec
 
@@ -312,7 +310,9 @@ def greedy_score(grad_neg, dictionary):
     """
     sphere = isinstance(dictionary, SphereDictionary)
     if sphere:
-        best = dual_norm(grad_neg, dictionary.norm)  # ValueError if not finite
+        # ValueError if not finite; an overflowing score is inf
+        with np.errstate(over="ignore"):
+            best = dual_norm(grad_neg, dictionary.norm)
     else:
         j, pair = dictionary.best_pairing(grad_neg)
         best = abs(pair)

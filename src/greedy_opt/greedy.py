@@ -21,6 +21,7 @@ from .diagnostics import (OUTSIDE, UNVERIFIABLE, _first_violation,
                           _hull_membership, _power_series_sum)
 from .dictionaries import (
     ARGMAX,
+    FIRST_ABOVE,
     SphereDictionary,
     argmin_atom_by_objective,
     gradient_stop_threshold,
@@ -113,13 +114,13 @@ class WeaknessSequence(_Schedule):
         seq = cls("explicit", values=values)
         if not seq._values:
             raise ValueError("empty weakness sequence")
+        for m, t in enumerate(seq._values, start=1):
+            if not (0.0 < t <= 1.0):
+                raise ValueError(f"t_{m} = {t} outside (0, 1]")
         return seq
 
     def __call__(self, m):
-        t = self._t if self.kind == "constant" else self._entry(m)
-        if not (0.0 < t <= 1.0):
-            raise ValueError(f"t_{m} = {t} outside (0, 1]")
-        return t
+        return self._t if self.kind == "constant" else self._entry(m)
 
     def describe(self):
         if self.kind == "constant":
@@ -451,6 +452,8 @@ def _run(E, dictionary, stop, algorithm, step, tau=None, mode=ARGMAX,
         "algorithm": algorithm,
     }
     if tau is not None:
+        if mode not in (ARGMAX, FIRST_ABOVE):
+            raise ValueError(f"mode must be {ARGMAX!r} or {FIRST_ABOVE!r}")
         if not isinstance(tau, WeaknessSequence):
             tau = WeaknessSequence.constant(tau)
         config.update(tau=tau.describe(), mode=mode)
@@ -523,19 +526,13 @@ def _prescribed(rule, positive=False):
     return step
 
 
-def run_gbe(E, dictionary, t, coeff_rule, stop, mode=ARGMAX):
-    """Generic expansion: weak-greedy atom, externally prescribed positive steps.
-
-    ``coeff_rule`` is a CoefficientSequence, recorded in the run config, or any
-    callable mapping the iteration index m (1-based) to a positive c_m.
-    """
-    params = {}
-    if isinstance(coeff_rule, CoefficientSequence):
-        params["coefficients"] = coeff_rule.describe()
-        coeff_rule = coeff_rule.value
+def run_gbe(E, dictionary, t, coeffs, stop, mode=ARGMAX):
+    """Generic expansion: weak-greedy atom at constant t, prescribed steps
+    ``coeffs`` (a CoefficientSequence), each of which must be positive."""
     return _run(E, dictionary, stop, "GBE",
-                _prescribed(coeff_rule, positive=True),
-                WeaknessSequence.constant(t), mode, **params)
+                _prescribed(coeffs.value, positive=True),
+                WeaknessSequence.constant(t), mode,
+                coefficients=coeffs.describe())
 
 
 def run_ega(E, dictionary, coeffs, stop):
@@ -604,10 +601,7 @@ def iter_states(trace, dictionary):
     """
     if not len(trace):
         return
-    if dictionary.dim is not None:
-        G = np.zeros(dictionary.dim)
-    else:
-        G = np.zeros(trace.atoms[0].vec.size)
+    G = np.zeros(dictionary.resolve(trace.atoms[0]).size)
     steps = zip(trace.atoms, trace.c, trace.A, strict=True)
     for k, (atom, c, a_mass) in enumerate(steps, start=1):
         G = G + c * dictionary.resolve(atom)
@@ -652,8 +646,8 @@ def score_gap_bound(E, dictionary, state, reference, hull_radius):
     return BoundCheck(lhs=lhs, rhs=rhs, holds=bool(lhs >= rhs - 1e-10))
 
 
-def check_rate_bound(trace, alpha, C, burn_in=0):
-    """True iff gap_m <= C * m^(-alpha) for every m > burn_in.
+def check_rate_bound(trace, alpha, C):
+    """True iff gap_m <= C * m^(-alpha) for every m.
 
     Returns None when the trace has no infimum to measure gaps against.
     """
@@ -663,4 +657,4 @@ def check_rate_bound(trace, alpha, C, burn_in=0):
     if alpha <= 0 or C <= 0:
         raise ValueError("alpha and C must be positive")
     m = np.arange(1, len(gaps) + 1, dtype=float)
-    return _first_violation(gaps, m ** (-alpha), C, burn_in) is None
+    return _first_violation(gaps, m ** (-alpha), C, 0) is None

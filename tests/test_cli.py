@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import warnings
 import weakref
 
 import numpy as np
@@ -490,6 +491,15 @@ REFUSED_CONFIGS = {
         {"objective": dict(LOGISTIC, design=[[1e200, 0.0], [0.0, 1e200]],
                            labels=[1.0, -1.0])},
         "gamma must be positive and finite"),
+    # a weakness entry past max_iter: it ran with exit 0 at max_iter 1 and
+    # exited 2 only at max_iter 2, when the run reached it
+    "weakness-entry-past-max-iter": (
+        {"algorithm": {"kind": "GGA_FIXED",
+                       "tau": {"kind": "explicit", "values": [0.5, 2.0]},
+                       "coefficients": {"kind": "explicit",
+                                        "values": [0.5, 0.25]}},
+         "stop": {"max_iter": 1}},
+        "t_2 = 2.0 outside (0, 1]"),
 }
 
 # the two run shapes of the benchmark's run-objective workload, small: EGA on
@@ -1045,6 +1055,34 @@ class TestRunCommand:
         assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 4
         assert capsys.readouterr().err == \
             "numeric failure: greedy score is not finite\n"
+        assert not (tmp_path / "o").exists()
+
+    # each printed numpy's RuntimeWarning before its documented exit
+    @pytest.mark.parametrize("case", ["sphere-p2", "csv-atom-norm",
+                                      "logistic-row-sums"])
+    def test_overflow_exits_without_a_warning(self, tmp_path, capsys, case):
+        objective = {"kind": "quadratic", "target": [1.0, 1.0]}
+        dictionary = {"kind": "coordinate", "dim": 2}
+        if case == "sphere-p2":
+            objective["scale"] = 1e200
+            dictionary = {"kind": "sphere", "p": 2}
+            code, err = 4, "numeric failure: greedy score is not finite\n"
+        elif case == "csv-atom-norm":
+            (tmp_path / "atoms.csv").write_text("1e300,1\n1e300,0\n",
+                                                encoding="utf-8")
+            dictionary = {"kind": "csv", "path": "atoms.csv", "p": 2}
+            code, err = 2, "config error: atom norm overflows in dictionary\n"
+        else:
+            objective = dict(LOGISTIC, design=[[1.7e308, 1.7e308], [0.0, 1.0]],
+                             labels=[1.0, -1.0])
+            code, err = 2, "config error: gamma must be positive and finite\n"
+        cfg = tmp_path / "config.json"
+        write_config(cfg, objective=objective, dictionary=dictionary)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == code
+        assert [str(w.message) for w in caught] == []
+        assert capsys.readouterr().err == err
         assert not (tmp_path / "o").exists()
 
     def test_max_iter_override(self, tmp_path):

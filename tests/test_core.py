@@ -106,42 +106,36 @@ class TestMajorant:
 class TestBallSampling:
     def test_samples_stay_inside(self):
         rng = np.random.default_rng(2)
-        for p in (1.3, 2.0, 4.0):
-            tag = NormTag(p)
-            for _ in range(200):
-                x = sample_ball(rng, 5, radius=3.0, norm=tag)
-                assert lp_norm(x, tag) <= 3.0 * (1.0 + 1e-12)
+        for _ in range(200):
+            x = sample_ball(rng, 5, radius=3.0)
+            assert lp_norm(x) <= 3.0 * (1.0 + 1e-12)
 
     def test_sign_draw_matches_rng_choice_bit_for_bit(self):
         """The sign draw indexes [-1, 1] with rng.integers; on the numpy this
         was written against, that gives rng.choice([-1.0, 1.0])'s points and
         leaves the generator in the same state.  A numpy that changes either
         would shift every sampled audit, so this fails loudly then."""
-        def with_choice(rng, dim, radius, norm):
-            p = norm.p
+        def with_choice(rng, dim, radius):
+            p = 2.0
             g = rng.gamma(1.0 / p, size=dim) ** (1.0 / p)
             g *= rng.choice([-1.0, 1.0], size=dim)
             w = rng.standard_exponential()
             return radius * g / (np.sum(np.abs(g) ** p) + w) ** (1.0 / p)
 
         for dim in (1, 2, 5, 64, 401):
-            for p in (1.5, 2.0, 3.0):
-                ours = np.random.default_rng([dim, int(10 * p)])
-                theirs = np.random.default_rng([dim, int(10 * p)])
-                for _ in range(40):
-                    x = sample_ball(ours, dim, radius=2.5, norm=NormTag(p))
-                    y = with_choice(theirs, dim, 2.5, NormTag(p))
-                    assert x.tobytes() == y.tobytes()
-                assert (ours.bit_generator.state
-                        == theirs.bit_generator.state)
+            ours = np.random.default_rng([dim, 20])
+            theirs = np.random.default_rng([dim, 20])
+            for _ in range(40):
+                x = sample_ball(ours, dim, radius=2.5)
+                y = with_choice(theirs, dim, 2.5)
+                assert x.tobytes() == y.tobytes()
+            assert ours.bit_generator.state == theirs.bit_generator.state
 
     def test_directions_are_unit(self):
         rng = np.random.default_rng(3)
-        for p in (1.5, 2.0, 3.0):
-            tag = NormTag(p)
-            for _ in range(100):
-                y = unit_direction(rng, 4, tag)
-                np.testing.assert_allclose(lp_norm(y, tag), 1.0, rtol=1e-12)
+        for _ in range(100):
+            y = unit_direction(rng, 4)
+            np.testing.assert_allclose(lp_norm(y), 1.0, rtol=1e-12)
 
 
 class TestEmpiricalModulus:
@@ -154,23 +148,22 @@ class TestEmpiricalModulus:
         the declared (s/2) u^2 holds at every sample, and 1% less fails at
         every sample, even at u = 1e-3, where it falls 5e-9 short."""
         E = quadratic_objective([1.0, 2.0], scale=1.0)
-        assert majorant_domination_witness(E, samples=50, seed=4).ok
+        assert majorant_domination_witness(E, samples=50, seed=4) == []
         low = with_majorant(E, Majorant.power(0.99 * 0.5, 2.0))
-        witness = majorant_domination_witness(low, samples=50, seed=4)
-        assert len(witness.violations) == 8 * 50
+        violations = majorant_domination_witness(low, samples=50, seed=4)
+        assert len(violations) == 8 * 50
 
     def test_linear_objective_vanishes(self):
         a = np.array([2.0, -1.0, 0.5])
         E = Objective(3, lambda x: float(np.dot(a, x)), lambda x: a,
                       Majorant.power(1e-300, 2.0), region_radius=5.0)
-        assert majorant_domination_witness(E, samples=50, seed=5,
-                                           tol=1e-12).ok
+        assert majorant_domination_witness(E, samples=50, seed=5) == []
 
     def test_deterministic_given_seed(self):
         E = quadratic_objective([0.3, -0.7, 1.1])
         low = with_majorant(E, Majorant.power(0.25, 2.0))
-        a = majorant_domination_witness(low, samples=30, seed=7).violations
-        b = majorant_domination_witness(low, samples=30, seed=7).violations
+        a = majorant_domination_witness(low, samples=30, seed=7)
+        b = majorant_domination_witness(low, samples=30, seed=7)
         assert a and len(a) == len(b)
         for (xa, ya, ua), (xb, yb, ub) in zip(a, b):
             assert (xa.tobytes(), ya.tobytes(), ua) == (xb.tobytes(),
@@ -179,7 +172,7 @@ class TestEmpiricalModulus:
     def test_dominated_by_declared_majorant(self):
         """rho_hat <= mu(u) for a shipped power majorant (8 x 10^3 samples)."""
         E = quadratic_objective(np.array([0.5, -1.0, 0.25]), scale=2.0)
-        assert majorant_domination_witness(E, samples=1000, seed=9).ok
+        assert majorant_domination_witness(E, samples=1000, seed=9) == []
 
 
 class TestSmoothnessGapCheck:
@@ -230,14 +223,13 @@ class TestSmoothnessGapCheck:
 class TestGradientCheck:
     def test_quadratic_gradient_exact(self):
         E = quadratic_objective([1.0, 2.0])
-        assert finite_difference_gradient_check(E, np.array([1.0, 2.0]),
-                                                tol=1e-8)
+        assert finite_difference_gradient_check(E, np.array([1.0, 2.0]))
 
     def test_logistic_gradient(self):
         design = np.array([[1.0, 0.5], [-0.3, 1.2], [0.8, -0.7], [0.1, 0.9]])
         labels = np.array([1.0, -1.0, 1.0, -1.0])
         E = logistic_objective(design, labels)
-        assert finite_difference_gradient_check(E, np.zeros(2), tol=1e-6)
+        assert finite_difference_gradient_check(E, np.zeros(2))
 
     def test_corrupted_gradient_detected(self):
         E = quadratic_objective([1.0, 2.0])
@@ -249,11 +241,9 @@ class TestGradientCheck:
 class TestDominationWitness:
     def test_clean_majorant_has_no_violations(self):
         E = quadratic_objective([1.0, 2.0])
-        assert majorant_domination_witness(E, samples=60, seed=11).ok
+        assert majorant_domination_witness(E, samples=60, seed=11) == []
 
     def test_halved_gamma_is_caught(self):
         E = quadratic_objective([1.0, 2.0])
         bad = with_majorant(E, Majorant.power(E.majorant.gamma / 2.0, 2.0))
-        witness = majorant_domination_witness(bad, samples=60, seed=11)
-        assert not witness.ok
-        assert len(witness.violations) > 0
+        assert majorant_domination_witness(bad, samples=60, seed=11)

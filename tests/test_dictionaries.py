@@ -218,7 +218,7 @@ def stop_cases(draw, csv_path):
         d = FiniteDictionary.from_csv(csv_path, norm=norm)
     else:
         d = SphereDictionary(norm)
-    dim = d.dim or draw(st.integers(1, 8))
+    dim = draw(st.integers(1, 8)) if kind == "sphere" else d.dim
     shape = draw(st.sampled_from(("scaled", "one-hot", "atom", "subnormal")))
     if shape == "scaled":
         exponent = draw(st.one_of(st.integers(-323, -150), st.integers(-20, 20),

@@ -1,6 +1,9 @@
 """Run drivers, scalar solvers, and expansion invariants."""
 
 import math
+import os
+import re
+import tempfile
 from fractions import Fraction
 
 import numpy as np
@@ -13,6 +16,7 @@ from greedy_opt import (
     FiniteDictionary,
     Majorant,
     MajorantViolationError,
+    NormTag,
     SphereDictionary,
     StopRule,
     WeaknessSequence,
@@ -24,6 +28,7 @@ from greedy_opt import (
     make_power_coefficients,
     pairing,
     quadratic_objective,
+    read_trace_csv,
     run_ega,
     run_gbe,
     run_gega,
@@ -36,7 +41,7 @@ from greedy_opt import (
 from greedy_opt import greedy as greedy_module
 from greedy_opt.dictionaries import ARGMAX, FIRST_ABOVE, Atom
 from greedy_opt.core import ETA, U
-from greedy_opt.greedy import ExpansionState
+from greedy_opt.greedy import ENERGY_SLACK, ExpansionState
 from greedy_opt.objectives import Objective, with_majorant
 from greedy_opt.instances import logistic_20x5, quadratic_2d, quadratic_2d_unit_l1
 
@@ -150,11 +155,16 @@ class TestSequences:
         with pytest.raises(IndexError):
             seq(3)
 
-    def test_explicit_values_validated_at_call_time(self):
-        seq = WeaknessSequence.explicit([2.0, 0.5])
-        with pytest.raises(ValueError):
-            seq(1)
-        assert seq(2) == 0.5
+    @pytest.mark.parametrize("values, message", [
+        ([2.0, 0.5], "t_1 = 2.0"), ([0.5, 2.0], "t_2 = 2.0"),
+        ([0.5, 0.0], "t_2 = 0.0"), ([math.nan], "t_1 = nan")],
+        ids=["t1-above-1", "t2-above-1", "t2-zero", "t1-nan"])
+    def test_explicit_values_validated_at_construction(self, values, message):
+        """Every entry is checked when the sequence is built, not when a run
+        first reaches it, so validity does not depend on max_iter."""
+        with pytest.raises(ValueError, match=re.escape(message
+                                                       + " outside (0, 1]")):
+            WeaknessSequence.explicit(values)
 
     def test_coefficient_validation(self):
         with pytest.raises(ValueError):
@@ -434,13 +444,15 @@ class TestLineSearchReplay:
 class TestRunGbe:
     def test_immediate_stop_at_minimizer(self):
         E = quadratic_objective([0.0, 0.0])
-        trace = run_gbe(E, FiniteDictionary.coordinate(2), 1.0, lambda m: 1.0,
+        trace = run_gbe(E, FiniteDictionary.coordinate(2), 1.0,
+                        CoefficientSequence.explicit([1.0] * 5),
                         StopRule(max_iter=5))
         assert len(trace) == 0 and trace.status == "gradient"
 
     def test_first_step_worked_example(self):
         E = quadratic_2d()
-        trace = run_gbe(E, FiniteDictionary.coordinate(2), 1.0, lambda m: 1.0,
+        trace = run_gbe(E, FiniteDictionary.coordinate(2), 1.0,
+                        CoefficientSequence.explicit([1.0]),
                         StopRule(max_iter=1))
         assert (trace.atoms[0].index, trace.atoms[0].sign) == (1, 1)
         assert trace.E[0] == 1.0
@@ -448,14 +460,16 @@ class TestRunGbe:
     def test_partial_sums_monotone(self):
         E = quadratic_2d()
         trace = run_gbe(E, FiniteDictionary.coordinate(2), 1.0,
-                        lambda m: 0.5 / m, StopRule(max_iter=50))
+                        CoefficientSequence.power(0.5, 1.0),
+                        StopRule(max_iter=50))
         sums = np.asarray(trace.sum_cED)
         assert np.all(np.diff(sums) >= 0.0)
 
     def test_nonpositive_coefficients_rejected(self):
         E = quadratic_2d()
         with pytest.raises(ValueError):
-            run_gbe(E, FiniteDictionary.coordinate(2), 1.0, lambda m: 0.0,
+            run_gbe(E, FiniteDictionary.coordinate(2), 1.0,
+                    CoefficientSequence.explicit([0.0] * 3),
                     StopRule(max_iter=3))
 
     @pytest.mark.parametrize("mode", [ARGMAX, FIRST_ABOVE])
@@ -470,6 +484,24 @@ class TestRunGbe:
         for name in ("E", "c", "atoms", "flags", "t_used"):
             assert getattr(gbe, name) == getattr(fixed, name), name
         assert gbe.config["coefficients"] == fixed.config["coefficients"]
+
+
+@pytest.mark.parametrize("dictionary", [SphereDictionary(),
+                                        FiniteDictionary.coordinate(2)],
+                         ids=["sphere", "coordinate"])
+def test_unknown_mode_is_refused_before_the_first_evaluation(dictionary):
+    """The sphere ran 3 steps and recorded "mode": "bogus"; a finite
+    dictionary failed only at its first step, after evaluating E."""
+    calls = []
+    E = quadratic_objective([1.0, 2.0])
+    counted = Objective(2, lambda x: calls.append(x) or E._value(x),
+                        E._gradient, E.majorant, E.region_radius)
+    with pytest.raises(ValueError,
+                       match="mode must be 'argmax' or 'first-above'"):
+        run_gga_fixed(counted, dictionary, 1.0,
+                      make_power_coefficients(1.0, 2.0, 0.5),
+                      StopRule(max_iter=3), mode="bogus")
+    assert calls == []
 
 
 class TestRunEga:
@@ -860,15 +892,85 @@ class TestCheckRateBound:
         m = np.arange(1, 101, dtype=float)
         assert check_rate_bound(self._synthetic(m**-0.5), 1.0, 1.0) is False
 
-    def test_burn_in_skips_transient(self):
-        m = np.arange(1, 101, dtype=float)
-        gaps = m**-1.0
-        gaps[0] = 10.0
-        trace = self._synthetic(gaps)
-        assert check_rate_bound(trace, 1.0, 1.0, burn_in=0) is False
-        assert check_rate_bound(trace, 1.0, 1.0, burn_in=1) is True
-
     def test_missing_infimum_not_applicable(self):
         trace = self._synthetic(np.ones(5))
         trace.infimum = None
         assert check_rate_bound(trace, 1.0, 1.0) is None
+
+
+INVARIANT_FLAGS = {"no-progress", "left-sublevel-2", "clamped"}
+
+
+INVARIANT_RUNS = [(algorithm, kind)
+                  for algorithm in ("GBE", "EGA", "GGA_FIXED", "GGA_ADAPTIVE",
+                                    "GEGA")
+                  for kind in ("coordinate", "gaussian", "sphere")
+                  if (algorithm, kind) != ("EGA", "sphere")]
+
+
+@st.composite
+def small_runs(draw, algorithm, kind):
+    """A run of ``algorithm`` for at most 15 steps on a small quadratic or
+    logistic objective (dim 1 to 6) over a ``kind`` dictionary.  Returns the
+    objective, the dictionary and the trace."""
+    dim = draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        E = quadratic_objective(
+            rng.standard_normal(dim) * draw(st.sampled_from((0.1, 1.0, 5.0))),
+            scale=draw(st.sampled_from((0.5, 1.0, 3.0))))
+    else:
+        rows = dim + draw(st.integers(1, 4))
+        E = logistic_objective(rng.standard_normal((rows, dim)),
+                               np.where(rng.standard_normal(rows) > 0,
+                                        1.0, -1.0))
+    norm = NormTag(draw(st.sampled_from((1.5, 2.0))))
+    if kind == "coordinate":
+        d = FiniteDictionary.coordinate(dim, norm=norm)
+    elif kind == "gaussian":
+        d = FiniteDictionary.gaussian(dim, draw(st.integers(1, 8)),
+                                      seed=draw(st.integers(0, 99)),
+                                      norm=norm)
+    else:
+        d = SphereDictionary(norm)
+    t = draw(st.sampled_from((0.5, 1.0)))
+    mode = draw(st.sampled_from((ARGMAX, FIRST_ABOVE)))
+    coeffs = CoefficientSequence.power(draw(st.sampled_from((0.1, 0.5, 1.0))),
+                                       draw(st.sampled_from((0.5, 1.0))))
+    stop = StopRule(max_iter=draw(st.integers(1, 15)))
+    trace = {
+        "GBE": lambda: run_gbe(E, d, t, coeffs, stop, mode=mode),
+        "EGA": lambda: run_ega(E, d, coeffs, stop),
+        "GGA_FIXED": lambda: run_gga_fixed(E, d, t, coeffs, stop, mode=mode),
+        "GGA_ADAPTIVE": lambda: run_gga_adaptive(E, d, t, 0.5, stop,
+                                                 mode=mode),
+        "GEGA": lambda: run_gega(E, d, t, stop, mode=mode),
+    }[algorithm]()
+    return E, d, trace
+
+
+class TestTraceInvariants:
+    @pytest.mark.parametrize("algorithm, kind", INVARIANT_RUNS)
+    @settings(max_examples=40, derandomize=True, deadline=None)
+    @given(data=st.data())
+    def test_runs_keep_their_trace_invariants(self, algorithm, kind, data):
+        """Every E is finite and every flag known; the replayed iterates give
+        the trace's E bit for bit; the CSV reads back and writes back byte
+        for byte; and the adaptive scheme never raises E by more than
+        ENERGY_SLACK."""
+        E, d, trace = data.draw(small_runs(algorithm, kind))
+        assert all(math.isfinite(e) for e in [trace.E0, *trace.E])
+        for flags in trace.flags:
+            assert set(filter(None, flags.split(";"))) <= INVARIANT_FLAGS
+        states = list(iter_states(trace, d))
+        assert [E(s.G).hex() for s in states] == [e.hex() for e in trace.E]
+        text = trace_csv_text(trace)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "trace.csv")
+            with open(path, "w", encoding="utf-8", newline="\n") as fh:
+                fh.write(text)
+            assert trace_csv_text(read_trace_csv(path)) == text
+        if trace.algorithm == "GGA_ADAPTIVE":
+            energies = [trace.E0, *trace.E]
+            assert all(b <= a + ENERGY_SLACK
+                       for a, b in zip(energies, energies[1:]))

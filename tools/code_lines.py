@@ -1,4 +1,5 @@
-"""Code lines per module, and the optional parameters that no call sets.
+"""Code lines per module, the optional parameters that no call sets, and
+exported names that nothing outside their module reads.
 
 Usage, from the repository root: python tools/code_lines.py [DIR]
 (DIR defaults to src/greedy_opt).  Standard library only.
@@ -21,6 +22,12 @@ and those that only calls in tests/ set.  Calls are found with ``ast``:
 - a call with ``*args`` or ``**kwargs`` sets every parameter it could reach.
 The match is by name, so a namesake's call may count as setting a
 parameter; a listed parameter is never set by any call the script sees.
+
+Last, it lists the names in a module's ``__all__`` that no other module in
+DIR (``__init__`` aside) and no file under perfbench/ references: as a name,
+an attribute or an imported name, or, under perfbench/, as a string, which
+covers the tracer's tables of names.  These are candidates for review, not
+verdicts: tests and users outside the repository may still need them.
 """
 
 from __future__ import annotations
@@ -199,6 +206,45 @@ def audit(root, repo):
             [key for key in every if set_by.get(key) == {"tests"}])
 
 
+def _references(path, strings):
+    """Identifiers a file mentions; with ``strings``, its string constants
+    too."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, ast.alias):
+            found.add(node.name.rsplit(".", 1)[-1])
+        elif (strings and isinstance(node, ast.Constant)
+              and isinstance(node.value, str)):
+            found.add(node.value)
+    return found
+
+
+def unread_exports(root, repo):
+    """(module, name) for each ``__all__`` entry of a module in root that no
+    other module in root but ``__init__``, and no perfbench/ file, names."""
+    modules = {path.stem: path for path in sorted(Path(root).glob("*.py"))
+               if path.stem != "__init__"}
+    seen = {stem: _references(path, False) for stem, path in modules.items()}
+    outside = set()
+    for path in sorted((repo / "perfbench").rglob("*.py")):
+        outside |= _references(path, True)
+    out = []
+    for stem, path in modules.items():
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if (isinstance(node, ast.Assign) and any(
+                    getattr(t, "id", None) == "__all__" for t in node.targets)):
+                for name in ast.literal_eval(node.value):
+                    if name not in outside and not any(
+                            name in refs for other, refs in seen.items()
+                            if other != stem):
+                        out.append((stem, name))
+    return out
+
+
 def main(argv):
     root = Path(argv[1] if len(argv) > 1 else "src/greedy_opt")
     total = 0
@@ -213,6 +259,11 @@ def main(argv):
         print(f"\noptional parameters {title}: {len(found)}")
         for label, pname in found:
             print(f"  {label}({pname})")
+    unread = unread_exports(root, Path.cwd())
+    print(f"\nexported names no other module and no perfbench/ file reads: "
+          f"{len(unread)}")
+    for stem, name in unread:
+        print(f"  {stem}.{name}")
     return 0
 
 
