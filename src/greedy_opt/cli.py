@@ -23,10 +23,9 @@ import numpy as np
 
 from .core import Majorant, NormTag, NumericFailure
 from .dictionaries import (
-    ARGMAX,
-    FIRST_ABOVE,
     FiniteDictionary,
     SphereDictionary,
+    check_mode,
     read_csv_matrix,
 )
 from .diagnostics import ALL_CLAIMS, claim_verdict, fit_rate
@@ -258,9 +257,7 @@ def _execute_run(config, base_dir, max_iter_override, out_dir, builds):
     if kind != "EGA":  # a weak-greedy selection: its weakness and mode
         key = "tau" if "tau" in algo else "t"
         tau = build_weakness(algo.get(key), f"algorithm.{key}")
-        mode = {"mode": algo["mode"]} if "mode" in algo else {}
-        _require(all(m in (ARGMAX, FIRST_ABOVE) for m in mode.values()),
-                 f"mode must be {ARGMAX!r} or {FIRST_ABOVE!r}")
+        mode = {"mode": check_mode(algo["mode"])} if "mode" in algo else {}
     if kind in ("GBE", "EGA", "GGA_FIXED"):  # a prescribed schedule
         coeffs = build_coefficients(algo.get("coefficients"), objective)
     if kind == "GBE":

@@ -365,6 +365,15 @@ def gradient_stop_threshold(dictionary, gtol):
     return top * (gtol * (1.0 + kappa * U) + 2.0 * math.sqrt(n * ETA))
 
 
+def check_mode(mode):
+    """The one selection-mode rule, shared by the drivers, ``select_atom``
+    and the CLI: ``mode`` itself if it is ARGMAX or FIRST_ABOVE, else a
+    ValueError."""
+    if mode not in (ARGMAX, FIRST_ABOVE):
+        raise ValueError(f"mode must be {ARGMAX!r} or {FIRST_ABOVE!r}")
+    return mode
+
+
 def select_atom(grad_neg, dictionary, t=1.0, mode=ARGMAX, score=None):
     """Weak greedy selection: an atom whose pairing reaches t times the best score.
 
@@ -375,6 +384,7 @@ def select_atom(grad_neg, dictionary, t=1.0, mode=ARGMAX, score=None):
     threshold are skipped without a dot product.  ``score`` may carry a
     precomputed ``greedy_score`` result to avoid scoring twice.
     """
+    check_mode(mode)
     if not (0.0 < t <= 1.0):
         raise ValueError("weakness parameter t must lie in (0, 1]")
     value, atom = score if score is not None else greedy_score(grad_neg, dictionary)
@@ -382,8 +392,6 @@ def select_atom(grad_neg, dictionary, t=1.0, mode=ARGMAX, score=None):
         raise ValueError("zero greedy score: stopping should fire before selection")
     if mode == ARGMAX or isinstance(dictionary, SphereDictionary):
         return atom, value
-    if mode != FIRST_ABOVE:
-        raise ValueError(f"unknown selection mode {mode!r}")
     threshold = t * value
     hit = dictionary._first_reaching(grad_neg, threshold)
     if hit is None:

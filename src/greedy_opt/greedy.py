@@ -21,9 +21,9 @@ from .diagnostics import (OUTSIDE, UNVERIFIABLE, _first_violation,
                           _hull_membership, _power_series_sum)
 from .dictionaries import (
     ARGMAX,
-    FIRST_ABOVE,
     SphereDictionary,
     argmin_atom_by_objective,
+    check_mode,
     gradient_stop_threshold,
     greedy_score,
     select_atom,
@@ -451,9 +451,8 @@ def _run(E, dictionary, stop, algorithm, step, tau=None, mode=ARGMAX,
         "stop": asdict(stop),
         "algorithm": algorithm,
     }
+    check_mode(mode)
     if tau is not None:
-        if mode not in (ARGMAX, FIRST_ABOVE):
-            raise ValueError(f"mode must be {ARGMAX!r} or {FIRST_ABOVE!r}")
         if not isinstance(tau, WeaknessSequence):
             tau = WeaknessSequence.constant(tau)
         config.update(tau=tau.describe(), mode=mode)

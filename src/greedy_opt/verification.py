@@ -3,12 +3,14 @@
 The CLI ``verify`` subcommand and the acceptance tests both run these.  Every
 criterion is deterministic; the ones that execute runs also write their traces
 (when an output directory is supplied) so two invocations can be compared file
-by file.
+by file.  No criterion reads another's state, so ``run_all`` runs them side by
+side in forked worker processes.
 """
 
 from __future__ import annotations
 
 import functools
+import os
 import re
 import time
 from dataclasses import dataclass
@@ -123,7 +125,7 @@ def _name_of(fn):
 
 
 def _criterion(fn=None, *, limit_s=None):
-    """Register a criterion in CRITERIA (definition order is run order).
+    """Register a criterion in CRITERIA (definition order is result order).
 
     The wrapper times the whole call, turns an exception into a failed result
     naming it, and stamps the name and elapsed time on the result; a result
@@ -540,7 +542,47 @@ def criterion_names():
     return [_name_of(fn) for fn in CRITERIA]
 
 
+def _run_criterion(index, ctx):
+    """One pool task: the criterion at ``index`` in the CRITERIA list that the
+    forked worker inherited, wrappers and all, so no function is pickled."""
+    return CRITERIA[index](ctx)
+
+
 def run_all(ctx=None):
-    """Execute every criterion in order; a crash is reported as a FAIL."""
+    """Execute every criterion on a pool of forked workers, one per CPU this
+    process may use, and return the results in registration order.
+
+    A crash is reported as a FAIL by the registering wrapper; a criterion
+    whose worker process ended before it returned a result is a FAIL too.
+    The pool machinery is imported here, so importing the package stays cheap.
+    """
+    import multiprocessing
+    from concurrent.futures import Future, ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+
     ctx = ctx or VerifyContext()
-    return [fn(ctx) for fn in CRITERIA]
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count())
+    pool = ProcessPoolExecutor(min(cpus, len(CRITERIA)),
+                               mp_context=multiprocessing.get_context("fork"))
+
+    def submit(index):
+        try:
+            return pool.submit(_run_criterion, index, ctx)
+        except BrokenProcessPool as exc:  # a worker died while tasks were sent
+            future = Future()
+            future.set_exception(exc)
+            return future
+
+    def outcome(fn, future):
+        try:
+            return future.result()
+        except BrokenProcessPool:
+            return CriterionResult(False, "its worker process ended before "
+                                   "it returned a result", name=_name_of(fn))
+
+    try:
+        futures = [submit(index) for index in range(len(CRITERIA))]
+        return [outcome(fn, future) for fn, future in zip(CRITERIA, futures)]
+    finally:
+        pool.shutdown(cancel_futures=True)

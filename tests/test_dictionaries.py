@@ -563,6 +563,16 @@ class TestSelectAtom:
                 _, pair = select_atom(v, d, t=t, mode=FIRST_ABOVE)
                 assert pair >= t * value
 
+    @pytest.mark.parametrize("dictionary", [SphereDictionary(),
+                                            FiniteDictionary.coordinate(2)],
+                             ids=["sphere", "coordinate"])
+    def test_unknown_mode_is_refused_in_the_drivers_wording(self, dictionary):
+        """The sphere returned its duality-map atom (score 2.236) for any
+        mode; a finite dictionary said "unknown selection mode 'bogus'"."""
+        with pytest.raises(ValueError,
+                           match="^mode must be 'argmax' or 'first-above'$"):
+            select_atom(np.array([1.0, 2.0]), dictionary, mode="bogus")
+
     def test_t_range_enforced(self):
         d = FiniteDictionary.coordinate(2)
         for t in (0.0, -0.5, 1.5):
