@@ -3,10 +3,11 @@
 Configs are versioned JSON.  Exit codes: 0 success, 2 validation error,
 3 energy-inequality (majorant) violation, 4 numeric failure.  Parameter ranges
 are checked by the library constructors and drivers; ``execute_run`` turns any
-of their errors into a ConfigError, so the CLI itself checks only structure
-and that integer and float fields hold finite JSON numbers of their kind.  A
-field a config leaves out takes the library's default, which lives only in
-the library's signatures.
+of their errors into a ConfigError.  The CLI itself checks a config against
+one table, ``SCHEMA``: each object's keys and each value's kind.  A key the
+table does not list, and a value not of its kind, is exit 2 before the
+solve, naming its path.  A field a config leaves out takes the library's
+default, which lives only in the library's signatures.
 """
 
 from __future__ import annotations
@@ -47,6 +48,41 @@ from .verification import VerifyContext, criterion_names, run_all
 
 SCHEMA_VERSION = 1
 
+# The config schema.  A kind is a leaf kind, an object (a dict of its keys'
+# kinds), a list of one kind ([kind]) or a choice (a tuple of kinds: its one
+# leaf kind, if any, first, and None where null is allowed).  An object's
+# keys are those of all its kinds: a sweep varies ``algorithm.kind`` over one
+# config, so a key is refused only when no kind reads it, and a listed key is
+# checked whether or not its kind reads it.  The top-level ``seed`` is
+# echoed in the manifest and never read.
+#
+# The leaf kinds: a finite number read as a float, a finite number kept as
+# written (an integer stays one in a verdict), an integer and a string.
+FLOAT, NUMBER, INT, STR = "float", "number", "int", "str"
+WEAKNESS = (FLOAT, {"kind": STR, "t": FLOAT, "values": [FLOAT]}, None)
+MAJORANT = (STR, {"kind": STR, "gamma": FLOAT, "q": FLOAT}, None)
+COEFFICIENTS = {"kind": STR, "c": FLOAT, "s": FLOAT, "t": FLOAT, "q": FLOAT,
+                "gamma": FLOAT, "values": [FLOAT]}
+CLAIM = {"claim": STR, "r": (NUMBER, None), "hull_radius": (NUMBER, None),
+         "tolerance": FLOAT, "calibration": INT}
+SCHEMA = {
+    "schema": INT, "seed": INT,
+    "objective": {"kind": STR, "target": [FLOAT], "scale": FLOAT, "p": FLOAT,
+                  "region_radius": FLOAT, "design": [[FLOAT]],
+                  "response": [FLOAT], "labels": [FLOAT], "design_csv": STR,
+                  "response_csv": STR, "labels_csv": STR},
+    "dictionary": {"kind": STR, "dim": INT, "count": INT, "seed": INT,
+                   "path": STR, "p": FLOAT},
+    "algorithm": {"kind": STR, "tau": WEAKNESS, "t": WEAKNESS, "mode": STR,
+                  "b": FLOAT, "line_tol": FLOAT, "mu": MAJORANT,
+                  "coefficients": COEFFICIENTS},
+    "stop": ({"max_iter": INT, "grad_tol": (FLOAT, None),
+              "target_gap": (FLOAT, None)}, None),
+    "diagnostics": ({"fit_window": ([INT], None),
+                     "claims": ([(STR, CLAIM)], None)}, None),
+    "output": ({"trace": STR, "manifest": STR}, None),
+}
+
 
 class ConfigError(ValueError):
     """Invalid configuration; maps to exit code 2."""
@@ -82,14 +118,17 @@ def _load_json(path):
 
 
 def _array(spec, key, base_dir, vector=False):
-    """``spec[key]`` inline, its entries checked by ``_finite``, or else read
-    from the CSV file named by ``spec[key + "_csv"]`` and flattened when
-    ``vector``."""
-    if key in spec:
-        return np.asarray(_finite(spec[key], f"objective.{key}",
-                                  1 if vector else 2), dtype=float)
-    data = read_csv_matrix(Path(base_dir) / spec[key + "_csv"])
-    return data.reshape(-1) if vector else data
+    """``spec[key]`` inline, a matrix's rows all as long as the first, or
+    else read from the CSV file named by ``spec[key + "_csv"]`` and
+    flattened when ``vector``."""
+    if key not in spec:
+        data = read_csv_matrix(Path(base_dir) / spec[key + "_csv"])
+        return data.reshape(-1) if vector else data
+    rows = spec[key]
+    for index, row in enumerate([] if vector else rows):
+        _require(len(row) == len(rows[0]), f"objective.{key}[{index}] must "
+                 f"have {len(rows[0])} entries, as objective.{key}[0] has")
+    return np.asarray(rows, dtype=float)
 
 
 def _kind(spec, what):
@@ -102,34 +141,28 @@ def build_objective(spec, base_dir="."):
     kind = _kind(spec, "objective")
     if kind == "quadratic":
         _require("target" in spec, "quadratic objective needs a target")
-        return quadratic_objective(
-            _finite(spec["target"], "objective.target", 1),
-            **_given(spec, "objective", "scale"))
+        return quadratic_objective(spec["target"], **_given(spec, "scale"))
     if kind == "p_power":
         design = _array(spec, "design", base_dir)
         response = _array(spec, "response", base_dir, vector=True)
-        return p_power_objective(design, response,
-                                 _finite(spec.get("p", 2.0), "objective.p"))
+        return p_power_objective(design, response, spec.get("p", 2.0))
     if kind == "logistic":
         design = _array(spec, "design", base_dir)
         labels = _array(spec, "labels", base_dir, vector=True)
         return logistic_objective(design, labels,
-                                  **_given(spec, "objective", "region_radius"))
+                                  **_given(spec, "region_radius"))
     raise ConfigError(f"unknown objective kind {kind!r}")
 
 
 def build_dictionary(spec, base_dir="."):
     kind = _kind(spec, "dictionary")
-    norm = NormTag(**_given(spec, "dictionary", "p"))
+    norm = NormTag(**_given(spec, "p"))
     if kind == "coordinate":
         _require("dim" in spec, "coordinate dictionary needs 'dim'")
-        _require(_is_integer(spec["dim"]), "dictionary.dim must be an integer")
         return FiniteDictionary.coordinate(spec["dim"], norm=norm)
     if kind == "gaussian":
         for key in ("dim", "count", "seed"):
             _require(key in spec, f"gaussian dictionary needs {key!r}")
-            _require(_is_integer(spec[key]),
-                     f"dictionary.{key} must be an integer")
         return FiniteDictionary.gaussian(spec["dim"], spec["count"],
                                          spec["seed"], norm=norm)
     if kind == "csv":
@@ -141,37 +174,28 @@ def build_dictionary(spec, base_dir="."):
     raise ConfigError(f"unknown dictionary kind {kind!r}")
 
 
-def build_weakness(spec, field="tau"):
-    """A number, an object or None for t = 1; ``field``, its config path,
-    names it in messages."""
+def build_weakness(spec):
+    """A number, an object or None for t = 1."""
     if not isinstance(spec, dict):
-        return WeaknessSequence.constant(_finite(1 if spec is None else spec,
-                                                 field))
+        return WeaknessSequence.constant(1.0 if spec is None else spec)
     kind = spec.get("kind", "constant")
     if kind == "constant":
-        return WeaknessSequence.constant(_finite(spec["t"], f"{field}.t"))
+        return WeaknessSequence.constant(spec["t"])
     if kind == "explicit":
-        return WeaknessSequence.explicit(
-            _finite(spec["values"], f"{field}.values", 1))
+        return WeaknessSequence.explicit(spec["values"])
     raise ConfigError(f"unknown weakness kind {kind!r}")
 
 
 def build_coefficients(spec, objective):
     kind = _kind(spec, "coefficient")
-
-    def number(key, default=None):
-        value = spec[key] if default is None else spec.get(key, default)
-        return _finite(value, f"algorithm.coefficients.{key}")
-
     if kind == "power":
-        return CoefficientSequence.power(number("c"), number("s"))
+        return CoefficientSequence.power(spec["c"], spec["s"])
     if kind == "explicit":
-        return CoefficientSequence.explicit(
-            _finite(spec["values"], "algorithm.coefficients.values", 1))
+        return CoefficientSequence.explicit(spec["values"])
     if kind == "power-rule":
         mu = objective.majorant
-        return make_power_coefficients(number("t", 1.0), number("q", mu.q),
-                                       number("gamma", mu.gamma))
+        return make_power_coefficients(spec.get("t", 1.0), spec.get("q", mu.q),
+                                       spec.get("gamma", mu.gamma))
     raise ConfigError(f"unknown coefficient kind {kind!r}")
 
 
@@ -180,19 +204,14 @@ def build_majorant(spec):
         return None  # runner falls back to the objective's majorant
     _require(isinstance(spec, dict) and spec.get("kind") == "power",
              "majorant spec must be 'objective' or a power law")
-    return Majorant.power(_finite(spec["gamma"], "algorithm.mu.gamma"),
-                          _finite(spec["q"], "algorithm.mu.q"))
+    return Majorant.power(spec["gamma"], spec["q"])
 
 
 def build_stop(spec, max_iter_override=None):
-    spec = {} if spec is None else spec
-    _require(isinstance(spec, dict), "stop must be an object")
-    max_iter = (max_iter_override if max_iter_override is not None
-                else spec.get("max_iter", 1000))
-    _require(_is_integer(max_iter), "stop.max_iter must be an integer")
-    return StopRule(max_iter=max_iter, **{  # null, as absent: the default
-        key: _finite(spec[key], f"stop.{key}")
-        for key in ("grad_tol", "target_gap") if spec.get(key) is not None})
+    spec = {"max_iter": 1000, **(spec or {})}
+    if max_iter_override is not None:
+        spec["max_iter"] = max_iter_override
+    return StopRule(**spec)
 
 
 def execute_run(config, base_dir=".", max_iter_override=None, out_dir=".",
@@ -202,17 +221,19 @@ def execute_run(config, base_dir=".", max_iter_override=None, out_dir=".",
     the (trace, manifest) paths written.  ``builds``, a sweep's own dict,
     keeps the objective and dictionary for its next point (``_build``).
 
-    The one validation boundary: a ValueError, TypeError, KeyError,
+    The one validation boundary: the config is checked against ``SCHEMA``
+    first, and then a ValueError, TypeError, KeyError,
     IndexError or OSError raised while building, running or writing (a
     parameter out of range, a schedule shorter than the run, a malformed
     value, an input file that cannot be read, an output that cannot be
     written) becomes a ConfigError.  The output paths are checked once,
     before the solve.  Majorant violations and numeric failures pass through
-    unchanged.
+    unchanged; an overflow on the way to one prints no numpy warning.
     """
     try:
-        return _execute_run(config, base_dir, max_iter_override, out_dir,
-                            builds)
+        with np.errstate(over="ignore"):  # exit 4 says it, not numpy
+            return _execute_run(config, base_dir, max_iter_override, out_dir,
+                                builds)
     except (ValueError, TypeError, KeyError, IndexError, OSError) as exc:
         message = f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)
         raise ConfigError(message) from exc
@@ -240,23 +261,21 @@ def _execute_run(config, base_dir, max_iter_override, out_dir, builds):
     _require(isinstance(config, dict) and _is_integer(config.get("schema"))
              and config["schema"] == SCHEMA_VERSION,
              f"config schema must be {SCHEMA_VERSION}")
+    spec = _checked(config, SCHEMA, "")
     # the builders are looked up here, at call time, so wrappers see them
     objective = _build(builds, "objective", build_objective,
-                       config.get("objective"), base_dir)
+                       spec.get("objective"), base_dir)
     dictionary = _build(builds, "dictionary", build_dictionary,
-                        config.get("dictionary"), base_dir)
-    algo = config.get("algorithm")
+                        spec.get("dictionary"), base_dir)
+    algo = spec.get("algorithm")
     kind = _kind(algo, "algorithm")
-    stop = build_stop(config.get("stop"), max_iter_override)
-    diag = config.get("diagnostics") or {}
-    _require(isinstance(diag, dict), "diagnostics must be an object")
-    window = _fit_window(diag.get("fit_window"))
-    claims = _claim_specs(diag.get("claims") or [])
-    paths = _output_paths(config, out_dir)
+    stop = build_stop(spec.get("stop"), max_iter_override)
+    window, claims = _diagnostics(spec.get("diagnostics") or {})
+    paths = _output_paths(spec.get("output") or {}, out_dir)
 
     if kind != "EGA":  # a weak-greedy selection: its weakness and mode
         key = "tau" if "tau" in algo else "t"
-        tau = build_weakness(algo.get(key), f"algorithm.{key}")
+        tau = build_weakness(algo.get(key))
         mode = {"mode": check_mode(algo["mode"])} if "mode" in algo else {}
     if kind in ("GBE", "EGA", "GGA_FIXED"):  # a prescribed schedule
         coeffs = build_coefficients(algo.get("coefficients"), objective)
@@ -271,11 +290,10 @@ def _execute_run(config, base_dir, max_iter_override, out_dir, builds):
     elif kind == "GGA_ADAPTIVE":
         mu = build_majorant(algo.get("mu"))
         trace = run_gga_adaptive(objective, dictionary, tau,
-                                 _finite(algo.get("b", 0.5), "algorithm.b"),
-                                 stop, majorant=mu, **mode)
+                                 algo.get("b", 0.5), stop, majorant=mu, **mode)
     elif kind == "GEGA":
         trace = run_gega(objective, dictionary, tau, stop, **mode,
-                         **_given(algo, "algorithm", "line_tol"))
+                         **_given(algo, "line_tol"))
     else:
         raise ConfigError(f"unknown algorithm kind {kind!r}")
 
@@ -298,83 +316,80 @@ def _is_integer(value):
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _finite(value, field, depth=0):
-    """A float field's value as a float, or with ``depth``, lists that deep
-    of them, each entry named by its index (``objective.target[0]``); at
-    depth 2 each entry is a row, a list as long as the first.  Booleans,
-    strings (even numeric ones), NaN, infinities and integers beyond the
-    floats are refused; comparing with the largest float, unlike
-    ``math.isfinite``, cannot overflow on such an integer."""
-    if isinstance(value, list) and depth:
-        rows = [_finite(entry, f"{field}[{index}]", depth - 1)
-                for index, entry in enumerate(value)]
-        for index, row in enumerate(rows if depth == 2 else ()):
-            _require(isinstance(row, list), f"{field}[{index}] must be a list")
-            _require(len(row) == len(rows[0]), f"{field}[{index}] must have "
-                     f"{len(rows[0])} entries, as {field}[0] has")
-        return rows
-    _require((_is_integer(value) or isinstance(value, float))
-             and abs(value) <= sys.float_info.max,
-             f"{field} must be a finite number")
-    return float(value)
+def _checked(value, kind, path):
+    """``value``, at config path ``path``, checked against ``kind`` (see
+    ``SCHEMA``) as a copy whose FLOAT leaves are floats.  A choice takes the
+    option of the value's type (an object, a list or null), or else its
+    first option, its leaf kind where it has one.  A finite number is an
+    integer or a float (not a boolean) at most the largest float in size;
+    unlike ``math.isfinite``, the comparison cannot overflow on a huge
+    integer."""
+    if isinstance(kind, tuple):
+        kind = next((k for k in kind if type(k) is type(value)), kind[0])
+    if isinstance(kind, dict):
+        _require(isinstance(value, dict), f"{path} must be an object")
+        checked = {}
+        for key, item in value.items():
+            field = f"{path}.{key}" if path else key
+            _require(key in kind, f"{field}: unknown key; keys {sorted(kind)}")
+            checked[key] = _checked(item, kind[key], field)
+        return checked
+    if isinstance(kind, list):
+        _require(isinstance(value, list), f"{path} must be a list")
+        return [_checked(item, kind[0], f"{path}[{index}]")
+                for index, item in enumerate(value)]
+    if kind == INT:
+        _require(_is_integer(value), f"{path} must be an integer")
+    if kind == STR:
+        _require(isinstance(value, str), f"{path} must be a string")
+    if kind in (FLOAT, NUMBER):
+        _require((_is_integer(value) or isinstance(value, float))
+                 and abs(value) <= sys.float_info.max,
+                 f"{path} must be a finite number")
+        return float(value) if kind == FLOAT else value
+    return value
 
 
-def _given(spec, field, *keys):
-    """The float fields among ``keys`` that ``spec`` sets, each checked by
-    ``_finite``, as keyword arguments; one left out is not passed, so it
-    takes the library's default."""
-    return {key: _finite(spec[key], f"{field}.{key}")
-            for key in keys if key in spec}
+def _paths(kind, prefix=""):
+    """The dotted paths of the keys below ``kind`` that lie in no list, as a
+    sweep grid names them (``algorithm.tau.t``)."""
+    for option in kind if isinstance(kind, tuple) else (kind,):
+        for key in option if isinstance(option, dict) else ():
+            yield prefix + key
+            yield from _paths(option[key], f"{prefix}{key}.")
 
 
-def _fit_window(window):
-    """``diagnostics.fit_window`` as (lo, hi), or None for the default window.
+def _given(spec, *keys):
+    """The fields among ``keys`` that ``spec`` sets, as keyword arguments;
+    one left out is not passed, so it takes the library's default."""
+    return {key: spec[key] for key in keys if key in spec}
 
-    Checked before the solve; a window outside the trace fails after it.
-    """
-    if window is None or window == []:
-        return None
-    _require(isinstance(window, list) and len(window) == 2
-             and all(_is_integer(m) for m in window),
+
+def _diagnostics(diag):
+    """The checked ``diagnostics`` spec as ``(window, claims)``: its
+    ``fit_window``, None for the default window (null or ``[]``), and each
+    claim as ``claim_verdict``'s keyword arguments, a name as ``{"claim":
+    name}``; a parameter left out takes ``claim_verdict``'s default.  A
+    window outside the trace fails after the solve."""
+    window = diag.get("fit_window") or None
+    _require(window is None or len(window) == 2,
              "diagnostics.fit_window must be a list of two integers")
-    return tuple(window)
-
-
-def _claim_specs(claims):
-    """``diagnostics.claims`` as ``claim_verdict``'s keyword arguments, each
-    checked; ``r`` and ``hull_radius`` keep their type, and a parameter left
-    out takes ``claim_verdict``'s default."""
-    _require(isinstance(claims, list)
-             and all(isinstance(c, (str, dict)) for c in claims),
-             "diagnostics.claims must be a list of names or objects")
-    specs = []
+    claims = [{"claim": spec} if isinstance(spec, str) else spec
+              for spec in diag.get("claims") or []]
     for index, spec in enumerate(claims):
-        spec = {"claim": spec} if isinstance(spec, str) else spec
-        field = f"diagnostics.claims[{index}]"
         name = spec.get("claim")
-        _require(name in ALL_CLAIMS, f"{field}.claim: unknown claim {name!r}; "
-                                     f"choose from {sorted(ALL_CLAIMS)}")
-        for key in ("r", "hull_radius"):
-            if spec.get(key) is not None:
-                _finite(spec[key], f"{field}.{key}")
-        _require("calibration" not in spec or _is_integer(spec["calibration"]),
-                 f"{field}.calibration must be an integer")
-        kwargs = {key: spec[key] for key in
-                  ("claim", "r", "hull_radius", "calibration") if key in spec}
-        specs.append(dict(kwargs, **_given(spec, field, "tolerance")))
-    return specs
+        _require(name in ALL_CLAIMS,
+                 f"diagnostics.claims[{index}].claim: unknown claim {name!r}; "
+                 f"choose from {sorted(ALL_CLAIMS)}")
+    return window, claims
 
 
-def _output_paths(config, out_dir):
-    """(trace, manifest) paths under ``out_dir``, checked before the solve:
-    two distinct files, neither inside the other's path, neither a directory
-    nor under a file."""
-    output = config.get("output") or {}
-    _require(isinstance(output, dict), "output must be an object")
+def _output_paths(output, out_dir):
+    """(trace, manifest) paths under ``out_dir`` for the ``output`` spec,
+    checked before the solve: two distinct files, neither inside the other's
+    path, neither a directory nor under a file."""
     names = (output.get("trace", "trace.csv"),
              output.get("manifest", "manifest.json"))
-    _require(all(isinstance(name, str) for name in names),
-             "output file names must be strings")
     for name in names:
         _require(os.path.basename(name) not in ("", ".", ".."),
                  f"output name {name!r} does not name a file")
@@ -464,6 +479,7 @@ def cmd_sweep(args):
     for name in names:
         _require(isinstance(grid[name], list) and grid[name],
                  f"grid entry {name!r} must be a nonempty list")
+        _require(name in _paths(SCHEMA), f"grid entry {name!r}: unknown path")
     if args.max_iter is not None:  # the flag would fail every point
         try:
             StopRule(max_iter=args.max_iter)

@@ -1,18 +1,23 @@
 """CLI surface: configs, exit codes, file outputs, sweeps."""
 
+import importlib.util
 import itertools
 import json
+import re
 import warnings
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from greedy_opt.cli import main
+from greedy_opt.cli import CLAIM, FLOAT, INT, NUMBER, SCHEMA, main
 from greedy_opt.diagnostics import ALL_CLAIMS, _power_series_sum
 from greedy_opt.traceio import read_trace_csv
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def strict_json(text):
@@ -246,10 +251,11 @@ def _gbe(**weakness):
         "coefficients": {"kind": "power", "c": 0.5, "s": 0.75}})
 
 
-# one valid config per algorithm kind, dimension at most 3, three steps,
-# holding only keys its kind reads; ``test_config_boundary`` spoils one
-# numeric leaf at a time.  Integer fields are written as integers and float
-# fields as floats, which is how the test tells them apart.
+# one valid config per algorithm kind, and two more that give the weakness as
+# a ``t`` object, dimension at most 3, three steps, holding only keys its kind
+# reads; ``test_config_boundary`` spoils one numeric leaf at a time.  Integer
+# fields are written as integers and float fields as floats, which is how the
+# test tells them apart.  Together they hold every numeric leaf of SCHEMA.
 BOUNDARY_CONFIGS = {
     "GBE": {
         "schema": 1,
@@ -295,6 +301,23 @@ BOUNDARY_CONFIGS = {
                                     "hull_radius": 1.0, "calibration": 1},
                                    {"claim": "adaptive-convergence",
                                     "tolerance": 0.1}]}},
+    "GBE-t": {
+        "schema": 1, "seed": 4,
+        "objective": {"kind": "quadratic", "target": [0.2, 0.5]},
+        "dictionary": {"kind": "coordinate", "dim": 2},
+        "algorithm": {"kind": "GBE", "t": {"kind": "constant", "t": 0.5},
+                      "coefficients": {"kind": "power", "c": 0.5,
+                                       "s": 0.75}},
+        "stop": {"max_iter": 3}},
+    "GGA_FIXED-t": {
+        "schema": 1,
+        "objective": {"kind": "quadratic", "target": [0.25, -0.5]},
+        "dictionary": {"kind": "coordinate", "dim": 2},
+        "algorithm": {"kind": "GGA_FIXED",
+                      "t": {"kind": "explicit", "values": [1.0, 0.5, 0.5]},
+                      "coefficients": {"kind": "explicit",
+                                       "values": [0.5, 0.25, 0.125]}},
+        "stop": {"max_iter": 3}},
     "GEGA": {
         "schema": 1,
         "objective": {"kind": "logistic",
@@ -319,16 +342,94 @@ def _numeric_leaves(node, path=()):
 
 
 def _field_name(path):
-    """A leaf's name as messages give it: ``objective.target[0]``; a
-    ``fit_window`` entry is named by its list."""
+    """A leaf's name as messages give it: ``objective.target[0]``."""
     name = path[0]
     for key in path[1:]:
         name += f"[{key}]" if isinstance(key, int) else f".{key}"
-    return name.split("[")[0] if "fit_window" in name else name
+    return name
 
 
 BOUNDARY_LEAVES = [(kind, path) for kind, config in BOUNDARY_CONFIGS.items()
                    for path in _numeric_leaves(config)]
+
+
+def _schema_leaves(kind, path=()):
+    """(path, leaf kind) of every leaf below a SCHEMA kind; the items of a
+    list share its path."""
+    if isinstance(kind, tuple):
+        for option in kind:
+            yield from _schema_leaves(option, path)
+    elif isinstance(kind, dict):
+        for key, sub in kind.items():
+            yield from _schema_leaves(sub, path + (key,))
+    elif isinstance(kind, list):
+        yield from _schema_leaves(kind[0], path)
+    elif kind is not None:
+        yield path, kind
+
+
+def _schema_objects(kind, path=()):
+    """(path, keys) of every object below a SCHEMA kind, itself included;
+    a list's items are at index 0."""
+    for option in kind if isinstance(kind, tuple) else (kind,):
+        if isinstance(option, dict):
+            yield path, option
+            for key, sub in option.items():
+                yield from _schema_objects(sub, path + (key,))
+        elif isinstance(option, list):
+            yield from _schema_objects(option[0], path + (0,))
+
+
+SCHEMA_OBJECTS = dict(_schema_objects(SCHEMA))
+
+# a valid config holding every object of SCHEMA; it sets keys that its
+# algorithm kind does not read (``t`` beside ``tau``, ``coefficients``), which
+# are checked all the same
+EVERY_OBJECT = {
+    "schema": 1, "seed": 0,
+    "objective": {"kind": "quadratic", "target": [0.3, 0.4]},
+    "dictionary": {"kind": "coordinate", "dim": 2},
+    "algorithm": {"kind": "GGA_ADAPTIVE", "b": 0.5,
+                  "tau": {"kind": "constant", "t": 1.0},
+                  "t": {"kind": "constant", "t": 0.5},
+                  "mu": {"kind": "power", "gamma": 0.5, "q": 2.0},
+                  "coefficients": {"kind": "power-rule"}},
+    "stop": {"max_iter": 5},
+    "diagnostics": {"claims": [{"claim": "adaptive-convergence"}]},
+    "output": {"trace": "trace.csv", "manifest": "manifest.json"},
+}
+
+
+def _workloads():
+    """The benchmark's ``perfbench/workloads.py``, loaded by file path."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", ROOT / "perfbench" / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _object_name(path):
+    """An object's path as the README names it: ``diagnostics.claims[]``
+    for each claim object, and "" for the top level."""
+    name = ""
+    for key in path:
+        name += "[]" if isinstance(key, int) else f".{key}" if name else key
+    return name
+
+
+def _readme_schema():
+    """{object path: keys} as the README's config listing gives them: one
+    bullet per object, the object's paths in backticks before the colon
+    (none for the top level), its keys in backticks after it."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    listing = text.split("<!-- schema -->")[1]
+    found = {}
+    for bullet in re.findall(r"^- (.*?)(?=^- |^$)", listing, re.M | re.S):
+        label, keys = bullet.split(":", 1)
+        for path in re.findall(r"`([\w.\[\]]+)`", label) or [""]:
+            found[path] = set(re.findall(r"`(\w+)`", keys))
+    return found
 
 
 # every algorithm kind on every dictionary kind, as ``run`` configs; GBE sets
@@ -500,6 +601,25 @@ REFUSED_CONFIGS = {
                                         "values": [0.5, 0.25]}},
          "stop": {"max_iter": 1}},
         "t_2 = 2.0 outside (0, 1]"),
+    # a misspelled key: each ran with the default it meant to change, exit 0
+    "objective.scael": (
+        {"objective": {"kind": "quadratic", "target": [0.3, 0.6],
+                       "scael": 2.0}},
+        f"objective.scael: unknown key; keys {sorted(SCHEMA['objective'])}"),
+    "algorithm.bb": (
+        {"algorithm": {"kind": "GGA_ADAPTIVE", "bb": 0.9}},
+        f"algorithm.bb: unknown key; keys {sorted(SCHEMA['algorithm'])}"),
+    "algorithm.tua": (
+        {"algorithm": {"kind": "GGA_ADAPTIVE", "b": 0.5, "tua": 0.5}},
+        f"algorithm.tua: unknown key; keys {sorted(SCHEMA['algorithm'])}"),
+    "stop.max_itr": (
+        {"stop": {"max_itr": 3}},
+        f"stop.max_itr: unknown key; keys {sorted(SCHEMA['stop'][0])}"),
+    "claim-tolerence": (
+        {"diagnostics": {"claims": [{"claim": "adaptive-convergence",
+                                     "tolerence": 1e-12}]}},
+        "diagnostics.claims[0].tolerence: unknown key; keys "
+        f"{sorted(CLAIM)}"),
 }
 
 # the two run shapes of the benchmark's run-objective workload, small: EGA on
@@ -806,6 +926,53 @@ class TestRunCommand:
         assert err.startswith("config error: ")
         assert f" {_field_name(path)} " in err and "Traceback" not in err
 
+    def test_boundary_leaves_are_the_numeric_leaves_of_the_schema(self):
+        """``BOUNDARY_CONFIGS`` spoils every FLOAT, NUMBER and INT leaf of
+        SCHEMA, and no other; a list's entries count as the list."""
+        schema = {".".join(path) for path, kind in _schema_leaves(SCHEMA)
+                  if kind in (FLOAT, NUMBER, INT)}
+        boundary = {".".join(key for key in path if isinstance(key, str))
+                    for _, path in BOUNDARY_LEAVES}
+        assert boundary == schema
+
+    def test_a_config_with_every_object_runs(self, tmp_path):
+        """Keys its kind does not read are allowed when another kind reads
+        them: the union rule a sweep over ``algorithm.kind`` needs."""
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(EVERY_OBJECT), encoding="utf-8")
+        assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 0
+
+    @pytest.mark.parametrize("path", SCHEMA_OBJECTS,
+                             ids=[_object_name(p) or "top"
+                                  for p in SCHEMA_OBJECTS])
+    def test_misspelled_key_exits_2_before_the_solve(
+            self, tmp_path, capsys, monkeypatch, path):
+        """Each object of SCHEMA refuses a key it does not list: the first
+        listed key with its last letter doubled."""
+        _no_drivers(monkeypatch)
+        config = json.loads(json.dumps(EVERY_OBJECT))
+        node = config
+        for key in path:
+            node = node[key]
+        keys = SCHEMA_OBJECTS[path]
+        bad = min(keys) + min(keys)[-1]
+        assert bad not in keys
+        node[bad] = 1
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(config), encoding="utf-8")
+        out = tmp_path / "o"
+        assert main(["run", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(
+            f"config error: {_field_name(path + (bad,))}: unknown key; ")
+        assert not out.exists()
+
+    def test_readme_lists_the_schema(self):
+        """The README's config listing names exactly SCHEMA's objects and
+        their keys."""
+        schema = {_object_name(path): set(keys)
+                  for path, keys in SCHEMA_OBJECTS.items()}
+        assert _readme_schema() == schema
+
     @pytest.mark.parametrize("dictionary", KIND_DICTIONARIES)
     @pytest.mark.parametrize("kind", KIND_ALGORITHMS)
     def test_every_kind_runs_on_every_dictionary(self, tmp_path, capsys,
@@ -1026,7 +1193,6 @@ class TestRunCommand:
                                        "q": 2.0}})
         assert main(["run", str(cfg), "--out", str(tmp_path / "v")]) == 3
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_numeric_failure_exits_4(self, tmp_path):
         cfg = tmp_path / "config.json"
         write_config(cfg, objective={"kind": "quadratic",
@@ -1057,13 +1223,17 @@ class TestRunCommand:
             "numeric failure: greedy score is not finite\n"
         assert not (tmp_path / "o").exists()
 
-    # each printed numpy's RuntimeWarning before its documented exit
+    # each printed numpy's RuntimeWarning before its documented exit; the
+    # quadratic target printed "overflow encountered in dot" twice
     @pytest.mark.parametrize("case", ["sphere-p2", "csv-atom-norm",
-                                      "logistic-row-sums"])
+                                      "logistic-row-sums", "quadratic-target"])
     def test_overflow_exits_without_a_warning(self, tmp_path, capsys, case):
         objective = {"kind": "quadratic", "target": [1.0, 1.0]}
         dictionary = {"kind": "coordinate", "dim": 2}
-        if case == "sphere-p2":
+        if case == "quadratic-target":
+            objective["target"] = [1e200, 1e200]
+            code, err = 4, "numeric failure: objective evaluation is not finite\n"
+        elif case == "sphere-p2":
             objective["scale"] = 1e200
             dictionary = {"kind": "sphere", "p": 2}
             code, err = 4, "numeric failure: greedy score is not finite\n"
@@ -1360,6 +1530,41 @@ class TestSweepCommand:
         assert capsys.readouterr().err.startswith(
             "config error: config must be a JSON object")
         assert not out.exists()
+
+    @pytest.mark.parametrize("path", ["stop.max_iterr", "seedd",
+                                      "algorithm.tua.t", "objective.target.0"])
+    def test_unknown_grid_path_exits_2_before_any_run(self, tmp_path, capsys,
+                                                      monkeypatch, path):
+        """A path SCHEMA does not list: ``stop.max_iterr`` ran two equal
+        points and reported 2/2 runs succeeded."""
+        import greedy_opt.cli as cli
+
+        def no_solve(*args, **kwargs):
+            raise AssertionError("a run started")
+        monkeypatch.setattr(cli, "execute_run", no_solve)
+        cfg = tmp_path / "config.json"
+        write_config(cfg)
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps({"algorithm.b": [0.5], path: [2, 3]}))
+        out = tmp_path / "s"
+        assert main(["sweep", str(cfg), "--grid", str(grid), "--out",
+                     str(out)]) == 2
+        assert capsys.readouterr().err == \
+            f"config error: grid entry {path!r}: unknown path\n"
+        assert not (out / "summary.csv").exists()
+
+    @pytest.mark.parametrize("workload", ["sweep-gaussian", "run-objective"])
+    def test_benchmark_workloads_run(self, tmp_path, capsys, workload):
+        """The benchmark's own configs and grid, as ``perfbench`` writes
+        them (a top-level ``seed``; GEGA points that carry GGA_ADAPTIVE's
+        ``b`` and ``mu``), run at two steps, every sweep point included."""
+        plan = _workloads().write_inputs(workload, 7, tmp_path / "in")
+        for command in plan["commands"]:
+            argv = [arg.replace("{out}", str(tmp_path / "out"))
+                    for arg in command]
+            assert main(argv + ["--max-iter", "2"]) == 0
+        if workload == "sweep-gaussian":
+            assert "sweep: 4/4 runs succeeded" in capsys.readouterr().out
 
     def test_empty_grid_exits_2(self, tmp_path):
         cfg = tmp_path / "config.json"
