@@ -304,7 +304,8 @@ def _execute_run(config, base_dir, max_iter_override, out_dir, builds):
     if claims:
         results["verdicts"] = [claim_verdict(trace=trace, **spec).describe()
                                for spec in claims]
-    resolved = dict(config, stop=trace.config["stop"])
+    resolved = dict(_relocated(config, base_dir, paths[1].parent),
+                    stop=trace.config["stop"])
     manifest = {"schema": SCHEMA_VERSION, "config": resolved,
                 "results": results, "run_config": trace.config}
     write_trace_csv(trace, paths[0])
@@ -401,6 +402,31 @@ def _output_paths(output, out_dir):
         _require(not path.is_dir(), f"output {path} is a directory")
         _no_file_on(path.parent, f"output {path}")
     return paths
+
+
+# The config fields that name CSV files, by section.
+_CSV_FIELDS = {"objective": ("design_csv", "response_csv", "labels_csv"),
+               "dictionary": ("path",)}
+
+
+def _relocated(config, base_dir, manifest_dir):
+    """``config`` with each relative CSV path it names, written relative to
+    ``base_dir``, rewritten relative to ``manifest_dir``: a path resolves
+    against the directory of the file that names it, and the manifest is
+    itself a config.  An absolute path, and a dictionary ``path`` that only
+    the ``csv`` kind reads, stay as written."""
+    config = dict(config)
+    for section, fields in _CSV_FIELDS.items():
+        spec = dict(config[section])
+        if section == "dictionary" and spec["kind"] != "csv":
+            continue
+        for field in fields:
+            if field in spec and not os.path.isabs(spec[field]):
+                spec[field] = os.path.relpath(
+                    os.path.realpath(Path(base_dir) / spec[field]),
+                    os.path.realpath(manifest_dir))
+        config[section] = spec
+    return config
 
 
 def _no_file_on(path, label):

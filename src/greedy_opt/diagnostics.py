@@ -153,12 +153,14 @@ def _power_series_sum(a):
     integral tail.
 
     Infinite for a <= 1, where the series diverges.  Kept per exponent, so a
-    process sums the 10^6 terms once for each a it asks for.
+    process sums the 10^6 terms once for each a it asks for.  The terms are
+    raised in place in one 8 MB buffer: ``k ** (-a)`` is the same ufunc call,
+    so the sum is the float ``np.sum(k ** -a)`` gives, at half its memory.
     """
     if a <= 1.0:
         return math.inf
     k = np.arange(1, _SERIES_TERMS + 1, dtype=float)
-    return (float(np.sum(k ** (-a)))
+    return (float(np.sum(np.power(k, -a, out=k)))
             + _SERIES_TERMS ** (1.0 - a) / (a - 1.0))
 
 

@@ -56,11 +56,28 @@ class FiniteDictionary:
 
     Atoms are normalized at construction in the dictionary's lp norm; a zero
     atom is a construction error.  Both signs of every atom are searched, so
-    only the unsigned atoms are stored.
+    only the unsigned atoms are stored.  A caller's atoms are never changed:
+    they are divided into one new array, laid out as theirs.  The
+    classmethods divide the array they build in place, so a build's peak
+    memory is about one copy of the atoms.
     """
 
     def __init__(self, atoms, norm=EUCLIDEAN, kind="custom"):
-        A = np.asarray(atoms, dtype=float)
+        self._normalize(np.asarray(atoms, dtype=float), norm, kind)
+
+    @classmethod
+    def _owning(cls, A, norm, kind):
+        """A dictionary whose atoms are ``A``, an array built for it alone,
+        divided in place."""
+        self = cls.__new__(cls)
+        self._normalize(A, norm, kind, in_place=True)
+        return self
+
+    def _normalize(self, A, norm, kind, in_place=False):
+        """Check the float matrix ``A`` and keep its columns divided by their
+        norms: in ``A`` itself when ``in_place``, else in a new array laid
+        out as ``A``.  The norms are read from ``A``'s own columns, whose
+        sums round by their strides (a negative stride rounds otherwise)."""
         if A.ndim != 2 or A.shape[0] < 1 or A.shape[1] < 1:
             raise ValueError("atoms must form a nonempty (dim x count) matrix")
         if not np.all(np.isfinite(A)):
@@ -72,7 +89,7 @@ class FiniteDictionary:
             raise ValueError("zero atom in dictionary")
         if not np.all(np.isfinite(norms)):  # its atom would scale to zero
             raise ValueError("atom norm overflows in dictionary")
-        self._atoms = A / norms
+        self._atoms = np.divide(A, norms, out=A if in_place else None)
         # Views with the strides of A[:, j], built once for the scan.
         self._columns = list(self._atoms.T)
         # Atoms exactly e_1, ..., e_dim in order, decided from the atoms, not
@@ -96,19 +113,19 @@ class FiniteDictionary:
     @classmethod
     def coordinate(cls, dim, norm=EUCLIDEAN):
         """The coordinate dictionary {e_1, ..., e_dim}."""
-        return cls(np.eye(int(dim)), norm=norm, kind="coordinate")
+        return cls._owning(np.eye(int(dim)), norm, "coordinate")
 
     @classmethod
     def gaussian(cls, dim, count, seed, norm=EUCLIDEAN):
         """``count`` normalized standard-normal atoms in R^dim."""
         rng = np.random.default_rng(seed)
-        return cls(rng.standard_normal((int(dim), int(count))), norm=norm,
-                   kind="gaussian")
+        return cls._owning(rng.standard_normal((int(dim), int(count))), norm,
+                           "gaussian")
 
     @classmethod
     def from_csv(cls, path, norm=EUCLIDEAN):
         """Atoms from a CSV matrix, one per column (see ``read_csv_matrix``)."""
-        return cls(read_csv_matrix(path), norm=norm, kind="csv")
+        return cls._owning(read_csv_matrix(path), norm, "csv")
 
     @property
     def dim(self):

@@ -4,6 +4,7 @@ import importlib.util
 import itertools
 import json
 import re
+import tracemalloc
 import warnings
 import weakref
 from pathlib import Path
@@ -994,8 +995,6 @@ class TestRunCommand:
                                                "dictionary\n")
             return
         assert main(["run", str(cfg), "--out", str(out)]) == 0
-        # the manifest sits in ``out``, where the CSV path resolves too
-        (out / "atoms.csv").write_bytes((tmp_path / "atoms.csv").read_bytes())
         assert main(["run", str(out / "manifest.json"), "--out",
                      str(again)]) == 0
         assert (out / "trace.csv").read_bytes() == \
@@ -1100,6 +1099,23 @@ class TestRunCommand:
         coefficients = manifest["run_config"]["coefficients"]
         fresh = _power_series_sum.__wrapped__(coefficients["s"] * 2.0)
         assert coefficients["series_bound"].hex() == fresh.hex()
+
+    def test_power_rule_run_holds_one_series_buffer(self, tmp_path):
+        """A power-rule EGA run's traced peak is its set-up's sum of the
+        series' 10^6 terms, one 8 MB buffer of them (15.5 MiB with two)."""
+        cfg = tmp_path / "config.json"
+        write_config(cfg, algorithm={"kind": "EGA", "coefficients":
+                                     {"kind": "power-rule", "t": 1.0}})
+        _power_series_sum.cache_clear()
+        assert not tracemalloc.is_tracing()
+        tracemalloc.start()
+        try:
+            assert main(["run", str(cfg), "--out", str(tmp_path / "o"),
+                         "--max-iter", "50"]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 * 2**20
 
     def test_gbe_records_its_schedule(self, tmp_path):
         cfg = tmp_path / "config.json"
@@ -1358,6 +1374,48 @@ class TestRunCommand:
             assert main(["run", str(cfg), "--out", str(run_dir / "out")]) == 0
             traces.append((run_dir / "out" / "trace.csv").read_bytes())
         assert traces[0] == traces[1]
+
+    @pytest.mark.parametrize("section", ["objective", "dictionary"])
+    def test_manifest_of_csv_inputs_reruns(self, tmp_path, section):
+        """A manifest names its CSV inputs relative to its own directory, as
+        a config's paths resolve against the file that names them, so it
+        reruns from anywhere to the same trace; an absolute path stays as
+        written."""
+        inputs = tmp_path / "inputs"
+        inputs.mkdir()
+        rng = np.random.default_rng(26)
+        np.savetxt(inputs / "design.csv", rng.standard_normal((12, 3)),
+                   delimiter=",")
+        np.savetxt(inputs / "labels.csv", np.tile([1.0, -1.0, -1.0], 4),
+                   delimiter=",")
+        np.savetxt(inputs / "atoms.csv", rng.standard_normal((3, 5)),
+                   delimiter=",")
+        fields = {"objective": {"kind": "logistic",
+                                "design_csv": "inputs/design.csv",
+                                "labels_csv": str(inputs / "labels.csv")},
+                  "dictionary": {"kind": "csv", "path": "inputs/atoms.csv"}}
+        spec = fields[section]
+        objective = fields["objective"] if section == "objective" else \
+            {"kind": "quadratic", "target": [0.2, -0.5, 0.3]}
+        cfg = tmp_path / "config.json"
+        write_config(cfg, objective=objective,
+                     dictionary=spec if section == "dictionary" else
+                     {"kind": "coordinate", "dim": 3},
+                     algorithm={"kind": "GEGA", "tau": 1.0},
+                     stop={"max_iter": 20})
+        first, again = tmp_path / "runs" / "first", tmp_path / "again"
+        assert main(["run", str(cfg), "--out", str(first)]) == 0
+        written = json.loads((first / "manifest.json").read_text())["config"]
+        key = "design_csv" if section == "objective" else "path"
+        assert written[section][key] == f"../../{spec[key]}"
+        if section == "objective":
+            assert written[section]["labels_csv"] == spec["labels_csv"]
+        assert main(["run", str(first / "manifest.json"), "--out",
+                     str(again)]) == 0
+        assert (first / "trace.csv").read_bytes() == \
+            (again / "trace.csv").read_bytes()
+        rerun = json.loads((again / "manifest.json").read_text())["config"]
+        assert rerun[section][key] == f"../{spec[key]}"
 
     @pytest.mark.parametrize("overrides,message", REFUSED_CONFIGS.values(),
                              ids=REFUSED_CONFIGS.keys())

@@ -1,5 +1,7 @@
 """Rate fits, claim verdicts, and the partial sums of a trace."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -23,7 +25,12 @@ from greedy_opt import (
     run_gga_adaptive,
     run_gga_fixed,
 )
-from greedy_opt.diagnostics import bound_holds, smallest_dominating_constant
+from greedy_opt.diagnostics import (
+    _SERIES_TERMS,
+    _power_series_sum,
+    bound_holds,
+    smallest_dominating_constant,
+)
 from greedy_opt.instances import quadratic_2d, quadratic_geometric
 
 
@@ -306,3 +313,29 @@ class TestSummability:
                               StopRule(max_iter=1))
         assert len(trace) == 0
         assert trace.sum_c == [] and trace.sum_cED == [] and trace.A == []
+
+
+class TestPowerSeriesSum:
+    """The one power-series budget, sum_k k^-a, summed in one buffer."""
+
+    @pytest.mark.parametrize("a", [4.0 / 3.0, 2.0, 3.0, 1.0 + 1e-9, 1.01,
+                                   1.1, 1.25, 1.5, 1.75, 2.5, 2.75, 2.999])
+    def test_same_float_as_the_two_array_sum(self, a):
+        """Raising the terms in place changes no bit: ``k ** -a`` is the same
+        ufunc call.  a = 4/3 is the shipped t = 1, q = 2 schedule."""
+        k = np.arange(1, _SERIES_TERMS + 1, dtype=float)
+        expected = (float(np.sum(k ** -a))
+                    + _SERIES_TERMS ** (1.0 - a) / (a - 1.0))
+        assert _power_series_sum.__wrapped__(a).hex() == expected.hex()
+
+    def test_holds_one_buffer_of_the_terms(self):
+        """The traced peak is one 8 MB (7.63 MiB) array of the 10^6 terms,
+        not the two a separate power result needs (15.26 MiB)."""
+        assert not tracemalloc.is_tracing()
+        tracemalloc.start()
+        try:
+            _power_series_sum.__wrapped__(4.0 / 3.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 9 * 2**20

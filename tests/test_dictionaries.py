@@ -1,6 +1,7 @@
 """Dictionary construction and the three selection primitives."""
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -25,7 +26,7 @@ from greedy_opt import (
     select_atom,
     with_majorant,
 )
-from greedy_opt.dictionaries import gradient_stop_threshold
+from greedy_opt.dictionaries import gradient_stop_threshold, read_csv_matrix
 
 
 def naive_best_pairing(dictionary, v):
@@ -286,6 +287,86 @@ class TestConstruction:
         d2 = FiniteDictionary.from_csv(headed)
         np.testing.assert_array_equal(d1._atoms, d2._atoms)
         np.testing.assert_allclose(d1.column(0), [0.6, 0.8], rtol=1e-15)
+
+
+def divided(A, norm):
+    """Each column of the float matrix A divided by its lp norm, read from A's
+    own column: the normalization every dictionary build must reproduce."""
+    return A / np.array([lp_norm(A[:, j], norm) for j in range(A.shape[1])])
+
+
+def traced_peak(build):
+    """The tracemalloc peak, in bytes, of ``build()``."""
+    assert not tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        build()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+_RAW = np.random.default_rng(21).standard_normal((33, 50)) * 3.0
+CALLER_ATOMS = {
+    "c-order": _RAW,
+    "f-order": np.asfortranarray(_RAW),
+    "column-slice": _RAW[:, ::2],
+    "row-reversed": _RAW[::-1],
+    "f-order-row-reversed": np.asfortranarray(_RAW)[::-1],
+    "list": _RAW.tolist(),
+    "int": np.random.default_rng(22).integers(-5, 6, size=(20, 30)),
+}
+
+
+class TestNormalization:
+    """A build normalizes its atoms into one array: a new one for a caller's
+    atoms, or the array a classmethod built; the floats and strides are those
+    of ``divided``."""
+
+    @pytest.mark.parametrize("p", [2.0, 3.0])
+    @pytest.mark.parametrize("name", sorted(CALLER_ATOMS))
+    def test_callers_atoms_divided_into_a_new_array(self, name, p):
+        """The strides decide which ``ddot`` the exact scan runs (see
+        ``pairings``), so they must be those of the division, and the norms
+        come from the caller's own columns: a row-reversed column's dot
+        rounds otherwise than its copy's."""
+        x = CALLER_ATOMS[name]
+        before = np.array(x)
+        d = FiniteDictionary(x, norm=NormTag(p))
+        expected = divided(np.asarray(x, dtype=float), NormTag(p))
+        assert d._atoms.tobytes() == expected.tobytes()
+        assert d._atoms.strides == expected.strides
+        assert not np.shares_memory(d._atoms, np.asarray(x))
+        assert np.array_equal(np.asarray(x), before)
+        assert np.asarray(x).dtype == before.dtype
+
+    @pytest.mark.parametrize("p", [2.0, 3.0])
+    def test_classmethod_atoms_equal_the_division(self, p, tmp_path):
+        norm = NormTag(p)
+        path = tmp_path / "atoms.csv"
+        np.savetxt(path, np.random.default_rng(23).standard_normal((7, 11)),
+                   delimiter=",")
+        cases = [
+            (FiniteDictionary.coordinate(5, norm=norm), np.eye(5)),
+            (FiniteDictionary.gaussian(16, 40, seed=24, norm=norm),
+             np.random.default_rng(24).standard_normal((16, 40))),
+            (FiniteDictionary.from_csv(path, norm=norm),
+             read_csv_matrix(path)),
+        ]
+        for d, raw in cases:
+            expected = divided(raw, norm)
+            assert d._atoms.tobytes() == expected.tobytes()
+            assert d._atoms.strides == expected.strides
+
+    @pytest.mark.parametrize("build", [
+        lambda: FiniteDictionary.gaussian(256, 2000, seed=25),
+        lambda: FiniteDictionary.coordinate(512),
+    ], ids=["gaussian-256x2000", "coordinate-512"])
+    def test_build_peaks_near_one_copy_of_the_atoms(self, build):
+        """Dividing in place holds one dim x count array, not the raw and the
+        normalized atoms at once (2.0-2.3 times their bytes)."""
+        atoms_bytes = build()._atoms.nbytes
+        assert traced_peak(build) < 1.5 * atoms_bytes
 
 
 class TestPairings:
