@@ -30,7 +30,8 @@ __all__ = [
 
 
 class NumericFailure(RuntimeError):
-    """An objective (or gradient) evaluation stopped being finite."""
+    """A computed value (objective, gradient, greedy score or step
+    coefficient) stopped being finite."""
 
 
 def as_vector(x, dim=None):

@@ -145,6 +145,30 @@ def bound_holds(gaps, bounds, C, start):
 # Exact terms of the power-series bound; the schedule's calibration and the
 # claims' budget check must both use this one value.
 _SERIES_TERMS = 1_000_000
+# Terms summed per leaf: one 256 KB float64 array at a time.
+_LEAF_TERMS = 1 << 15
+
+
+def _pairwise_power_sum(a, lo, n):
+    """sum of k^-a for k = lo+1 .. lo+n, added in ``np.sum``'s pairwise order.
+
+    For a contiguous float64 vector ``np.sum`` splits a block of more than
+    128 terms at n2 = n // 2 rounded down to a multiple of 8, sums the halves
+    the same way and adds them; a block of at most 128 terms has its own
+    8-accumulator loop.  This recursion copies that split rule down to
+    leaves of at most ``_LEAF_TERMS`` terms.  A leaf is one block of the
+    whole array's tree, and ``np.sum`` of it, alone, walks the same subtree,
+    so each leaf gives the float the whole sum forms there, and the additions
+    up this tree are the ones ``np.sum`` makes above it.  That order is
+    numpy's, not documented API: an identity test against the one-array sum
+    pins it, not a proof.
+    """
+    if n <= _LEAF_TERMS:
+        k = np.arange(lo + 1, lo + n + 1, dtype=float)
+        return float(np.sum(np.power(k, -a, out=k)))
+    half = n // 2 - n // 2 % 8
+    return (_pairwise_power_sum(a, lo, half)
+            + _pairwise_power_sum(a, lo + half, n - half))
 
 
 @functools.lru_cache(maxsize=64)
@@ -154,13 +178,13 @@ def _power_series_sum(a):
 
     Infinite for a <= 1, where the series diverges.  Kept per exponent, so a
     process sums the 10^6 terms once for each a it asks for.  The terms are
-    raised in place in one 8 MB buffer: ``k ** (-a)`` is the same ufunc call,
-    so the sum is the float ``np.sum(k ** -a)`` gives, at half its memory.
+    summed one 2^15-term leaf at a time in ``np.sum``'s own pairwise order
+    (see ``_pairwise_power_sum``), so the sum is the float
+    ``np.sum(k ** -a)`` gives over all 10^6 terms, without their 8 MB array.
     """
     if a <= 1.0:
         return math.inf
-    k = np.arange(1, _SERIES_TERMS + 1, dtype=float)
-    return (float(np.sum(np.power(k, -a, out=k)))
+    return (_pairwise_power_sum(a, 0, _SERIES_TERMS)
             + _SERIES_TERMS ** (1.0 - a) / (a - 1.0))
 
 

@@ -16,7 +16,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from .core import Majorant, dual_norm, pairing
+from .core import Majorant, NumericFailure, dual_norm, pairing
 from .diagnostics import (OUTSIDE, UNVERIFIABLE, _first_violation,
                           _hull_membership, _power_series_sum)
 from .dictionaries import (
@@ -62,7 +62,7 @@ class StopRule:
     ``grad_tol`` is the dual-norm threshold standing in for an exactly zero
     gradient; None defaults to 1e-12 * (1 + |E(0)|) at run start.  ``target_gap``
     stops once E(G_m) - known_inf falls below it (ignored when the objective
-    has no known infimum).
+    has no known infimum).  Both must be nonnegative, and not NaN.
     """
 
     max_iter: int
@@ -72,8 +72,10 @@ class StopRule:
     def __post_init__(self):
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
-        if self.grad_tol is not None and self.grad_tol < 0:
+        if self.grad_tol is not None and not self.grad_tol >= 0:
             raise ValueError("grad_tol must be nonnegative")
+        if self.target_gap is not None and not self.target_gap >= 0:
+            raise ValueError("target_gap must be nonnegative")
 
 
 class _Schedule:
@@ -440,7 +442,8 @@ def _run(E, dictionary, stop, algorithm, step, tau=None, mode=ARGMAX,
     and asks ``step(m, t_m, G, direction, score)`` for (c_m, flags).  Without
     one it asks ``step(m, None, G, None, score)`` for c_m first, scans the
     objective for the atom minimizing E(G + c_m * atom), then resolves it.
-    Either way G_m = G + c_m * direction.
+    Either way G_m = G + c_m * direction; a c_m that is not finite is a
+    NumericFailure before the update.
     ``check(m, t_m, E_prev, E_new, c_m, score_prev)`` may reject a finished
     step by raising.  The run config records the objective, dictionary, stop
     rule, algorithm, weakness and mode, plus ``params``.
@@ -488,6 +491,8 @@ def _run(E, dictionary, stop, algorithm, step, tau=None, mode=ARGMAX,
                                   score=(score_val, score_atom))
             direction = dictionary.resolve(atom)
             c_m, iter_flags = step(m, t_m, G, direction, score_val)
+        if not math.isfinite(c_m):
+            raise NumericFailure(f"step coefficient c_{m} is not finite")
         prev_e, prev_score = e_cur, score_val
         G = G + c_m * direction
         # the scan evaluated E(G + (c sign) a), this E(G) bit for bit

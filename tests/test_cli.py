@@ -50,6 +50,10 @@ def write_config(path, **overrides):
 NON_FINITE = {"nan": "NaN", "inf": "Infinity", "minus-inf": "-Infinity",
               "overflow": "1e400"}
 
+# GGA_ADAPTIVE under a subnormal majorant constant: the solved c_1 is inf
+SUBNORMAL_GAMMA_ADAPTIVE = {"kind": "GGA_ADAPTIVE", "tau": 1.0, "b": 0.5,
+                            "mu": {"kind": "power", "gamma": 5e-324,
+                                   "q": 2.0}}
 FIXED_SHORT_SCHEDULE = {"kind": "GGA_FIXED", "tau": 1.0,
                         "coefficients": {"kind": "explicit",
                                          "values": [0.5, 0.25]}}
@@ -1101,8 +1105,9 @@ class TestRunCommand:
         assert coefficients["series_bound"].hex() == fresh.hex()
 
     def test_power_rule_run_holds_one_series_buffer(self, tmp_path):
-        """A power-rule EGA run's traced peak is its set-up's sum of the
-        series' 10^6 terms, one 8 MB buffer of them (15.5 MiB with two)."""
+        """A power-rule EGA run's traced peak (0.43 MiB) stays well under
+        what a one-array sum of the series' 10^6 terms needs (7.82 MiB with
+        its 8 MB buffer): the set-up sums them one 256 KB leaf at a time."""
         cfg = tmp_path / "config.json"
         write_config(cfg, algorithm={"kind": "EGA", "coefficients":
                                      {"kind": "power-rule", "t": 1.0}})
@@ -1115,7 +1120,7 @@ class TestRunCommand:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 10 * 2**20
+        assert peak < 1.5 * 2**20
 
     def test_gbe_records_its_schedule(self, tmp_path):
         cfg = tmp_path / "config.json"
@@ -1269,6 +1274,29 @@ class TestRunCommand:
             assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == code
         assert [str(w.message) for w in caught] == []
         assert capsys.readouterr().err == err
+        assert not (tmp_path / "o").exists()
+
+    # the update inf * 0 printed "invalid value encountered in multiply"
+    # before "objective evaluation is not finite"
+    def test_a_step_that_is_not_finite_exits_4_without_a_warning(
+            self, tmp_path, capsys):
+        cfg = tmp_path / "config.json"
+        write_config(cfg, objective={"kind": "quadratic",
+                                     "target": [0.3, 0.4]},
+                     algorithm=SUBNORMAL_GAMMA_ADAPTIVE)
+        assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 4
+        assert capsys.readouterr().err == \
+            "numeric failure: step coefficient c_1 is not finite\n"
+        assert not (tmp_path / "o").exists()
+
+    # ran all 40 iterations to max-iter with exit 0, as if it were unset
+    def test_a_negative_target_gap_exits_2_before_the_solve(self, tmp_path,
+                                                             capsys):
+        cfg = tmp_path / "config.json"
+        write_config(cfg, stop={"max_iter": 40, "target_gap": -1.0})
+        assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == \
+            "config error: target_gap must be nonnegative\n"
         assert not (tmp_path / "o").exists()
 
     def test_max_iter_override(self, tmp_path):
@@ -1534,6 +1562,26 @@ class TestSweepCommand:
         assert (out / "run_0001").read_text() == "keep me"
         assert (out / "run_0002" / "trace.csv").exists()
         assert "2/3 runs succeeded" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("grid, overrides, error", [
+        ({"stop.target_gap": [0.5, -1.0]}, {}, "error: ConfigError"),
+        ({"algorithm.mu.gamma": [1.0, 5e-324]},
+         {"algorithm": SUBNORMAL_GAMMA_ADAPTIVE}, "error: NumericFailure")],
+        ids=["target-gap", "step"])
+    def test_a_refused_point_gets_an_error_row(self, tmp_path, capsys, grid,
+                                               overrides, error):
+        cfg = tmp_path / "config.json"
+        write_config(cfg, objective={"kind": "quadratic",
+                                     "target": [0.3, 0.4]}, **overrides)
+        (tmp_path / "grid.json").write_text(json.dumps(grid))
+        out = tmp_path / "s"
+        assert main(["sweep", str(cfg), "--grid", str(tmp_path / "grid.json"),
+                     "--out", str(out)]) == 0
+        rows = [line.split(",")
+                for line in (out / "summary.csv").read_text().splitlines()]
+        assert not rows[1][2].startswith("error") and rows[1][3]
+        assert rows[2][2:] == [error, "", "", "", ""]
+        assert "1/2 runs succeeded" in capsys.readouterr().out
 
     @pytest.mark.parametrize("literal", NON_FINITE.values(),
                              ids=NON_FINITE.keys())

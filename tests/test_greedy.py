@@ -17,6 +17,7 @@ from greedy_opt import (
     Majorant,
     MajorantViolationError,
     NormTag,
+    NumericFailure,
     SphereDictionary,
     StopRule,
     WeaknessSequence,
@@ -808,6 +809,29 @@ class TestTraceMechanics:
             StopRule(max_iter=0)
         with pytest.raises(ValueError):
             StopRule(max_iter=5, grad_tol=-1.0)
+
+    # each was accepted, and a run under it never stopped on that rule
+    @pytest.mark.parametrize("field, value", [
+        ("grad_tol", math.nan), ("target_gap", math.nan),
+        ("target_gap", -1.0)])
+    def test_stop_rule_refuses_a_threshold_that_disables_itself(self, field,
+                                                                 value):
+        with pytest.raises(ValueError, match=f"{field} must be nonnegative"):
+            StopRule(max_iter=3, **{field: value})
+
+    def test_a_zero_target_gap_stays_valid(self):
+        assert StopRule(max_iter=3, target_gap=0.0).target_gap == 0.0
+
+    def test_a_step_coefficient_that_is_not_finite_is_refused(self):
+        """A subnormal gamma overflows the solved step to c_1 = inf; the
+        update inf * 0 printed an invalid-value warning before the objective
+        check failed."""
+        E = quadratic_objective([0.3, 0.4])
+        with pytest.raises(NumericFailure,
+                           match="step coefficient c_1 is not finite"):
+            run_gga_adaptive(E, FiniteDictionary.coordinate(2), 1.0, 0.5,
+                             StopRule(max_iter=5),
+                             majorant=Majorant.power(5e-324, 2.0))
 
 
 class TestScoreGapBound:
