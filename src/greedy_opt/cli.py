@@ -387,13 +387,16 @@ def _diagnostics(diag):
 
 def _output_paths(output, out_dir):
     """(trace, manifest) paths under ``out_dir`` for the ``output`` spec,
-    checked before the solve: two distinct files, neither inside the other's
-    path, neither a directory nor under a file."""
+    checked before the solve: two distinct files below ``out_dir`` (a name
+    is relative, with no ``..`` part), neither inside the other's path,
+    neither a directory nor under a file."""
     names = (output.get("trace", "trace.csv"),
              output.get("manifest", "manifest.json"))
     for name in names:
         _require(os.path.basename(name) not in ("", ".", ".."),
                  f"output name {name!r} does not name a file")
+        _require(not os.path.isabs(name) and ".." not in Path(name).parts,
+                 f"output name {name!r} leaves the output directory")
     trace, manifest = (os.path.normpath(name) + os.sep for name in names)
     _require(not (trace.startswith(manifest) or manifest.startswith(trace)),
              "output trace and manifest must be distinct files")
@@ -583,7 +586,7 @@ def main(argv=None):
     p_verify.add_argument("--list", action="store_true",
                           help="print the criteria without running them")
     p_verify.add_argument("--out", default="verify-out",
-                          help="directory for the criteria's trace files")
+                          help="where the criteria write traces and manifests")
     p_verify.add_argument("--inject-fault", choices=["gamma-half"],
                           default=None,
                           help="halve the declared quadratic majorants to "

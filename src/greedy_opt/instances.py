@@ -11,7 +11,9 @@ __all__ = [
     "quadratic_2d_unit_l1",
     "quadratic_nd",
     "quadratic_geometric",
+    "logistic_20x5_spec",
     "logistic_20x5",
+    "p_power_spec",
     "p_power_instance",
 ]
 
@@ -42,8 +44,9 @@ def quadratic_geometric(n=64):
     return quadratic_objective(t / np.sum(t))
 
 
-def logistic_20x5():
-    """20 x 5 logistic instance, non-separable by construction.
+def logistic_20x5_spec():
+    """20 x 5 logistic instance, non-separable by construction, as a config's
+    objective spec.
 
     Fifteen rows get labels from a noisy linear model; the first five rows are
     then repeated with flipped labels.  Any weight vector misclassifies one row
@@ -54,15 +57,27 @@ def logistic_20x5():
     w = rng.standard_normal(5)
     margins = base @ w + 0.4 * rng.standard_normal(15)
     labels = np.where(margins >= 0, 1.0, -1.0)
-    design = np.vstack([base, base[:5]])
-    labels = np.concatenate([labels, -labels[:5]])
-    return logistic_objective(design, labels, region_radius=10.0)
+    return {"kind": "logistic", "design": np.vstack([base, base[:5]]).tolist(),
+            "labels": np.concatenate([labels, -labels[:5]]).tolist(),
+            "region_radius": 10.0}
+
+
+def logistic_20x5():
+    """The objective of ``logistic_20x5_spec``."""
+    spec = logistic_20x5_spec()
+    return logistic_objective(spec["design"], spec["labels"],
+                              spec["region_radius"])
+
+
+def p_power_spec():
+    """Random full-rank 10 x 4 p-power regression instance at p = 1.5
+    (smoothness exponent q = p), as a config's objective spec."""
+    rng = np.random.default_rng(9)
+    return {"kind": "p_power", "design": rng.standard_normal((10, 4)).tolist(),
+            "response": rng.standard_normal(10).tolist(), "p": 1.5}
 
 
 def p_power_instance():
-    """Random full-rank 10 x 4 p-power regression instance at p = 1.5
-    (smoothness exponent q = p)."""
-    rng = np.random.default_rng(9)
-    design = rng.standard_normal((10, 4))
-    response = rng.standard_normal(10)
-    return p_power_objective(design, response, 1.5)
+    """The objective of ``p_power_spec``."""
+    spec = p_power_spec()
+    return p_power_objective(spec["design"], spec["response"], spec["p"])

@@ -1,9 +1,11 @@
 """The acceptance suite: each verification criterion as a callable pass/fail check.
 
 The CLI ``verify`` subcommand and the acceptance tests both run these.  Every
-criterion is deterministic; the ones that execute runs also write their traces
-(when an output directory is supplied) so two invocations can be compared file
-by file.  No criterion reads another's state, so ``run_all`` runs them side by
+criterion is deterministic.  The ones that execute runs assemble them from a
+config through ``cli.execute_run``, the path ``greedy-opt run`` takes, and
+write each run's trace and manifest to the output directory, so two
+invocations can be compared file by file and each manifest reruns to its
+trace.  No criterion reads another's state, so ``run_all`` runs them side by
 side in forked worker processes.
 """
 
@@ -28,32 +30,31 @@ from .core import (
     smoothness_gap_check,
     unit_direction,
 )
-from .dictionaries import (FiniteDictionary, SphereDictionary,
-                           argmin_atom_by_objective, greedy_score)
+from .dictionaries import (FiniteDictionary, argmin_atom_by_objective,
+                           greedy_score)
 from .diagnostics import (
     ADAPTIVE_RATE,
     FIXED_SUMMABLE_CONVERGENCE,
     POWER_SCHEDULE_RATE,
     bound_holds,
-    claim_verdict,
     fit_rate,
     smallest_dominating_constant,
 )
 from .greedy import (
     ENERGY_SLACK,
+    RunTrace,
     StopRule,
     iter_states,
     line_search_exact,
     make_power_coefficients,
-    run_ega,
-    run_gega,
     run_gga_adaptive,
     run_gga_fixed,
     score_gap_bound,
 )
 from .instances import (
     logistic_20x5,
-    p_power_instance,
+    logistic_20x5_spec,
+    p_power_spec,
     quadratic_2d,
     quadratic_2d_unit_l1,
     quadratic_geometric,
@@ -61,7 +62,7 @@ from .instances import (
 )
 from .objectives import (Objective, reference_infimum, validate_objective,
                          with_majorant)
-from .traceio import write_trace_csv
+from .traceio import trace_csv_text
 
 __all__ = ["CriterionResult", "VerifyContext", "criterion_names", "run_all"]
 
@@ -78,21 +79,46 @@ class CriterionResult:
 
 @dataclass
 class VerifyContext:
-    """Where to put traces and which faults (if any) to inject."""
+    """Where the runs write their traces and manifests, and whether to
+    inject the ``gamma-half`` fault: each quadratic's declared majorant with
+    its gamma halved."""
 
-    out_dir: Path | None = None
+    out_dir: Path
     fault_gamma_half: bool = False
 
-    def quadratic(self, builder, *args, **kwargs):
-        obj = builder(*args, **kwargs)
-        if self.fault_gamma_half:
-            mu = obj.majorant
-            obj = with_majorant(obj, Majorant.power(mu.gamma / 2.0, mu.q))
-        return obj
+    def objective(self, spec):
+        """The objective the config spec ``spec`` builds, with the fault."""
+        from . import cli
+        E = cli.build_objective(spec)
+        if self.fault_gamma_half and spec["kind"] == "quadratic":
+            mu = E.majorant
+            E = with_majorant(E, Majorant.power(mu.gamma / 2.0, mu.q))
+        return E
 
-    def write(self, trace, name):
-        if self.out_dir is not None:
-            write_trace_csv(trace, Path(self.out_dir) / name)
+    def run(self, name, objective, algorithm, max_iter, dictionary=None,
+            claims=(), **stop):
+        """Run a config through ``cli.execute_run``, as ``greedy-opt run``
+        does, writing the trace ``name``.csv and the manifest ``name``.json
+        to ``out_dir``; return the trace, the manifest's results, and the
+        objective and dictionary that the run built.
+
+        The objective is built here, with the fault, and handed to the run
+        in its ``builds`` under the key the run looks up, so the fault
+        reaches the run while the config, and so the manifest, carries none.
+        The dictionary defaults to the coordinate one of the objective's
+        dimension."""
+        from . import cli
+        E = self.objective(objective)
+        builds = {"objective": (cli._build_key(objective, "."), E)}
+        config = {
+            "schema": cli.SCHEMA_VERSION, "objective": objective,
+            "dictionary": dictionary or {"kind": "coordinate", "dim": E.dim},
+            "algorithm": algorithm, "stop": {"max_iter": max_iter, **stop},
+            "diagnostics": {"claims": list(claims)},
+            "output": {"trace": name + ".csv", "manifest": name + ".json"}}
+        trace, manifest, _ = cli.execute_run(config, out_dir=self.out_dir,
+                                             builds=builds)
+        return trace, manifest["results"], E, builds["dictionary"][1]
 
 
 def _energy_inequality_ok(trace, b):
@@ -107,13 +133,24 @@ def _energy_inequality_ok(trace, b):
     return True, None
 
 
+def _shipped_specs():
+    """The shipped objectives by name, as config specs; a quadratic's
+    description is its spec."""
+    return [("quadratic-2d", quadratic_2d().description),
+            ("quadratic-64d", quadratic_geometric(64).description),
+            ("logistic-20x5", logistic_20x5_spec()),
+            ("p-power-1.5", p_power_spec())]
+
+
 def _shipped_objectives(ctx):
-    return [
-        ("quadratic-2d", ctx.quadratic(quadratic_2d)),
-        ("quadratic-64d", ctx.quadratic(quadratic_geometric, 64)),
-        ("logistic-20x5", logistic_20x5()),
-        ("p-power-1.5", p_power_instance()),
-    ]
+    return [(name, ctx.objective(spec)) for name, spec in _shipped_specs()]
+
+
+# Two of the run criteria's schemes, both at t = 1: the adaptive one at
+# b = 1/2 and the fixed one on the schedule make_power_coefficients(1, 2, 1/2)
+ADAPTIVE = {"kind": "GGA_ADAPTIVE", "b": 0.5}
+FIXED = {"kind": "GGA_FIXED", "coefficients": {
+    "kind": "power-rule", "t": 1.0, "q": 2.0, "gamma": 0.5}}
 
 
 CRITERIA = []
@@ -157,15 +194,12 @@ def _criterion(fn=None, *, limit_s=None):
 @_criterion(limit_s=1.0)
 def c01_gradient_method_equivalence(ctx):
     """Adaptive run on the Euclidean sphere must reproduce plain gradient descent."""
-    E = ctx.quadratic(quadratic_nd, 10, seed=3)
-    gamma = E.majorant.gamma
-    b = 0.5
     steps = 100
-    trace = run_gga_adaptive(E, SphereDictionary(), 1.0, b,
-                             StopRule(max_iter=steps, grad_tol=0.0))
-    ctx.write(trace, "c01_gradient_method.csv")
+    trace, _, E, sphere = ctx.run(
+        "c01_gradient_method", quadratic_nd(10, 3).description, ADAPTIVE,
+        steps, {"kind": "sphere"}, grad_tol=0.0)
 
-    step = b / (2.0 * gamma)
+    step = ADAPTIVE["b"] / (2.0 * E.majorant.gamma)
     x = np.zeros(E.dim)
     iterates = []
     for _ in range(steps):
@@ -173,14 +207,13 @@ def c01_gradient_method_equivalence(ctx):
         iterates.append(x)
 
     worst = 0.0
-    for state, ref in zip(iter_states(trace, SphereDictionary()), iterates):
+    for state, ref in zip(iter_states(trace, sphere), iterates):
         denom = np.maximum(np.abs(ref), 1e-300)
         worst = max(worst, float(np.max(np.abs(state.G - ref) / denom)))
     if len(trace) < steps:
         # run stopped on an exactly zero gradient; descent must have frozen too
-        tail = iterates[len(trace):]
         final = trace.final_E
-        for ref in tail:
+        for ref in iterates[len(trace):]:
             if abs(E(ref) - final) > 1e-12 * (1.0 + abs(final)):
                 return CriterionResult(
                     False, "greedy run stopped but descent kept moving")
@@ -195,12 +228,9 @@ def c01_gradient_method_equivalence(ctx):
 def c02_adaptive_energy_inequality(ctx):
     """Per-step energy decrease on every shipped adaptive instance."""
     checks = []
-    for name, E in _shipped_objectives(ctx):
-        dim = E.dim
-        trace = run_gga_adaptive(E, FiniteDictionary.coordinate(dim), 1.0, 0.5,
-                                 StopRule(max_iter=400))
-        ctx.write(trace, f"c02_adaptive_{name}.csv")
-        ok, where = _energy_inequality_ok(trace, b=0.5)
+    for name, spec in _shipped_specs():
+        trace, *_ = ctx.run(f"c02_adaptive_{name}", spec, ADAPTIVE, 400)
+        ok, where = _energy_inequality_ok(trace, b=ADAPTIVE["b"])
         checks.append((name, ok, where, len(trace)))
     bad = [c for c in checks if not c[1]]
     detail = "; ".join(f"{n}: {m} iterations" for n, _ok, _w, m in checks)
@@ -234,11 +264,8 @@ def c03_smoothness_gap_sweep(ctx):
 @_criterion
 def c04_score_gap_bound_sweep(ctx):
     """Greedy score dominates the scaled gap along a 10^3-iteration run."""
-    E = ctx.quadratic(quadratic_geometric, 64)
-    dictionary = FiniteDictionary.coordinate(64)
-    coeffs = make_power_coefficients(1.0, 2.0, 0.5)
-    trace = run_gga_fixed(E, dictionary, 1.0, coeffs, StopRule(max_iter=1000))
-    ctx.write(trace, "c04_score_gap_run.csv")
+    trace, _, E, dictionary = ctx.run(
+        "c04_score_gap_run", quadratic_geometric(64).description, FIXED, 1000)
     target = E.minimizer
     hull = float(np.sum(np.abs(target)))
     worst_margin = np.inf
@@ -259,72 +286,67 @@ def c04_score_gap_bound_sweep(ctx):
 @_criterion(limit_s=5.0)
 def c05_fixed_schedule_convergence(ctx):
     """Both fixed-coefficient schemes converge on the unit-l1 2-D quadratic."""
-    E = ctx.quadratic(quadratic_2d_unit_l1)
-    dictionary = FiniteDictionary.coordinate(2)
-    coeffs = make_power_coefficients(1.0, 2.0, E.majorant.gamma)
-    stop = StopRule(max_iter=10_000)
-    gga = run_gga_fixed(E, dictionary, 1.0, coeffs, stop)
-    ega = run_ega(E, dictionary, coeffs, stop)
-    ctx.write(gga, "c05_fixed_gga.csv")
-    ctx.write(ega, "c05_fixed_ega.csv")
-    gga_gap = gga.final_gap
-    ega_gap = ega.final_gap
+    spec = quadratic_2d_unit_l1().description
+    # the power rule at t = 1, q = 2 and the gamma of the objective's majorant
+    coeffs = {"kind": "power-rule", "t": 1.0, "q": 2.0}
+    gga, results, *_ = ctx.run(
+        "c05_fixed_gga", spec, {"kind": "GGA_FIXED", "coefficients": coeffs},
+        10_000, claims=[{"claim": FIXED_SUMMABLE_CONVERGENCE,
+                         "tolerance": 1e-2}])
+    ega, *_ = ctx.run("c05_fixed_ega", spec,
+                      {"kind": "EGA", "coefficients": coeffs}, 10_000)
     confined = (not any("left-sublevel-2" in f for f in gga.flags)
                 and not any("left-sublevel-2" in f for f in ega.flags))
-    verdict = claim_verdict(FIXED_SUMMABLE_CONVERGENCE, gga, tolerance=1e-2)
-    ok = (gga_gap <= 1e-2 and ega_gap <= 1e-2 and confined
-          and verdict.preconditions_met and verdict.bound_satisfied)
+    verdict = results["verdicts"][0]
+    ok = (gga.final_gap <= 1e-2 and ega.final_gap <= 1e-2 and confined
+          and verdict["preconditions_met"] and verdict["bound_satisfied"])
     return CriterionResult(
         ok,
-        f"gaps at m=10^4: greedy-selection {gga_gap:.3e}, objective-scan "
-        f"{ega_gap:.3e} (target 1e-2); sublevel confinement {confined}")
+        f"gaps at m=10^4: greedy-selection {gga.final_gap:.3e}, "
+        f"objective-scan {ega.final_gap:.3e} (target 1e-2); sublevel "
+        f"confinement {confined}")
 
 
 @_criterion(limit_s=10.0)
 def c06_power_schedule_rate(ctx):
     """Calibrated m^-0.3 envelope for the fixed power schedule (t=1, q=2)."""
-    E = ctx.quadratic(quadratic_geometric, 64)
-    dictionary = FiniteDictionary.coordinate(64)
-    coeffs = make_power_coefficients(1.0, 2.0, 0.5)
-    trace = run_gga_fixed(E, dictionary, 1.0, coeffs, StopRule(max_iter=5000))
-    ctx.write(trace, "c06_power_rate.csv")
-    verdict = claim_verdict(POWER_SCHEDULE_RATE, trace, r=0.3, hull_radius=1.0,
-                            calibration=10)
-    ok = verdict.preconditions_met and bool(verdict.bound_satisfied)
+    _, results, *_ = ctx.run(
+        "c06_power_rate", quadratic_geometric(64).description, FIXED, 5000,
+        claims=[{"claim": POWER_SCHEDULE_RATE, "r": 0.3, "hull_radius": 1.0,
+                 "calibration": 10}])
+    verdict = results["verdicts"][0]
+    ok = verdict["preconditions_met"] and bool(verdict["bound_satisfied"])
     return CriterionResult(
         ok,
-        f"C = {verdict.details.get('constant', float('nan')):.4g}, "
-        f"preconditions {verdict.preconditions_met} {verdict.reasons}, "
-        f"bound {verdict.bound_satisfied}")
+        f"C = {verdict['details'].get('constant', float('nan')):.4g}, "
+        f"preconditions {verdict['preconditions_met']} {verdict['reasons']}, "
+        f"bound {verdict['bound_satisfied']}")
 
 
 @_criterion
 def c07_adaptive_rate(ctx):
     """Calibrated m^-0.2 envelope for the adaptive scheme (t=1, b=1/2, q=2)."""
-    E = ctx.quadratic(quadratic_geometric, 64)
-    dictionary = FiniteDictionary.coordinate(64)
-    trace = run_gga_adaptive(E, dictionary, 1.0, 0.5,
-                             StopRule(max_iter=5000, grad_tol=0.0))
-    ctx.write(trace, "c07_adaptive_rate.csv")
+    trace, results, *_ = ctx.run(
+        "c07_adaptive_rate", quadratic_geometric(64).description, ADAPTIVE,
+        5000, claims=[{"claim": ADAPTIVE_RATE, "hull_radius": 1.0}],
+        grad_tol=0.0)
     gaps = trace.gaps()
     bounds = np.arange(1, len(gaps) + 1, dtype=float) ** (-0.2)
     C = smallest_dominating_constant(gaps, bounds, 10)
-    ok = bound_holds(gaps, bounds, C, min(10, len(gaps)))
-    verdict = claim_verdict(ADAPTIVE_RATE, trace, hull_radius=1.0)
-    ok = ok and verdict.preconditions_met and bool(verdict.bound_satisfied)
+    verdict = results["verdicts"][0]
+    ok = (bound_holds(gaps, bounds, C, min(10, len(gaps)))
+          and verdict["preconditions_met"] and bool(verdict["bound_satisfied"]))
     return CriterionResult(
         ok,
         f"C = {C:.4g} calibrated on 10 iterations, tail of {len(gaps)} under "
-        f"C m^-0.2: {ok}; general-form verdict {verdict.bound_satisfied}")
+        f"C m^-0.2: {ok}; general-form verdict {verdict['bound_satisfied']}")
 
 
 @_criterion
 def c08_adaptive_sphere_rate(ctx):
     """Sphere-dictionary adaptive run decays at least like 1/m."""
-    E = ctx.quadratic(quadratic_nd, 10, seed=3)
-    trace = run_gga_adaptive(E, SphereDictionary(), 1.0, 0.5,
-                             StopRule(max_iter=1000, grad_tol=0.0))
-    ctx.write(trace, "c08_sphere_rate.csv")
+    trace, *_ = ctx.run("c08_sphere_rate", quadratic_nd(10, 3).description,
+                        ADAPTIVE, 1000, {"kind": "sphere"}, grad_tol=0.0)
     gaps = trace.gaps()
     if len(gaps) == 0 or gaps[0] <= 0:
         return CriterionResult(False, "degenerate first iteration")
@@ -341,10 +363,8 @@ def c08_adaptive_sphere_rate(ctx):
 @_criterion
 def c09_exact_line_search_two_step(ctx):
     """The separable 2-D quadratic is solved exactly in two line-search steps."""
-    E = ctx.quadratic(quadratic_2d)
-    trace = run_gega(E, FiniteDictionary.coordinate(2), 1.0,
-                     StopRule(max_iter=10))
-    ctx.write(trace, "c09_line_search_two_step.csv")
+    trace, *_ = ctx.run("c09_line_search_two_step",
+                        quadratic_2d().description, {"kind": "GEGA"}, 10)
     ok = (len(trace) == 2 and trace.status == "gradient"
           and trace.E[-1] <= 1e-18
           and trace.atoms[0].index == 1 and trace.atoms[1].index == 0)
@@ -357,12 +377,9 @@ def c09_exact_line_search_two_step(ctx):
 @_criterion(limit_s=30.0)
 def c10_line_search_logistic_convergence(ctx):
     """Exact-line-search run closes the gap on the logistic instance."""
-    E = logistic_20x5()
-    reference = reference_infimum(E)
-    trace = run_gega(E, FiniteDictionary.coordinate(E.dim), 1.0,
-                     StopRule(max_iter=10_000))
-    ctx.write(trace, "c10_gega_logistic.csv")
-    gap = trace.final_E - reference
+    trace, _, E, _ = ctx.run("c10_gega_logistic", logistic_20x5_spec(),
+                             {"kind": "GEGA"}, 10_000)
+    gap = trace.final_E - reference_infimum(E)
     return CriterionResult(
         gap <= 1e-4,
         f"gap to reference infimum {gap:.3e} after {len(trace)} iterations "
@@ -451,7 +468,6 @@ def c11_oracle_equivalences(ctx):
                 break
 
     # rate fit on exact power laws
-    from .greedy import RunTrace
     for expo, scale in ((-1.0, 1.0), (-0.2, 5.0)):
         m = np.arange(1, 201, dtype=float)
         gaps = scale * m**expo
@@ -471,12 +487,10 @@ def c11_oracle_equivalences(ctx):
 @_criterion
 def c12_trace_determinism(ctx):
     """Repeating representative runs reproduces their serialized traces byte-for-byte."""
-    from .traceio import trace_csv_text
-
     def both(make):
         return trace_csv_text(make()), trace_csv_text(make())
 
-    E64 = ctx.quadratic(quadratic_geometric, 64)
+    E64 = quadratic_geometric(64)
     d64 = FiniteDictionary.coordinate(64)
     coeffs = make_power_coefficients(1.0, 2.0, 0.5)
     a, b = both(lambda: run_gga_fixed(E64, d64, 1.0, coeffs,
@@ -550,7 +564,8 @@ def _run_criterion(index, ctx):
 
 def run_all(ctx=None):
     """Execute every criterion on a pool of forked workers, one per CPU this
-    process may use, and return the results in registration order.
+    process may use, and return the results in registration order.  Each
+    criterion gets ``ctx`` as it is; the shipped ones need a VerifyContext.
 
     A crash is reported as a FAIL by the registering wrapper; a criterion
     whose worker process ended before it returned a result is a FAIL too.
@@ -560,7 +575,6 @@ def run_all(ctx=None):
     from concurrent.futures import Future, ProcessPoolExecutor
     from concurrent.futures.process import BrokenProcessPool
 
-    ctx = ctx or VerifyContext()
     cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count())
     pool = ProcessPoolExecutor(min(cpus, len(CRITERIA)),

@@ -21,8 +21,8 @@ from greedy_opt.verification import CRITERIA, CriterionResult, VerifyContext
 
 @pytest.mark.parametrize("criterion", CRITERIA,
                          ids=[fn.__name__ for fn in CRITERIA])
-def test_criterion(criterion):
-    result = criterion(VerifyContext(out_dir=None))
+def test_criterion(criterion, tmp_path):
+    result = criterion(VerifyContext(out_dir=tmp_path))
     print(f"{'PASS' if result.passed else 'FAIL'}  {result.name} "
           f"{result.elapsed:.2f}s: {result.detail}")
     assert result.passed, f"{result.name}: {result.detail}"
@@ -95,6 +95,39 @@ def test_verify_cli_fault_injection_names_the_violation(tmp_path, capsys):
     print("PASS  fault injection: verify exits 1 naming MAJORANT_VIOLATION")
 
 
+def test_fault_reaches_the_runs(tmp_path):
+    """The gamma-half fault reaches the runs, not only the audits: c05's
+    schedule, solved from the halved majorant, misses its claim, and c08's
+    adaptive steps, twice as long, reach the target in 2 iterations, where
+    the run without the fault takes all 1000."""
+    by_name = {fn.__name__: fn for fn in CRITERIA}
+    rows = {}
+    for fault in (True, False):
+        out = tmp_path / str(fault)
+        ctx = VerifyContext(out_dir=out, fault_gamma_half=fault)
+        assert by_name["c05_fixed_schedule_convergence"](ctx).passed is not fault
+        assert by_name["c08_adaptive_sphere_rate"](ctx).passed
+        lines = (out / "c08_sphere_rate.csv").read_text().splitlines()
+        rows[fault] = len(lines) - 1
+    assert rows == {True: 2, False: 1000}
+
+
+def test_every_manifest_reruns_to_its_trace(tmp_path, capsys):
+    """Each manifest that ``verify`` writes is a config that ``greedy-opt
+    run`` reruns to the criterion's trace, byte for byte."""
+    out = tmp_path / "verify"
+    assert main(["verify", "--out", str(out)]) == 0
+    manifests = sorted(out.glob("*.json"))
+    assert len(manifests) == len(list(out.glob("*.csv"))) == 13
+    for manifest in manifests:
+        rerun = tmp_path / "rerun" / manifest.stem
+        assert main(["run", str(manifest), "--out", str(rerun)]) == 0
+        trace = manifest.stem + ".csv"
+        assert (rerun / trace).read_bytes() == (out / trace).read_bytes()
+    capsys.readouterr()
+    print(f"PASS  {len(manifests)} verify manifests rerun to their traces")
+
+
 def test_pool_matches_direct_calls(monkeypatch, tmp_path):
     """run_all on the worker pool gives what calling the criteria one after
     another in this process gives: verdicts, details and files."""
@@ -112,7 +145,7 @@ def test_pool_matches_direct_calls(monkeypatch, tmp_path):
                                         "09-exact-line-search-two-step",
                                         "12-trace-determinism",
                                         "inv-hoelder-duality"]
-    assert len(_same_files(tmp_path / "pool", tmp_path / "direct")) == 2
+    assert len(_same_files(tmp_path / "pool", tmp_path / "direct")) == 4
 
 
 def test_pool_returns_results_in_registration_order(monkeypatch):

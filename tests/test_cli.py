@@ -549,6 +549,8 @@ BAD_OUTPUTS = {
     "same-name": {"trace": "out.json", "manifest": "out.json"},
     "same-file": {"trace": "a/t.csv", "manifest": "a/./t.csv"},
     "manifest-inside-trace": {"trace": "x", "manifest": "x/m.json"},
+    "trace-absolute": {"trace": "/abs/t.csv"},
+    "manifest-parent": {"manifest": "../m.json"},
 }
 
 

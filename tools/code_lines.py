@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import ast
 import io
+import os
 import sys
 import tokenize
 from pathlib import Path
@@ -268,4 +269,9 @@ def main(argv):
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv))
+    try:
+        sys.exit(main(sys.argv))
+    except BrokenPipeError:  # the reader closed the pipe, as ``| head`` does
+        # stdout's unflushed rest would raise again at exit: send it nowhere
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(0)
