@@ -4,72 +4,17 @@ Builds m-sparse approximate minimizers G_m = sum_j c_j phi_j of a smooth convex
 function over the span of a symmetric dictionary, one atom per iteration, and
 ships the diagnostics needed to verify the schemes' convergence and decay-rate
 guarantees numerically.
+
+The package root re-exports the ``__all__`` of the six library modules below,
+which is the one list of what each makes public.  ``cli``, ``instances`` and
+``verification`` are used as modules (``from greedy_opt import cli``).
 """
 
-from .core import (
-    EUCLIDEAN,
-    Majorant,
-    NormTag,
-    NumericFailure,
-    dual_norm,
-    finite_difference_gradient_check,
-    lp_norm,
-    majorant_domination_witness,
-    pairing,
-    smoothness_gap_check,
-)
-from .dictionaries import (
-    ARGMAX,
-    FIRST_ABOVE,
-    Atom,
-    FiniteDictionary,
-    SphereDictionary,
-    argmin_atom_by_objective,
-    greedy_score,
-    select_atom,
-)
-from .diagnostics import (
-    ALL_CLAIMS,
-    ADAPTIVE_CONVERGENCE,
-    ADAPTIVE_RATE,
-    ADAPTIVE_SPHERE_RATE,
-    FIXED_SUMMABLE_CONVERGENCE,
-    LINE_SEARCH_CONVERGENCE,
-    POWER_SCHEDULE_RATE,
-    SPHERE_POWER_SCHEDULE_RATE,
-    ClaimVerdict,
-    RateFit,
-    claim_verdict,
-    fit_rate,
-)
-from .greedy import (
-    CoefficientSequence,
-    ExpansionState,
-    MajorantViolationError,
-    RunTrace,
-    StopRule,
-    WeaknessSequence,
-    check_rate_bound,
-    iter_states,
-    line_search_exact,
-    make_power_coefficients,
-    run_ega,
-    run_gbe,
-    run_gega,
-    run_gga_adaptive,
-    run_gga_fixed,
-    score_gap_bound,
-    solve_stepsize,
-)
-from .objectives import (
-    Objective,
-    logistic_objective,
-    p_power_objective,
-    quadratic_objective,
-    reference_infimum,
-    validate_objective,
-    with_majorant,
-)
-from .traceio import read_trace_csv, trace_csv_text, write_manifest, write_trace_csv
+from .core import *  # noqa: F401,F403
+from .dictionaries import *  # noqa: F401,F403
+from .diagnostics import *  # noqa: F401,F403
+from .greedy import *  # noqa: F401,F403
+from .objectives import *  # noqa: F401,F403
+from .traceio import *  # noqa: F401,F403
 
 __version__ = "0.1.0"

@@ -44,7 +44,6 @@ from .greedy import (
 )
 from .objectives import logistic_objective, p_power_objective, quadratic_objective
 from .traceio import atomic_write_text, write_manifest, write_trace_csv
-from .verification import VerifyContext, criterion_names, run_all
 
 SCHEMA_VERSION = 1
 
@@ -228,7 +227,10 @@ def execute_run(config, base_dir=".", max_iter_override=None, out_dir=".",
     value, an input file that cannot be read, an output that cannot be
     written) becomes a ConfigError.  The output paths are checked once,
     before the solve.  Majorant violations and numeric failures pass through
-    unchanged; an overflow on the way to one prints no numpy warning.
+    unchanged; an overflow on the way to one prints no numpy warning.  The
+    library keeps its own ``errstate`` sites (``lp_norm``, atom norms,
+    ``pairings``, the sphere's score, the p-power and logistic curvature
+    bounds) for a caller that does not pass through here.
     """
     try:
         with np.errstate(over="ignore"):  # exit 4 says it, not numpy
@@ -500,6 +502,14 @@ def _sweep_one(index, config, base_dir, out_dir, max_iter, builds):
 
 
 def cmd_sweep(args):
+    """Run the product of the grid's value lists, one ``run_NNNN`` directory
+    per point, and write ``summary.csv``: one row per point in grid order,
+    with its final gap and fitted exponent, or an ``error: <type>`` row while
+    the other points still run.  A config that is not an object, a grid path
+    ``SCHEMA`` does not list and a ``--max-iter`` below 1 are exit 2 before
+    any point runs.  Points run grouped by their objective spec, then their
+    dictionary spec, each built once per group (``_build``); rows, numbering
+    and every output stay those of grid order."""
     config = _unwrap_manifest(_load_json(args.config))
     _require(isinstance(config, dict), "config must be a JSON object")
     grid = _load_json(args.grid)
@@ -542,6 +552,10 @@ def cmd_sweep(args):
 
 
 def cmd_verify(args):
+    # verification builds its runs through this module, so it is imported
+    # here, and importing cli does not load the suite
+    from .verification import VerifyContext, criterion_names, run_all
+
     if args.list:
         for name in criterion_names():
             print(name)

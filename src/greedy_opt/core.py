@@ -16,13 +16,10 @@ __all__ = [
     "NumericFailure",
     "NormTag",
     "EUCLIDEAN",
-    "as_vector",
     "lp_norm",
     "dual_norm",
     "pairing",
     "Majorant",
-    "sample_ball",
-    "unit_direction",
     "smoothness_gap_check",
     "finite_difference_gradient_check",
     "majorant_domination_witness",

@@ -29,14 +29,13 @@ __all__ = [
     "ALL_CLAIMS",
     "ClaimVerdict",
     "claim_verdict",
-    "smallest_dominating_constant",
-    "bound_holds",
 ]
 
 
 @dataclass(frozen=True)
 class RateFit:
-    """Least-squares slope of log gap versus log m."""
+    """Least-squares slope of log gap versus log m: what ``fit_rate``
+    returns; its ``describe()`` is a manifest's ``results.fit``."""
 
     status: str  # "ok" or "degenerate"
     window: tuple
@@ -84,6 +83,9 @@ def fit_rate(trace, window=None):
                    r_squared=1.0 - ss_res / ss_tot)
 
 
+# The claim names ``claim_verdict`` takes and a config's
+# ``diagnostics.claims`` lists, exported so a library caller need not spell
+# the strings; ``ALL_CLAIMS`` holds them all.
 FIXED_SUMMABLE_CONVERGENCE = "fixed-summable-convergence"
 POWER_SCHEDULE_RATE = "power-schedule-rate"
 SPHERE_POWER_SCHEDULE_RATE = "sphere-power-schedule-rate"
@@ -105,7 +107,9 @@ ALL_CLAIMS = (
 
 @dataclass
 class ClaimVerdict:
-    """Outcome of checking one convergence/rate claim against a run.
+    """Outcome of checking one convergence/rate claim against a run: what
+    ``claim_verdict`` returns; its ``describe()`` is one entry of a
+    manifest's ``results.verdicts``.
 
     ``bound_satisfied`` is meaningful only when ``preconditions_met``; the
     reasons list explains any unmet hypothesis.

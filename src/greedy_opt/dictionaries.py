@@ -25,9 +25,10 @@ __all__ = [
     "greedy_score",
     "select_atom",
     "argmin_atom_by_objective",
-    "read_csv_matrix",
 ]
 
+# The selection modes a weak-greedy driver, ``select_atom`` and a config's
+# ``algorithm.mode`` take (``check_mode``).
 ARGMAX = "argmax"
 FIRST_ABOVE = "first-above"
 
@@ -57,13 +58,14 @@ class FiniteDictionary:
     Atoms are normalized at construction in the dictionary's lp norm; a zero
     atom is a construction error.  Both signs of every atom are searched, so
     only the unsigned atoms are stored.  A caller's atoms are never changed:
-    they are divided into one new array, laid out as theirs.  The
-    classmethods divide the array they build in place, so a build's peak
-    memory is about one copy of the atoms.
+    they are divided into one new array, laid out as theirs, and the
+    dictionary describes itself as ``"custom"``.  The classmethods divide the
+    array they build in place, so a build's peak memory is about one copy of
+    the atoms, and name their own kind.
     """
 
-    def __init__(self, atoms, norm=EUCLIDEAN, kind="custom"):
-        self._normalize(np.asarray(atoms, dtype=float), norm, kind)
+    def __init__(self, atoms, norm=EUCLIDEAN):
+        self._normalize(np.asarray(atoms, dtype=float), norm, "custom")
 
     @classmethod
     def _owning(cls, A, norm, kind):
@@ -383,7 +385,8 @@ def gradient_stop_threshold(dictionary, gtol):
 
 
 def check_mode(mode):
-    """The one selection-mode rule, shared by the drivers, ``select_atom``
+    """The one selection-mode rule, shared by the drivers (before their first
+    evaluation), ``select_atom`` (on every dictionary, the sphere included)
     and the CLI: ``mode`` itself if it is ARGMAX or FIRST_ABOVE, else a
     ValueError."""
     if mode not in (ARGMAX, FIRST_ABOVE):
@@ -457,7 +460,9 @@ def argmin_atom_by_objective(E, G, c, dictionary, grad=None):
     scan runs without a curvature, at c = 0 (every value is E(G)), and when e
     or the largest intermediate, (w + 1)(D + dx)^2 + A ||g||, is not finite,
     so an overflowing value still raises.  The curvature comes from E's
-    definition, not its declared majorant, which cannot change the atom.
+    definition, not its declared majorant, which cannot change the atom.  On
+    a quadratic run about one atom per step is evaluated instead of all
+    2 * count.
     """
     if isinstance(dictionary, SphereDictionary):
         raise TypeError("objective-scan selection needs a finite dictionary; "

@@ -284,17 +284,23 @@ def line_search_exact(E, start, direction, tol=1e-12, bound=None):
     (signed steps are allowed), then bisects on the directional derivative until
     the minimizer is located within ``tol``, or until the midpoint of the
     bracket is no longer strictly inside it, after which bisection could only
-    repeat itself.  If the derivative never changes sign before |c| reaches
-    ``bound`` (default twice the objective's region radius), the bound is
-    returned with ``clamped=True``.  The caller evaluates E at the step it
-    takes.
+    repeat itself; there is no step cap.  If the derivative never changes
+    sign before |c| reaches ``bound`` (default twice the objective's region
+    radius), the bound is returned with ``clamped=True``.  The caller
+    evaluates E at the step it takes.
 
     Every decision depends only on the sign of the computed derivative
     pairing(E'(start + c d), d) and on whether it is exactly zero.  An
     objective with a section model certifies those signs below and above
     the points ``_certified_signs`` returns, so the gradient is evaluated
     only between them, and ``c`` and ``clamped`` equal a search that
-    evaluates every derivative, bit for bit, from a handful of gradients.
+    evaluates every derivative, bit for bit, from a handful of gradients:
+    on the benchmark's 400 x 64 logistic, about 2.5 gradients and 4.3 model
+    values per search instead of 41 gradients.
+
+    ``bound`` stays a parameter although only tests set it: the recursion on
+    the negative direction forwards it, and the replay's property tests draw
+    bounds that do not depend on the region radius.
     """
     if bound is None:
         bound = 2.0 * E.region_radius
@@ -364,7 +370,8 @@ class MajorantViolationError(RuntimeError):
 
 @dataclass
 class ExpansionState:
-    """Live state of an expansion after m iterations."""
+    """Live state of an expansion after m iterations: what ``iter_states``
+    yields and ``score_gap_bound`` takes."""
 
     G: np.ndarray
     m: int
@@ -445,8 +452,11 @@ def _run(E, dictionary, stop, algorithm, step, tau=None, mode=ARGMAX,
     Either way G_m = G + c_m * direction; a c_m that is not finite is a
     NumericFailure before the update.
     ``check(m, t_m, E_prev, E_new, c_m, score_prev)`` may reject a finished
-    step by raising.  The run config records the objective, dictionary, stop
-    rule, algorithm, weakness and mode, plus ``params``.
+    step by raising.  The ``grad_tol`` stop is the gradient's dual norm's
+    decision, but the norm is computed only when the greedy score does not
+    exceed ``gradient_stop_threshold``.  The run config records the
+    objective, dictionary, stop rule, algorithm, weakness and mode, plus
+    ``params``.
     """
     config = {
         "objective": E.describe(),
@@ -532,7 +542,8 @@ def _prescribed(rule, positive=False):
 
 def run_gbe(E, dictionary, t, coeffs, stop, mode=ARGMAX):
     """Generic expansion: weak-greedy atom at constant t, prescribed steps
-    ``coeffs`` (a CoefficientSequence), each of which must be positive."""
+    ``coeffs`` (a CoefficientSequence), each of which must be positive.  On
+    such a schedule it gives the same run as ``run_gga_fixed``."""
     return _run(E, dictionary, stop, "GBE",
                 _prescribed(coeffs.value, positive=True),
                 WeaknessSequence.constant(t), mode,
@@ -564,7 +575,9 @@ def run_gga_adaptive(E, dictionary, tau, b, stop, majorant=None, mode=ARGMAX):
     (``solve_stepsize``).  Every step must satisfy the energy
     decrease E(G_m) <= E(G_{m-1}) - t_m (1-b) c_m * score(G_{m-1}) within
     ``ENERGY_SLACK``; a violation aborts with MajorantViolationError, since it
-    means the majorant fails to dominate the true modulus.
+    means the majorant fails to dominate the true modulus.  On the Euclidean
+    unit sphere with a quadratic majorant this is plain gradient descent with
+    step b / (2 gamma), which ``verify`` checks against its own descent loop.
     """
     b = float(b)
     if not (0.0 < b < 1.0):
@@ -614,6 +627,9 @@ def iter_states(trace, dictionary):
 
 @dataclass(frozen=True)
 class BoundCheck:
+    """What ``score_gap_bound`` returns: the score ``lhs``, the scaled gap
+    ``rhs``, and whether lhs >= rhs - 1e-10."""
+
     lhs: float
     rhs: float
     holds: bool

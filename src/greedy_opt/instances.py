@@ -38,7 +38,9 @@ def quadratic_geometric(n=64):
     """n-dimensional quadratic, target 0.9^k scaled to ||target||_1 = 1.
 
     The spread of coordinate scales keeps the greedy run busy at every stage,
-    which makes it a good rate-measurement instance.
+    which makes it a good rate-measurement instance.  ``n`` stays a
+    parameter although only tests set it to another value:
+    ``perfbench/worker.py`` calls ``quadratic_geometric(64)`` positionally.
     """
     t = 0.9 ** np.arange(n)
     return quadratic_objective(t / np.sum(t))

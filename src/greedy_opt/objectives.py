@@ -386,7 +386,8 @@ def validate_objective(E, samples=300, seed=0):
 
     Checks midpoint convexity (within 1e-10), the gradient against central
     differences and the supporting-hyperplane inequality
-    E(y) >= E(x) + <E'(x), y - x> (within 1e-9).  Returns a dict of booleans.
+    E(y) >= E(x) + <E'(x), y - x> (within 1e-9).  Returns a dict of booleans
+    under ``convexity``, ``gradient`` and ``supporting_hyperplane``.
     Domination of the empirical modulus by the declared majorant is
     ``majorant_domination_witness``'s sweep.
     """

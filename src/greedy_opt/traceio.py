@@ -17,13 +17,10 @@ from .dictionaries import Atom
 from .greedy import RunTrace
 
 __all__ = [
-    "TRACE_COLUMNS",
     "trace_csv_text",
     "write_trace_csv",
     "read_trace_csv",
-    "manifest_text",
     "write_manifest",
-    "atomic_write_text",
 ]
 
 TRACE_COLUMNS = ["m", "E", "gap", "E_D", "c_m", "atom", "sign", "A_m",
@@ -73,7 +70,8 @@ def write_trace_csv(trace, path):
 
 
 def read_trace_csv(path):
-    """Rebuild a trace from CSV; A_m, sum_c and sum_cED must equal the sums
+    """Rebuild a trace from the CSV that ``write_trace_csv`` and
+    ``greedy-opt run`` write; A_m, sum_c and sum_cED must equal the sums
     derived from c_m and E_D.
 
     Config and explicit atom vectors are not serialized, so the result suits

@@ -20,6 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import cli
 from .core import (
     Majorant,
     NormTag,
@@ -69,7 +70,9 @@ __all__ = ["CriterionResult", "VerifyContext", "criterion_names", "run_all"]
 
 @dataclass
 class CriterionResult:
-    """A criterion's verdict; ``_criterion`` stamps ``elapsed`` and ``name``."""
+    """A criterion's verdict: what a criterion returns, and ``run_all``
+    returns one per criterion; ``_criterion`` stamps ``elapsed`` and
+    ``name``."""
 
     passed: bool
     detail: str
@@ -88,7 +91,6 @@ class VerifyContext:
 
     def objective(self, spec):
         """The objective the config spec ``spec`` builds, with the fault."""
-        from . import cli
         E = cli.build_objective(spec)
         if self.fault_gamma_half and spec["kind"] == "quadratic":
             mu = E.majorant
@@ -104,10 +106,11 @@ class VerifyContext:
 
         The objective is built here, with the fault, and handed to the run
         in its ``builds`` under the key the run looks up, so the fault
-        reaches the run while the config, and so the manifest, carries none.
+        reaches the run while the config, and so the manifest, carries none:
+        only its ``run_config`` shows the halved gamma, and the manifest
+        reruns to the trace without the fault.
         The dictionary defaults to the coordinate one of the objective's
         dimension."""
-        from . import cli
         E = self.objective(objective)
         builds = {"objective": (cli._build_key(objective, "."), E)}
         config = {
@@ -563,9 +566,11 @@ def _run_criterion(index, ctx):
 
 
 def run_all(ctx=None):
-    """Execute every criterion on a pool of forked workers, one per CPU this
-    process may use, and return the results in registration order.  Each
-    criterion gets ``ctx`` as it is; the shipped ones need a VerifyContext.
+    """Execute every criterion on a pool of forked workers (Linux, macOS),
+    one per CPU this process may use up to one per criterion, and return the
+    results in registration order, with the files a one-by-one run writes.
+    Each criterion gets ``ctx`` as it is; the shipped ones need a
+    VerifyContext.
 
     A crash is reported as a FAIL by the registering wrapper; a criterion
     whose worker process ended before it returned a result is a FAIL too.

@@ -1876,11 +1876,11 @@ class TestVerifyCommand:
     @pytest.mark.parametrize("out", ["afile", "afile/sub"])
     def test_out_at_or_under_a_file_exits_2_before_the_suite(
             self, tmp_path, capsys, monkeypatch, out):
-        import greedy_opt.cli as cli
+        from greedy_opt import verification
 
         def no_suite(*args, **kwargs):
             raise AssertionError("the suite started")
-        monkeypatch.setattr(cli, "run_all", no_suite)
+        monkeypatch.setattr(verification, "run_all", no_suite)
         (tmp_path / "afile").write_text("keep me")
         assert main(["verify", "--out", str(tmp_path / out)]) == 2
         err = capsys.readouterr().err

@@ -415,8 +415,7 @@ class TestPairings:
         rng = np.random.default_rng(18)
         assert FiniteDictionary(np.eye(3)).is_identity
         assert FiniteDictionary(2.5 * np.eye(3), norm=NormTag(3.0)).is_identity
-        assert not FiniteDictionary(rng.standard_normal((3, 3)),
-                                    kind="coordinate").is_identity
+        assert not FiniteDictionary(rng.standard_normal((3, 3))).is_identity
         assert not FiniteDictionary(np.eye(3)[:, :2]).is_identity
         assert not FiniteDictionary(
             np.hstack([np.eye(2), np.ones((2, 1))])).is_identity

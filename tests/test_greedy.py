@@ -873,7 +873,7 @@ class TestScoreGapBound:
     def test_coordinate_label_on_general_atoms_warns(self):
         E = quadratic_2d()
         rng = np.random.default_rng(2)
-        d = FiniteDictionary(rng.standard_normal((2, 5)), kind="coordinate")
+        d = FiniteDictionary(rng.standard_normal((2, 5)))
         state = ExpansionState(G=np.zeros(2), m=0, A=0.0)
         with pytest.warns(RuntimeWarning):
             score_gap_bound(E, d, state, np.array([0.1, 0.1]), 5.0)
