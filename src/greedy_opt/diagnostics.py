@@ -8,7 +8,6 @@ falsifiable part.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import asdict, dataclass, field
 
@@ -146,50 +145,42 @@ def bound_holds(gaps, bounds, C, start):
     return _first_violation(gaps, bounds, C, start) is None
 
 
-# Exact terms of the power-series bound; the schedule's calibration and the
-# claims' budget check must both use this one value.
-_SERIES_TERMS = 1_000_000
-# Terms summed per leaf: one 256 KB float64 array at a time.
-_LEAF_TERMS = 1 << 15
-
-
-def _pairwise_power_sum(a, lo, n):
-    """sum of k^-a for k = lo+1 .. lo+n, added in ``np.sum``'s pairwise order.
-
-    For a contiguous float64 vector ``np.sum`` splits a block of more than
-    128 terms at n2 = n // 2 rounded down to a multiple of 8, sums the halves
-    the same way and adds them; a block of at most 128 terms has its own
-    8-accumulator loop.  This recursion copies that split rule down to
-    leaves of at most ``_LEAF_TERMS`` terms.  A leaf is one block of the
-    whole array's tree, and ``np.sum`` of it, alone, walks the same subtree,
-    so each leaf gives the float the whole sum forms there, and the additions
-    up this tree are the ones ``np.sum`` makes above it.  That order is
-    numpy's, not documented API: an identity test against the one-array sum
-    pins it, not a proof.
-    """
-    if n <= _LEAF_TERMS:
-        k = np.arange(lo + 1, lo + n + 1, dtype=float)
-        return float(np.sum(np.power(k, -a, out=k)))
-    half = n // 2 - n // 2 % 8
-    return (_pairwise_power_sum(a, lo, half)
-            + _pairwise_power_sum(a, lo + half, n - half))
-
-
-@functools.lru_cache(maxsize=64)
 def _power_series_sum(a):
-    """Upper bound on sum_k k^-a: ``_SERIES_TERMS`` exact terms plus the
-    integral tail.
+    """Upper bound Z on zeta(a) = sum_k k^-a, in closed form; inf for a <= 1.
 
-    Infinite for a <= 1, where the series diverges.  Kept per exponent, so a
-    process sums the 10^6 terms once for each a it asks for.  The terms are
-    summed one 2^15-term leaf at a time in ``np.sum``'s own pairwise order
-    (see ``_pairwise_power_sum``), so the sum is the float
-    ``np.sum(k ** -a)`` gives over all 10^6 terms, without their 8 MB array.
+    The schedule's calibration and the claims' budget check both use this
+    one value.  Euler-Maclaurin at n = 1000, with f(x) = x^-a:
+
+        zeta(a) = sum_{k<n} k^-a + n^(1-a)/(a-1) + n^-a/2 + a n^(-a-1)/12
+                  - a(a+1)(a+2) n^(-a-3)/720 + rho,
+
+    where rho has the sign of the first omitted term and is below it in size,
+    as the derivatives of f alternate in sign: 0 <= rho <=
+    a(a+1)(a+2)(a+3)(a+4) n^(-a-5)/30240, under 1e-20 zeta(a) at every a > 1.
+    The bound adds M^-a/2 - a M^(-a-1)/12 with M = 10^6, the amount by which
+    10^6 exact terms plus the integral tail M^(1-a)/(a-1) exceed zeta(a), so
+    Z stays within 1e-14 of that sum, which perfbench's checks recompute.
+
+    Rounding (u = 2^-53): the 999 head terms, n^(1-a)/(a-1), n^-a/2 and
+    M^-a/2 are each within 3u of their exact values, as ``pow`` is within an
+    ulp and each takes at most one division (1 - a and a - 1 are exact for
+    a <= 2; above 2, n^(1-a)/(a-1) is under 1e-3 of the total, so its rounded
+    exponent moves the total by under 0.01u).  The other three pieces are
+    under 1e-7 of the total, so their errors move it by under 0.01u.
+    ``math.fsum`` adds the pieces with one rounding, so the sum is within
+    4.1u of the exact expression, which is at least zeta(a) - rho.  Adding
+    8u of the sum, with one more rounding, leaves Z above zeta(a) by more
+    than 2u of it.
     """
     if a <= 1.0:
         return math.inf
-    return (_pairwise_power_sum(a, 0, _SERIES_TERMS)
-            + _SERIES_TERMS ** (1.0 - a) / (a - 1.0))
+    n, M = 1000, 1e6
+    total = math.fsum([*(k ** -a for k in range(1, n)),
+                       n ** (1.0 - a) / (a - 1.0), n ** -a / 2.0,
+                       a * n ** (-a - 1.0) / 12.0,
+                       -a * (a + 1.0) * (a + 2.0) * n ** (-a - 3.0) / 720.0,
+                       M ** -a / 2.0, -a * M ** (-a - 1.0) / 12.0])
+    return total + total * 2.0**-50
 
 
 def _tau_array(trace):

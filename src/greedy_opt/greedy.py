@@ -60,9 +60,10 @@ class StopRule:
     """When to end a run.
 
     ``grad_tol`` is the dual-norm threshold standing in for an exactly zero
-    gradient; None defaults to 1e-12 * (1 + |E(0)|) at run start.  ``target_gap``
-    stops once E(G_m) - known_inf falls below it (ignored when the objective
-    has no known infimum).  Both must be nonnegative, and not NaN.
+    gradient; None defaults to 1e-12 times the dual norm of the gradient at
+    run start, the units it is compared in.  ``target_gap`` stops once
+    E(G_m) - known_inf falls below it (ignored when the objective has no
+    known infimum).  Both must be nonnegative, and not NaN.
     """
 
     max_iter: int
@@ -453,8 +454,9 @@ def _run(E, dictionary, stop, algorithm, step, tau=None, mode=ARGMAX,
     NumericFailure before the update.
     ``check(m, t_m, E_prev, E_new, c_m, score_prev)`` may reject a finished
     step by raising.  The ``grad_tol`` stop is the gradient's dual norm's
-    decision, but the norm is computed only when the greedy score does not
-    exceed ``gradient_stop_threshold``.  The run config records the
+    decision, but an iteration computes the norm only when the greedy score
+    does not exceed ``gradient_stop_threshold``; the default ``grad_tol``
+    takes one more at run start.  The run config records the
     objective, dictionary, stop rule, algorithm, weakness and mode, plus
     ``params``.
     """
@@ -475,7 +477,8 @@ def _run(E, dictionary, stop, algorithm, step, tau=None, mode=ARGMAX,
     e_cur = E(G)
     e0 = e_cur
     grad = E.gradient(G)
-    gtol = stop.grad_tol if stop.grad_tol is not None else 1e-12 * (1.0 + abs(e0))
+    gtol = (stop.grad_tol if stop.grad_tol is not None
+            else 1e-12 * dual_norm(grad, dictionary.norm))
     stop_above = gradient_stop_threshold(dictionary, gtol)
     score_val, score_atom = greedy_score(-grad, dictionary)
     trace = RunTrace(algorithm=algorithm, status="max-iter", E0=e0,

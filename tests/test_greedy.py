@@ -1,10 +1,12 @@
 """Run drivers, scalar solvers, and expansion invariants."""
 
+import importlib
 import math
 import os
 import re
 import tempfile
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -45,6 +47,8 @@ from greedy_opt.core import ETA, U
 from greedy_opt.greedy import ENERGY_SLACK, ExpansionState
 from greedy_opt.objectives import Objective, with_majorant
 from greedy_opt.instances import logistic_20x5, quadratic_2d, quadratic_2d_unit_l1
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def plain(E, calls=None):
@@ -121,12 +125,29 @@ class TestPowerCoefficients:
         assert cs.s == (1.0 + 1.0) / (1.0 + 2.0)
 
     def test_series_bound_against_zeta(self):
+        """zeta(4/3) < Z <= zeta(4/3) + M^-a/2 + 1e-14 zeta(4/3), M = 10^6,
+        so c lies just below the c that zeta itself would give."""
         scipy_special = pytest.importorskip("scipy.special")
         cs = make_power_coefficients(1.0, 2.0, 0.5)
-        zeta = float(scipy_special.zeta(4.0 / 3.0))
-        assert cs.meta["series_bound"] >= zeta - 1e-12
-        np.testing.assert_allclose(cs.meta["series_bound"], zeta, atol=1e-6)
-        np.testing.assert_allclose(cs.c, (0.5 * zeta) ** -0.5, atol=1e-6)
+        a = 4.0 / 3.0
+        zeta = float(scipy_special.zeta(a))
+        top = zeta + 1e6 ** -a / 2.0 + 1e-14 * zeta
+        assert zeta < cs.meta["series_bound"] <= top
+        assert (0.5 * top) ** -0.5 * (1.0 - 1e-15) <= cs.c
+        assert cs.c < (0.5 * zeta) ** -0.5
+
+    def test_coefficients_agree_with_the_benchmark_recomputation(
+            self, monkeypatch):
+        """perfbench's ``check_ega`` recomputes c_k from a 10^6-term series
+        sum and compares at rtol 1e-12; agreeing at a tenth of that here, a
+        change to the budget fails in tier-1 before it fails the benchmark."""
+        monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+        checks = importlib.import_module("checks")
+        cs = make_power_coefficients(1.0, 2.0, 0.5)
+        ours = [cs.value(k) for k in range(1, 3001)]
+        np.testing.assert_allclose(
+            ours, checks.power_rule_coefficients(0.5, 3000), rtol=1e-13,
+            atol=0.0)
 
     def test_budget_saturates_at_one(self):
         for t, q, gamma in ((1.0, 2.0, 0.5), (0.5, 1.5, 2.0), (0.25, 2.0, 1.0)):
@@ -548,7 +569,8 @@ class TestRunGgaFixed:
         assert full.E == weak.E and full.c == weak.c
 
     def test_certified_stop_tests_skip_the_dual_norm(self, monkeypatch):
-        """c05's instance: the score decides every gradient stop test."""
+        """c05's instance: the score decides every per-iteration gradient
+        stop test, so no iteration takes a dual norm."""
         calls = []
         monkeypatch.setattr(greedy_module, "dual_norm", lambda *args:
                             calls.append(args) or dual_norm(*args))
@@ -556,7 +578,9 @@ class TestRunGgaFixed:
         cs = make_power_coefficients(1.0, 2.0, E.majorant.gamma)
         trace = run_gga_fixed(E, FiniteDictionary.coordinate(2), 1.0, cs,
                               StopRule(max_iter=10_000))
-        assert trace.status == "max-iter" and calls == []
+        # the one norm taken is the default grad_tol's, at run start
+        assert trace.status == "max-iter" and len(calls) == 1
+        np.testing.assert_array_equal(calls[0][0], E.gradient(np.zeros(2)))
 
     def test_sublevel_confinement_under_summable_schedule(self):
         E = quadratic_2d_unit_l1()
@@ -767,6 +791,17 @@ class TestTraceMechanics:
                                  StopRule(max_iter=500, target_gap=1e-3))
         assert trace.status == "target-gap"
         assert trace.final_gap <= 1e-3
+
+    def test_default_grad_tol_is_in_gradient_units(self):
+        """A far target makes |E(0)| 1.5e16: the former default
+        1e-12 (1 + |E(0)|), a scale of objective values, stopped this run
+        with status "gradient" after 15 steps at E = 1.397e7.  Scaled by the
+        initial gradient's dual norm it runs on to E below 1e-7."""
+        E = quadratic_objective([1e8, -2.5, 0.7], scale=3.0)
+        trace = run_gga_adaptive(E, FiniteDictionary.coordinate(3), 1.0, 0.5,
+                                 StopRule(max_iter=1000))
+        assert trace.status == "gradient"
+        assert trace.E[-1] < 1e-7
 
     @pytest.mark.parametrize("run", ["GBE", "EGA", "GGA_FIXED",
                                      "GGA_ADAPTIVE", "GEGA"])
